@@ -1,25 +1,24 @@
 """Closed-form densities of the symplectic eigenvalues and energy formulas.
 
-Normalization constants have no closed form; they are computed once per
-parameter set by adaptive quadrature (relative tolerance 1e-8) and cached in
-a thread-safe memo.  Unnormalized log densities return -inf on their
+The normalized densities carry closed-form normalization constants: the 2+2
+constant from the Beta-mixture law of nu1 + nu2 (``sum_mixture_2p2``, which
+the exact 2+2 sampler and its KS reference share), and the fixed-energy
+simplex constant from homogeneity of the squared Vandermonde plus the
+Laguerre Selberg integral.  Unnormalized log densities return -inf on their
 algebraic zero sets so rejection samplers can evaluate them anywhere.
 """
 
 from __future__ import annotations
 
-import threading
+import math
 from dataclasses import dataclass
 from typing import Literal, Optional
 
 import numpy as np
-from scipy import integrate
 
-from .haar import EulerGaussianUnitary
+from .haar import EulerGaussianUnitary, vandermonde_repulsion
 from .symplectic import Bipartition, GaussianPureState, reduced_covariance
 
-QUAD_REL_TOL = 1e-8
-QUAD_ABS_FLOOR = 1e-14
 SIMPLEX_SLACK = 1e-9
 
 
@@ -221,48 +220,29 @@ def _density_2p2_unnormalized(nu1, nu2, constraint: EnergyConstraint):
     return np.where(support, val, 0.0)
 
 
-class _NormalizationCache:
-    """Memo for normalization constants: one computation per key."""
+def sum_mixture_2p2(constraint: EnergyConstraint) -> tuple[float, np.ndarray]:
+    """Law of S = nu1 + nu2 under the 2+2 density, as a Beta mixture.
 
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._values: dict = {}
-        self._key_locks: dict = {}
-
-    def get(self, key, compute):
-        with self._lock:
-            if key in self._values:
-                return self._values[key]
-            klock = self._key_locks.setdefault(key, threading.Lock())
-        with klock:
-            with self._lock:
-                if key in self._values:
-                    return self._values[key]
-            value = compute()
-            with self._lock:
-                self._values[key] = value
-            return value
-
-
-_norm_cache = _NormalizationCache()
+    Integrating (nu1 - nu2)^2 over the anti-diagonal leaves the marginal
+    (S - 2)^3 (2 E_A - S)^2 (2 E_B - S)^2 on [2, 2 min(E)].  With
+    L = 2 min(E) - 2, x = (S - 2)/L and b = 2 |E_A - E_B| / L this is
+    L^7 x^3 (1 - x)^2 (b + 1 - x)^2, and expanding (b + 1 - x)^2 in powers
+    of 1 - x makes x a mixture of Beta(4, 3), Beta(4, 4) and Beta(4, 5) with
+    unnormalized weights b^2/60, b/70, 1/280 (each a coefficient times the
+    Beta function B(4, 3 + k)).  Returns (L, weights).
+    """
+    if constraint.min_energy <= 1.0:
+        raise ValueError("min(E_A, E_B) must exceed 1 (empty support)")
+    L = 2.0 * constraint.min_energy - 2.0
+    b = 2.0 * abs(constraint.E_A - constraint.E_B) / L
+    return L, np.array([b * b / 60.0, b / 70.0, 1.0 / 280.0])
 
 
 def _norm_2p2(constraint: EnergyConstraint) -> float:
-    top = 2.0 * constraint.min_energy
-
-    def compute():
-        val, _ = integrate.dblquad(
-            lambda y, x: _density_2p2_unnormalized(x, y, constraint),
-            1.0,
-            top - 1.0,
-            1.0,
-            lambda x: top - x,
-            epsabs=QUAD_ABS_FLOOR,
-            epsrel=QUAD_REL_TOL,
-        )
-        return val
-
-    return _norm_cache.get(("2p2", constraint.E_A, constraint.E_B), compute)
+    # the anti-diagonal integral of D^2 over |D| <= S - 2, with the Jacobian
+    # 1/2 of (nu1, nu2) -> (S, D), is (S - 2)^3 / 3
+    L, weights = sum_mixture_2p2(constraint)
+    return L**8 * float(weights.sum()) / 3.0
 
 
 def density_2p2(nu1, nu2, constraint: EnergyConstraint):
@@ -271,57 +251,28 @@ def density_2p2(nu1, nu2, constraint: EnergyConstraint):
     Proportional to (nu1-nu2)^2 [2E_A - S]^2 [2E_B - S]^2 with S = nu1+nu2,
     on {nu >= 1, S <= 2 min(E_A, E_B)}.  Supports array arguments.
     """
-    if constraint.min_energy <= 1.0:
-        raise ValueError("min(E_A, E_B) must exceed 1 (empty support)")
+    norm = _norm_2p2(constraint)
     nu1 = np.asarray(nu1, dtype=float)
     nu2 = np.asarray(nu2, dtype=float)
     _check_nu(nu1)
     _check_nu(nu2)
-    val = _density_2p2_unnormalized(nu1, nu2, constraint) / _norm_2p2(constraint)
+    val = _density_2p2_unnormalized(nu1, nu2, constraint) / norm
     return float(val) if val.ndim == 0 else val
-
-
-def _vandermonde_sq(nu: np.ndarray) -> float:
-    out = 1.0
-    for h in range(nu.size):
-        for k in range(h + 1, nu.size):
-            out *= (nu[h] - nu[k]) ** 2
-    return out
 
 
 def _norm_submanifold_energy(m: int, E: float) -> float:
     """Integral of prod (nu_h - nu_k)^2 over {nu >= 1, sum nu = 2E}.
 
     Taken with respect to Lebesgue measure in the first m - 1 coordinates
-    (the last one is eliminated by the energy constraint).
+    (the last one is eliminated by the energy constraint).  With
+    nu = 1 + (2E - m) x and x on the unit simplex, homogeneity of the squared
+    Vandermonde gives (2E - m)^(m^2 - 1) times its unit-simplex integral, and
+    the Laguerre Selberg integral gives that as prod_{j<m} j! (j+1)! / Gamma(m^2).
     """
-    total = 2.0 * E
-
-    def compute():
-        if m == 1:
-            return 1.0
-
-        def integrand(*free):
-            last = total - sum(free)
-            if last < 1.0:
-                return 0.0
-            return _vandermonde_sq(np.array(free + (last,)))
-
-        # nu_1 + ... + nu_{m-1} <= 2E - 1, each >= 1
-        ranges = []
-        for i in range(m - 1):
-            def make(i=i):
-                def rng_fn(*outer):
-                    # remaining coordinates (incl. the eliminated one) need >= 1 each
-                    return (1.0, total - sum(outer) - (m - 1 - i))
-                return rng_fn
-            ranges.append(make())
-        val, _ = integrate.nquad(
-            integrand, ranges, opts={"epsabs": QUAD_ABS_FLOOR, "epsrel": QUAD_REL_TOL}
-        )
-        return val
-
-    return _norm_cache.get(("subm", m, E), compute)
+    log_simplex = sum(math.lgamma(j + 1) + math.lgamma(j + 2) for j in range(m))
+    return math.exp(
+        (m * m - 1) * math.log(2.0 * E - m) + log_simplex - math.lgamma(m * m)
+    )
 
 
 def density_submanifold_energy(nu, E: float, n: int):
@@ -345,4 +296,6 @@ def density_submanifold_energy(nu, E: float, n: int):
         raise ValueError("nu does not lie on the simplex sum(nu) = 2E")
     if m == 1:
         return 1.0
-    return _vandermonde_sq(nu) / _norm_submanifold_energy(m, E)
+    if 2.0 * E == m:
+        raise ValueError("2E = n/2: the energy simplex is the single point nu = 1")
+    return float(vandermonde_repulsion(nu) ** 2) / _norm_submanifold_energy(m, E)

@@ -8,8 +8,9 @@ proposals whose subsystem energies fall in shells of width epsilon around
 the targets.  The Dirac energy constraint is replaced by the shell, and the
 shell probability is averaged analytically where a closed conditional is
 available (over the uniform lambda factor for one-mode subsystems, and over
-the single mixing angle of a two-mode unitary), which multiplies the
-effective sample size by orders of magnitude without changing the estimand.
+the interval of squeezing weights compatible with the shell at fixed mixing),
+which multiplies the effective sample size by orders of magnitude without
+changing the estimand.
 Accepted samples carry the residual importance weights.
 
 Work is partitioned into independently seeded streams spawned from a single
@@ -20,24 +21,23 @@ seed; merging is associative, so results are deterministic for a fixed
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy import stats
 
-from .densities import EnergyConstraint, density_1p1, density_2p2, support_1p1
-from .haar import (
-    EnvelopeViolationError,
-    sample_haar_unitary,
-    sample_repulsive,
-    vandermonde_repulsion,
+from .densities import (
+    EnergyConstraint,
+    density_1p1,
+    density_2p2,
+    sum_mixture_2p2,
+    support_1p1,
 )
+from .haar import sample_haar_unitary, sample_repulsive, vandermonde_repulsion
 
 logger = logging.getLogger(__name__)
 
-ENVELOPE_SAFETY = 1.1
-ENVELOPE_GRID = 64
 MIN_EXPECTED_PER_BIN = 5.0
 
 
@@ -76,32 +76,20 @@ def _unconstrained_factor_2(nu1, nu2):
 def sample_density_2p2(
     constraint: EnergyConstraint, count: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Draw (nu1, nu2) pairs from the closed-form constrained density.
+    """Draw (nu1, nu2) pairs from the closed-form constrained density, exactly.
 
-    Uniform proposals on the triangular support, accepted against a grid-located
-    density maximum times a safety factor.
+    In S = nu1 + nu2 and D = nu1 - nu2 the density factors.  (S - 2)/L, with
+    L = 2 min(E) - 2, follows the Beta mixture of ``sum_mixture_2p2``: pick a
+    component by its weight, then draw that Beta.  Given S, t = D/(S - 2) has
+    density 3 t^2 / 2 on [-1, 1], whose CDF (t^3 + 1)/2 inverts to a cube
+    root.  Each row costs three draws; nothing is rejected.
     """
-    top = 2.0 * constraint.min_energy
-    if top <= 2.0:
-        raise ValueError("empty support: need min(E_A, E_B) > 1")
-    g = np.linspace(1.0, top - 1.0, ENVELOPE_GRID)
-    X, Y = np.meshgrid(g, g)
-    envelope = float(density_2p2(X, Y, constraint).max()) * ENVELOPE_SAFETY
-    out = np.empty((count, 2))
-    have = 0
-    while have < count:
-        batch = max(4096, 4 * (count - have))
-        x = rng.uniform(1.0, top - 1.0, size=(batch, 2))
-        dens = density_2p2(x[:, 0], x[:, 1], constraint)
-        if np.any(dens > envelope):
-            raise EnvelopeViolationError(
-                f"density {dens.max():.6g} exceeds envelope {envelope:.6g}"
-            )
-        keep = x[rng.uniform(0.0, envelope, batch) < dens]
-        take = min(count - have, keep.shape[0])
-        out[have : have + take] = keep[:take]
-        have += take
-    return out
+    L, weights = sum_mixture_2p2(constraint)
+    k = rng.choice(weights.size, size=count, p=weights / weights.sum())
+    y = L * rng.beta(4.0, 3.0 + k)
+    t = np.cbrt(2.0 * rng.random(count) - 1.0)
+    # nu = 1 + y (1 +/- t)/2 keeps both eigenvalues >= 1 under round-off
+    return np.column_stack([1.0 + 0.5 * y * (1.0 + t), 1.0 + 0.5 * y * (1.0 - t)])
 
 
 def sample_submanifold_energy(
@@ -262,7 +250,30 @@ def weighted_chi2(bin_index, weights, expected_prob) -> tuple[float, int, float]
         z2 = np.where(variance > 0, (W - expected) ** 2 / variance, 0.0)
     chi2 = float(z2[keep].sum())
     dof = max(int(keep.sum()) - 1, 1)
-    return chi2, dof, float(stats.chi2.sf(chi2, dof))
+    return chi2, dof, chi2_sf(chi2, dof)
+
+
+def chi2_sf(x: float, dof: int) -> float:
+    """Upper tail P(X > x) of the chi-square law with integer dof.
+
+    The finite sums of Abramowitz & Stegun 26.4.4-5: with y = x/2,
+    exp(-y) sum_{j < dof/2} y^j / j! for even dof, and
+    erfc(sqrt(y)) + exp(-y) sum_{1 <= j <= (dof-1)/2} y^(j-1/2) / Gamma(j+1/2)
+    for odd dof.  Every term is positive, so there is no cancellation, and
+    each is formed in logs so none overflows.
+    """
+    if x <= 0:
+        return 1.0
+    y = 0.5 * x
+    log_y = math.log(y)
+    if dof % 2 == 0:
+        return math.fsum(
+            math.exp(j * log_y - y - math.lgamma(j + 1)) for j in range(dof // 2)
+        )
+    return math.erfc(math.sqrt(y)) + math.fsum(
+        math.exp((j - 0.5) * log_y - y - math.lgamma(j + 0.5))
+        for j in range(1, (dof + 1) // 2)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -288,10 +299,12 @@ def _pipeline_partition_2p2(constraint, count, eps, cutoff, rng):
     nu proposals come from the closed-form constrained density (any
     support-covering proposal is valid); the importance weight carries the
     invariant factor over the proposal density, times a single-sample
-    estimate of each subsystem's shell probability from an actual Haar
-    unitary and shell-band lambda draws.  The weights are flat only if the
-    closed form matches the first-principles pipeline law, so the comparison
-    still detects a wrong closed form.  Lambda values above 2(E + eps) can
+    estimate of each subsystem's shell probability from the mixing matrix
+    |U|^2 of a Haar unitary and shell-band lambda draws.  For a 2 x 2 Haar
+    unitary |U|^2 = [[p, 1 - p], [1 - p, p]] with p uniform on (0, 1), so p
+    is drawn directly.  The weights are flat only if the closed form matches
+    the first-principles pipeline law, so the comparison still detects a
+    wrong closed form.  Lambda values above 2(E + eps) can
     never reach the shell (the energy is at least half the largest lambda,
     because the mixing coefficients are stochastic mixtures of nu >= 1), so
     the lambda box is clipped there.
@@ -302,8 +315,8 @@ def _pipeline_partition_2p2(constraint, count, eps, cutoff, rng):
     )
     for E in (constraint.E_A, constraint.E_B):
         lam_top = min(cutoff, 2.0 * (E + eps))
-        U = sample_haar_unitary(2, rng, size=count)
-        c = np.einsum("ihk,ik->ih", np.abs(U) ** 2, nu)
+        p = rng.random((count, 1))
+        c = p * nu + (1.0 - p) * nu[:, ::-1]
         w = w * _shell_band_lambda(c, E, eps, lam_top, rng)
     keep = w > 0
     return nu[keep], w[keep]
@@ -335,15 +348,20 @@ def _pipeline_partition_generic(m, constraint, count, eps, cutoff, rng):
 def _sum_marginal_cdf(constraint: EnergyConstraint):
     """CDF of nu1 + nu2 under the closed-form constrained density.
 
-    The anti-diagonal integral is elementary: the marginal of S = nu1 + nu2 is
-    proportional to (S - 2)^3 (2 E_A - S)^2 (2 E_B - S)^2 on [2, 2 min(E)].
+    The Beta mixture of ``sum_mixture_2p2``, with each component's CDF in
+    closed form: for integer a and b the regularized incomplete Beta is the
+    binomial tail I_x(a, b) = sum_{j >= a} C(a+b-1, j) x^j (1-x)^(a+b-1-j),
+    here with a + b - 1 = 6 + k for Beta(4, 3 + k).  The mixture is summed
+    once into a degree-8 polynomial in x = (S - 2)/L.
     """
-    top = 2.0 * constraint.min_energy
-    s = np.linspace(2.0, top, 2049)
-    pdf = (s - 2.0) ** 3 * (2.0 * constraint.E_A - s) ** 2 * (2.0 * constraint.E_B - s) ** 2
-    cdf = np.concatenate([[0.0], np.cumsum((pdf[1:] + pdf[:-1]) / 2 * np.diff(s))])
-    cdf /= cdf[-1]
-    return lambda v: np.interp(v, s, cdf, left=0.0, right=1.0)
+    L, weights = sum_mixture_2p2(constraint)
+    x = np.polynomial.Polynomial([0.0, 1.0])
+    poly = sum(
+        weight * math.comb(6 + k, j) * x**j * (1.0 - x) ** (6 + k - j)
+        for k, weight in enumerate(weights / weights.sum())
+        for j in range(4, 7 + k)
+    )
+    return lambda v: poly(np.clip((np.asarray(v, dtype=float) - 2.0) / L, 0.0, 1.0))
 
 
 def _partition_counts(count: int, partitions: int) -> list[int]:
@@ -373,8 +391,12 @@ def verify_constrained_density(
         raise ValueError("n must be a positive even number of modes")
     m = n // 2
     eps = constraint.shell_width
-    if constraint.min_energy <= 1.0:
-        raise ValueError("min(E_A, E_B) must exceed 1 (empty support)")
+    # each subsystem energy is at least sum(nu)/2 and each nu >= 1
+    if 2.0 * constraint.min_energy <= m:
+        raise ValueError(
+            f"2 min(E_A, E_B) = {2.0 * constraint.min_energy:.6g} must exceed "
+            f"n/2 = {m} (empty support)"
+        )
     # lambda values above 2(E + eps) can never land in an energy shell, so
     # the cutoff box must reach at least that far not to truncate the law
     needed = 2.0 * (max(constraint.E_A, constraint.E_B) + eps)

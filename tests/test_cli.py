@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gausshaar
 from gausshaar.cli import main
 from gausshaar.serialization import write_covariance_csv
 from gausshaar.symplectic import Bipartition, canonical_state
@@ -255,3 +260,18 @@ class TestSeededReproducibility:
             doc["metadata"]["config"].pop("output_path", None)
             outs.append(json.dumps(doc, sort_keys=True))
         assert outs[0] == outs[1]
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only dependency; importing it costs every CLI start ~0.9 s
+    src = Path(gausshaar.__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    probe = (
+        "import sys, gausshaar.cli; "
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -1,3 +1,4 @@
+import math
 import threading
 
 import numpy as np
@@ -162,6 +163,16 @@ class TestDensity2p2:
         )
         assert val == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("energies", [(2.2, 2.9), (1.5, 4.0), (1.2, 1.3)])
+    def test_normalization_unequal_energies(self, energies):
+        c = EnergyConstraint(*energies)
+        top = 2.0 * c.min_energy
+        val, _ = integrate.dblquad(
+            lambda y, x: density_2p2(x, y, c), 1.0, top - 1.0, 1.0, lambda x: top - x,
+            epsabs=1e-12, epsrel=1e-10,
+        )
+        assert val == pytest.approx(1.0, abs=1e-9)
+
     def test_product_form_identity(self):
         # the closed form equals (invariant factor) x g(E_A) x g(E_B)
         # pointwise up to one global constant
@@ -221,6 +232,23 @@ class TestSubmanifoldDensities:
         )
         assert val == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize("m, E", [(2, 2.0), (3, 3.0), (4, 3.5), (5, 4.0)])
+    def test_fixed_energy_normalization_by_dirichlet_mc(self, m, E):
+        # uniform points on the simplex {nu >= 1, sum nu = 2E}; its volume in
+        # the first m - 1 coordinates is (2E - m)^(m-1) / (m-1)!
+        rng = np.random.default_rng(48 + m)
+        width = 2.0 * E - m
+        points = 1.0 + width * rng.dirichlet(np.ones(m), size=20_000)
+        points[:, -1] = 2.0 * E - points[:, :-1].sum(axis=1)
+        vals = np.array([density_submanifold_energy(p, E, 2 * m) for p in points])
+        assert vals.min() >= 0.0
+        volume = width ** (m - 1) / math.factorial(m - 1)
+        mean, stderr = vals.mean(), vals.std(ddof=1) / np.sqrt(vals.size)
+        assert abs(volume * mean - 1.0) < 4 * volume * stderr
+
+    def test_fixed_energy_positive_at_n6(self):
+        assert density_submanifold_energy([3.0, 2.0, 1.0], 3.0, 6) > 0.0
+
     def test_off_simplex_rejected(self):
         with pytest.raises(ValueError):
             density_submanifold_energy([1.5, 2.0], 2.0, 4)
@@ -228,6 +256,11 @@ class TestSubmanifoldDensities:
     def test_empty_simplex(self):
         with pytest.raises(ValueError):
             density_submanifold_energy([1.0, 1.0], 0.4, 4)
+
+    def test_point_simplex_rejected(self):
+        # 2E = n/2 leaves only nu = (1, 1), which has no density on a line
+        with pytest.raises(ValueError, match="single point"):
+            density_submanifold_energy([1.0, 1.0], 1.0, 4)
 
 
 class TestDensitySpec:

@@ -5,6 +5,8 @@ from scipy import stats
 from gausshaar.densities import EnergyConstraint, g_2p2
 from gausshaar.montecarlo import (
     HistogramReport,
+    _sum_marginal_cdf,
+    chi2_sf,
     g_constraint_mc,
     sample_density_2p2,
     sample_submanifold_energy,
@@ -12,6 +14,23 @@ from gausshaar.montecarlo import (
     weighted_chi2,
     weighted_ks_statistic,
 )
+
+
+def _sum_cdf_by_polynomial(c):
+    """CDF of nu1 + nu2 by exact integration of its marginal polynomial.
+
+    The polynomial is taken in u = nu1 + nu2 - 2, which keeps it well
+    conditioned: u^3 (2 E_A - 2 - u)^2 (2 E_B - 2 - u)^2 on [0, 2 min(E) - 2].
+    """
+    P = np.polynomial.Polynomial
+    pdf = (
+        P([0.0, 1.0]) ** 3
+        * P([2.0 * c.E_A - 2.0, -1.0]) ** 2
+        * P([2.0 * c.E_B - 2.0, -1.0]) ** 2
+    )
+    top = 2.0 * c.min_energy - 2.0
+    anti = pdf.integ()
+    return lambda s: anti(np.clip(s - 2.0, 0.0, top)) / anti(top)
 
 
 class TestSampleDensity2p2:
@@ -43,6 +62,24 @@ class TestSampleDensity2p2:
         )
         stderr = total.std(ddof=1) / np.sqrt(count)
         assert abs(total.mean() - moment) < 3 * stderr
+
+    # (2.2, 2.9) has b > 0, so all three Beta components carry weight
+    @pytest.mark.parametrize("energies, seed", [((2.5, 2.5), 46), ((2.2, 2.9), 47)])
+    def test_exact_sampler_laws(self, energies, seed):
+        c = EnergyConstraint(*energies)
+        samples = sample_density_2p2(c, 100_000, np.random.default_rng(seed))
+        total = samples.sum(axis=1)
+        assert stats.kstest(total, _sum_cdf_by_polynomial(c)).pvalue > 0.01
+        # given S, D = nu1 - nu2 has density prop. to D^2 on |D| <= S - 2
+        t = (samples[:, 0] - samples[:, 1]) / (total - 2.0)
+        assert stats.kstest(t, lambda v: (v**3 + 1.0) / 2.0).pvalue > 0.01
+
+    @pytest.mark.parametrize("energies", [(2.5, 2.5), (2.2, 2.9), (1.5, 4.0), (1.2, 1.3)])
+    def test_sum_cdf_matches_polynomial_integral(self, energies):
+        c = EnergyConstraint(*energies)
+        s = np.linspace(1.5, 2.0 * c.min_energy + 0.5, 201)
+        exact = _sum_cdf_by_polynomial(c)(s)
+        assert np.abs(_sum_marginal_cdf(c)(s) - exact).max() < 1e-12
 
 
 class TestSampleSubmanifoldEnergy:
@@ -120,6 +157,16 @@ class TestWeightedStatistics:
         chi2, dof, p = weighted_chi2(idx, np.ones(10_000), np.array([0.5, 0.5]))
         assert p > 0.001
 
+    def test_chi2_tail_matches_scipy(self):
+        worst = 0.0
+        scales = np.array([0.05, 0.3, 0.7, 1.0, 1.3, 2.0, 3.0, 5.0])
+        for dof in range(1, 401):
+            for x in (1e-3, 0.5, *(dof * scales)):
+                ref = stats.chi2.sf(x, dof)
+                worst = max(worst, abs(chi2_sf(float(x), dof) / ref - 1.0))
+        assert worst < 1e-11
+        assert chi2_sf(0.0, 3) == 1.0
+
 
 class TestVerifyPipeline:
     def test_self_test_calibration_across_seeds(self):
@@ -195,6 +242,18 @@ class TestVerifyPipeline:
         c = EnergyConstraint(1.55, 1.55, 0.005)
         with pytest.raises(RuntimeError, match="zero accepted"):
             verify_constrained_density(6, c, 500, cutoff=3.5, seed=45)
+
+    def test_low_energy_1p1_has_support(self):
+        # 2 min(E) = 1.6 > n/2 = 1: the law is uniform on [1, 1.6]
+        c = EnergyConstraint(0.8, 0.8, 0.01)
+        rep = verify_constrained_density(2, c, 500_000, cutoff=10.0, seed=0)
+        assert rep.comparison["ks_statistic"] < 0.03
+
+    def test_empty_support_rejected_before_sampling(self):
+        # 2 min(E) = 2.4 <= n/2 = 3: no three eigenvalues >= 1 fit
+        c = EnergyConstraint(1.2, 1.2, 0.05)
+        with pytest.raises(ValueError, match="n/2 = 3"):
+            verify_constrained_density(6, c, 20_000, cutoff=10.0, seed=0)
 
 
 class TestHistogramReport:
