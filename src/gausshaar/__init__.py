@@ -22,7 +22,6 @@ from .symplectic import (
     williamson_spectrum,
 )
 from .haar import (
-    EnvelopeViolationError,
     EulerGaussianUnitary,
     LambdaVector,
     apply_to_vacuum,
@@ -67,7 +66,6 @@ __all__ = [
     "symplectic_form",
     "tmsv_state",
     "williamson_spectrum",
-    "EnvelopeViolationError",
     "EulerGaussianUnitary",
     "LambdaVector",
     "apply_to_vacuum",

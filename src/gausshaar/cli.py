@@ -29,7 +29,6 @@ from .densities import (
     support_1p1,
 )
 from .haar import (
-    EnvelopeViolationError,
     euler_to_symplectic,
     apply_to_vacuum,
     sample_haar_unitary,
@@ -444,7 +443,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         _error_json(EXIT_CONFIG, str(exc))
         return EXIT_CONFIG
-    except (EnvelopeViolationError, np.linalg.LinAlgError, RuntimeError) as exc:
+    except (np.linalg.LinAlgError, RuntimeError) as exc:
         _error_json(EXIT_NUMERICAL, str(exc))
         return EXIT_NUMERICAL
     except (ValueError, OSError) as exc:

@@ -5,7 +5,7 @@ constant from the Beta-mixture law of nu1 + nu2 (``sum_mixture_2p2``, which
 the exact 2+2 sampler and its KS reference share), and the fixed-energy
 simplex constant from homogeneity of the squared Vandermonde plus the
 Laguerre Selberg integral.  Unnormalized log densities return -inf on their
-algebraic zero sets so rejection samplers can evaluate them anywhere.
+algebraic zero sets.
 """
 
 from __future__ import annotations

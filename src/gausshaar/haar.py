@@ -2,8 +2,10 @@
 
 A homogeneous Gaussian unitary factors as passive x single-mode squeezing x
 passive.  Its invariant measure is the product of a uniform phase, two
-independent Haar unitaries and the squeezing weights lambda_k = cosh(2 s_k)
-distributed with the pairwise-repulsion density prod |lambda_h - lambda_k|.
+independent Haar unitaries and the squeezing weights
+lambda_k = cosh(4 s_k) = tr(S_k S_k^T) / 2, where S_k = diag(e^{-2 s_k},
+e^{2 s_k}) is the k-th single-mode squeezer, distributed with the
+pairwise-repulsion density prod |lambda_h - lambda_k|.
 The squeezing directions are noncompact, so lambda is restricted to a cutoff
 box [1, cutoff]^n; the cutoff is a run parameter that must dominate any
 energy shell studied downstream.
@@ -11,23 +13,14 @@ energy shell studied downstream.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .symplectic import GaussianPureState, symplectic_form
 
-logger = logging.getLogger(__name__)
-
 UNITARITY_TOL = 1e-10
 SYMPLECTIC_TOL = 1e-10
-ENVELOPE_SAFETY = 1.1
-ENVELOPE_GRID = 50
-
-
-class EnvelopeViolationError(RuntimeError):
-    """The grid-estimated rejection envelope was exceeded at runtime."""
 
 
 @dataclass(frozen=True)
@@ -63,7 +56,12 @@ class EulerGaussianUnitary:
 
 @dataclass(frozen=True)
 class LambdaVector:
-    """Squeezing weights lambda_k = cosh(2 s_k) >= 1."""
+    """Squeezing weights lambda_k = cosh(4 s_k) >= 1.
+
+    With the squeezer diag(e^{-2 s_k}, e^{2 s_k}) of ``squeeze_symplectic``,
+    lambda_k = tr(S_k S_k^T) / 2, the coordinate that Haar measure on
+    SL(2, R) makes uniform.
+    """
 
     values: np.ndarray
 
@@ -75,7 +73,7 @@ class LambdaVector:
 
     @property
     def s(self) -> np.ndarray:
-        return np.arccosh(self.values) / 2
+        return np.arccosh(self.values) / 4
 
 
 def sample_haar_unitary(n: int, rng: np.random.Generator, size: int | None = None):
@@ -104,58 +102,25 @@ def vandermonde_repulsion(lam: np.ndarray) -> np.ndarray:
     return out
 
 
-def _repulsion_envelope(n: int, cutoff: float) -> float:
-    """Upper bound for the repulsion density on [1, cutoff]^n.
-
-    Located on a coarse grid for n <= 3 (times a safety factor); for larger n
-    the exact product bound (cutoff - 1)^(n(n-1)/2) is used instead, which is
-    always safe but looser.
-    """
-    if n == 1:
-        return 1.0
-    if n > 3:
-        return float((cutoff - 1.0) ** (n * (n - 1) / 2))
-    axes = [np.linspace(1.0, cutoff, ENVELOPE_GRID)] * n
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    return float(vandermonde_repulsion(grid).max() * ENVELOPE_SAFETY)
-
-
 def sample_repulsive(
-    n: int,
-    lo: float,
-    hi: float,
-    count: int,
-    rng: np.random.Generator,
-    envelope: float | None = None,
+    n: int, lo: float, hi: float, count: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, float]:
-    """Rejection-sample ``count`` vectors with density prod |x_h - x_k| on [lo, hi]^n.
+    """Draw ``count`` vectors with density prod |x_h - x_k| on [lo, hi]^n, exactly.
 
-    Returns (samples, acceptance_rate).  Raises EnvelopeViolationError if a
-    proposal exceeds the envelope (the grid underestimated the maximum).
+    The squared cosines of the principal angles between a uniformly random
+    n-plane and a fixed (n+1)-plane of R^(2n+2) form the real (beta = 1)
+    Jacobi ensemble with both exponents zero, whose density on [0, 1]^n is
+    prod |x_h - x_k|.  They are the eigenvalues of Q1^T Q1, where Q1 holds
+    the first n+1 rows of the orthonormal factor of a (2n+2) x n Gaussian
+    matrix.  The coordinates are shuffled because the law is of unordered
+    vectors.  Returns (samples, acceptance_rate); nothing is rejected, so
+    the rate is 1.
     """
     if hi <= lo:
         raise ValueError("need hi > lo")
-    if envelope is None:
-        envelope = _repulsion_envelope(n, hi - lo + 1.0)
-    out = np.empty((count, n))
-    have, proposed = 0, 0
-    while have < count:
-        batch = min(max(2048, 4 * (count - have)), 4_000_000)
-        x = rng.uniform(lo, hi, size=(batch, n))
-        dens = vandermonde_repulsion(x)
-        if np.any(dens > envelope):
-            raise EnvelopeViolationError(
-                f"repulsion density {dens.max():.6g} exceeds envelope "
-                f"{envelope:.6g}; the envelope grid underestimated the maximum"
-            )
-        keep = x[rng.uniform(0, envelope, batch) < dens]
-        take = min(count - have, keep.shape[0])
-        out[have : have + take] = keep[:take]
-        have += take
-        proposed += batch
-    rate = count / proposed
-    logger.debug("repulsive sampler acceptance rate %.3f (n=%d)", rate, n)
-    return out, rate
+    q = np.linalg.qr(rng.standard_normal((count, 2 * n + 2, n)))[0][:, : n + 1, :]
+    x = rng.permuted(np.linalg.eigvalsh(q.transpose(0, 2, 1) @ q), axis=1)
+    return lo + (hi - lo) * np.clip(x, 0.0, 1.0), 1.0
 
 
 def sample_lambda(
@@ -172,8 +137,7 @@ def sample_lambda(
     if cutoff <= 1.0:
         raise ValueError("cutoff must be > 1")
     count = 1 if size is None else size
-    samples, rate = sample_repulsive(n, 1.0, cutoff, count, rng)
-    logger.info("sample_lambda acceptance rate %.3f (n=%d, cutoff=%g)", rate, n, cutoff)
+    samples, _ = sample_repulsive(n, 1.0, cutoff, count, rng)
     if size is None:
         return LambdaVector(values=samples[0])
     return samples

@@ -97,9 +97,15 @@ def sample_submanifold_energy(
 ) -> np.ndarray:
     """Draw nu-vectors from the fixed-energy simplex density of the submanifold.
 
-    Uniform simplex proposals (Dirichlet spacings), accepted proportionally to
-    the squared Vandermonde; the exact bound (2E - m)^(m(m-1)) on the latter
-    serves as the envelope.  Every sample satisfies sum(nu) = 2E to round-off.
+    The density is prod (nu_h - nu_k)^2 on {nu >= 1, sum(nu) = 2E}.  The
+    eigenvalues x of G G^dag, with G an m x m complex Ginibre matrix, form
+    the beta = 2 Laguerre ensemble with zero exponent, density
+    prod (x_h - x_k)^2 exp(-sum x); the exponential depends on sum(x) alone
+    and the squared Vandermonde is homogeneous, so x / sum(x) has density
+    prod (y_h - y_k)^2 on the unit simplex.  Scaling by 2E - m and shifting
+    by 1 is exact; nothing is rejected.  The coordinates are shuffled because
+    the law is of unordered vectors.  Every sample satisfies sum(nu) = 2E to
+    round-off.
     """
     if n % 2 != 0 or n < 2:
         raise ValueError("n must be a positive even number of modes")
@@ -107,20 +113,10 @@ def sample_submanifold_energy(
     width = 2.0 * E - m
     if width < 0:
         raise ValueError("2E < n/2: the energy simplex is empty")
-    if m == 1:
-        return np.full((count, 1), 2.0 * E)
-    envelope = width ** (m * (m - 1))
-    out = np.empty((count, m))
-    have = 0
-    while have < count:
-        batch = max(4096, 4 * (count - have))
-        x = 1.0 + width * rng.dirichlet(np.ones(m), size=batch)
-        dens = vandermonde_repulsion(x) ** 2
-        keep = x[rng.uniform(0.0, envelope, batch) < dens]
-        take = min(count - have, keep.shape[0])
-        out[have : have + take] = keep[:take]
-        have += take
-    return out
+    shape = (count, m, m)
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    x = rng.permuted(np.linalg.eigvalsh(g @ g.conj().transpose(0, 2, 1)), axis=1)
+    return 1.0 + width * x / x.sum(axis=1, keepdims=True)
 
 
 def _subsystem_energies(U: np.ndarray, lam: np.ndarray, nu: np.ndarray) -> np.ndarray:

@@ -85,17 +85,6 @@ def report_to_json_dict(report: HistogramReport) -> dict:
     }
 
 
-def write_samples_csv(samples: np.ndarray, energies, path) -> None:
-    """One accepted sample per row: nu_1 ... nu_m, E_A, E_B."""
-    samples = np.atleast_2d(samples)
-    e_a, e_b = energies
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"nu_{k + 1}" for k in range(samples.shape[1])] + ["E_A", "E_B"])
-        for row in samples:
-            writer.writerow(_format_row(list(row) + [e_a, e_b]))
-
-
 def write_density_grid_csv(grid_columns: dict, path) -> None:
     """Plot-ready CSV of density evaluations: nu columns then a density column."""
     names = list(grid_columns)
@@ -126,6 +115,7 @@ def dump_output(payload: dict, path: str | None, timestamp: bool = True) -> str:
 
 
 def samples_csv_text(samples: np.ndarray, energies) -> str:
+    """One sample per row: nu_1 ... nu_m, E_A, E_B."""
     buf = io.StringIO()
     samples = np.atleast_2d(samples)
     e_a, e_b = energies

@@ -262,16 +262,42 @@ class TestSeededReproducibility:
         assert outs[0] == outs[1]
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy is a test-only dependency; importing it costs every CLI start ~0.9 s
+def _run_python(*args: str) -> str:
+    """Run a fresh interpreter that imports this checkout; returns its stdout.
+
+    The 60 s timeout turns a sampler that stalls into a failure, not a hang.
+    """
     src = Path(gausshaar.__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, *args],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    return out.stdout
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only dependency; importing it costs every CLI start ~0.9 s
     probe = (
         "import sys, gausshaar.cli; "
         "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    assert _run_python("-c", probe).strip() == "[]"
+
+
+def test_haar_sample_six_modes_finishes():
+    out = _run_python("-m", "gausshaar.cli", "haar-sample", "--n", "6", "--count", "20")
+    s = np.array([draw["s"] for draw in json.loads(out)["draws"]])
+    assert s.shape == (20, 6)
+    assert np.all(np.isfinite(s)) and np.all(s >= 0)
+
+
+def test_submanifold_sample_eight_modes_finishes():
+    out = _run_python(
+        "-m", "gausshaar.cli", "sample", "--kind", "submanifold-energy",
+        "--n", "8", "--E", "4", "--count", "10",
     )
-    assert out.stdout.strip() == "[]"
+    rows = np.array(json.loads(out)["samples"])
+    assert rows.shape == (10, 4)
+    assert np.allclose(rows.sum(axis=1), 8.0, rtol=0, atol=1e-12)

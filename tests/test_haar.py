@@ -1,9 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from gausshaar.haar import (
-    EnvelopeViolationError,
     EulerGaussianUnitary,
     LambdaVector,
     apply_to_vacuum,
@@ -113,14 +114,26 @@ class TestLambdaSampler:
         dof = keep.sum() - 1
         assert stats.chi2.sf(chi2, dof) > 0.01
 
+    @pytest.mark.parametrize("m, seed", [(3, 40), (4, 41)])
+    def test_box_selberg_moment(self, m, seed):
+        # under prod |x_h - x_k| on [0, 1]^m the mean of that same product is
+        # the ratio of Selberg integrals S_m(1) / S_m(1/2), a = b = 1
+        def selberg(g):
+            return math.prod(
+                math.gamma(1 + j * g) ** 2 * math.gamma(1 + (j + 1) * g)
+                / (math.gamma(2 + (m + j - 1) * g) * math.gamma(1 + g))
+                for j in range(m)
+            )
+
+        x, rate = sample_repulsive(m, 0.0, 1.0, 100_000, np.random.default_rng(seed))
+        assert rate == 1.0 and x.min() >= 0.0 and x.max() <= 1.0
+        v = vandermonde_repulsion(x)
+        stderr = v.std(ddof=1) / np.sqrt(v.size)
+        assert abs(v.mean() - selberg(1.0) / selberg(0.5)) < 4 * stderr
+
     def test_cutoff_validation(self):
         with pytest.raises(ValueError):
             sample_lambda(2, 1.0, np.random.default_rng(0))
-
-    def test_envelope_violation_detected(self):
-        rng = np.random.default_rng(10)
-        with pytest.raises(EnvelopeViolationError):
-            sample_repulsive(2, 1.0, 3.0, 100, rng, envelope=1e-6)
 
 
 class TestEulerSymplectic:
@@ -137,6 +150,17 @@ class TestEulerSymplectic:
         )
         nu = williamson_spectrum(state, Bipartition(1, 0)).nu
         assert nu[0] == pytest.approx(1.0, abs=1e-10)
+
+    def test_single_mode_energy_factor_uniform(self):
+        # Haar measure on SL(2, R) makes tr(S S^T)/2 uniform; the sampler's
+        # lambda must be that quantity, so it is uniform on [1, cutoff]
+        rng = np.random.default_rng(18)
+        half_traces = []
+        for _ in range(20_000):
+            S = euler_to_symplectic(sample_homogeneous_gaussian_unitary(1, 10.0, rng))
+            half_traces.append(np.trace(S @ S.T) / 2)
+        ks = stats.kstest(half_traces, stats.uniform(loc=1.0, scale=9.0).cdf).statistic
+        assert ks < 0.015
 
     def test_symplectic_group_membership(self):
         rng = np.random.default_rng(12)
@@ -213,4 +237,4 @@ class TestSmallLimits:
 
     def test_lambda_vector_squeezings(self):
         lv = LambdaVector(values=np.array([np.cosh(0.8)]))
-        assert lv.s[0] == pytest.approx(0.4, abs=1e-12)
+        assert lv.s[0] == pytest.approx(0.2, abs=1e-12)

@@ -10,11 +10,11 @@ from gausshaar.serialization import (
     read_covariance_csv,
     read_state,
     report_to_json_dict,
+    samples_csv_text,
     state_from_json_dict,
     state_to_json_dict,
     write_covariance_csv,
     write_density_grid_csv,
-    write_samples_csv,
 )
 from gausshaar.symplectic import Bipartition, canonical_state, tmsv_state
 
@@ -88,10 +88,9 @@ class TestReportJson:
 
 
 class TestSampleAndGridCsv:
-    def test_samples_csv_layout(self, tmp_path):
-        path = tmp_path / "samples.csv"
-        write_samples_csv(np.array([[1.5, 2.5], [1.1, 1.9]]), (2.5, 2.5), path)
-        lines = path.read_text().splitlines()
+    def test_samples_csv_layout(self):
+        text = samples_csv_text(np.array([[1.5, 2.5], [1.1, 1.9]]), (2.5, 2.5))
+        lines = text.splitlines()
         assert lines[0] == "nu_1,nu_2,E_A,E_B"
         assert len(lines) == 3
         assert [float(x) for x in lines[1].split(",")] == [1.5, 2.5, 2.5, 2.5]

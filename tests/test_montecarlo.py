@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from gausshaar.densities import EnergyConstraint, g_2p2
+from gausshaar.haar import vandermonde_repulsion
 from gausshaar.montecarlo import (
     HistogramReport,
     _sum_marginal_cdf,
@@ -105,6 +108,27 @@ class TestSampleSubmanifoldEnergy:
 
         ks = stats.kstest(nu1, lambda v: np.clip(cdf(v), 0.0, 1.0)).statistic
         assert ks < 0.02
+
+    @pytest.mark.parametrize("m, seed", [(3, 42), (4, 43)])
+    def test_simplex_selberg_moment(self, m, seed):
+        # y = (nu - 1)/(2E - m) has density prop. to Delta(y)^2 on the unit
+        # simplex.  By homogeneity, int_simplex Delta^(2g) = L_m(g) /
+        # Gamma(m + g m(m-1)), with L_m(g) the Laguerre Selberg integral
+        # prod_j Gamma(1 + j g) Gamma(1 + (j+1) g) / Gamma(1 + g), so
+        # E[Delta(y)^2] is that ratio at g = 2 over g = 1.
+        def simplex_integral(g):
+            laguerre = math.prod(
+                math.gamma(1 + j * g) * math.gamma(1 + (j + 1) * g) / math.gamma(1 + g)
+                for j in range(m)
+            )
+            return laguerre / math.gamma(m + g * m * (m - 1))
+
+        E = 3.5
+        nu = sample_submanifold_energy(2 * m, E, 100_000, np.random.default_rng(seed))
+        assert nu.min() >= 1.0
+        v = vandermonde_repulsion((nu - 1.0) / (2.0 * E - m)) ** 2
+        stderr = v.std(ddof=1) / np.sqrt(v.size)
+        assert abs(v.mean() - simplex_integral(2.0) / simplex_integral(1.0)) < 4 * stderr
 
     def test_empty_simplex(self):
         with pytest.raises(ValueError):
