@@ -33,7 +33,6 @@ from .haar import (
     squeeze_symplectic,
 )
 from .densities import (
-    DensitySpec,
     EnergyConstraint,
     density_1p1,
     density_2p2,
@@ -75,7 +74,6 @@ __all__ = [
     "sample_homogeneous_gaussian_unitary",
     "sample_lambda",
     "squeeze_symplectic",
-    "DensitySpec",
     "EnergyConstraint",
     "density_1p1",
     "density_2p2",

@@ -95,6 +95,7 @@ class RunConfig:
     output_path: Optional[str] = None
     format: str = DEFAULTS["format"]
     self_test: bool = False
+    unitary_only: bool = False
     ks_threshold: float = DEFAULTS["ks_threshold"]
     p_threshold: float = DEFAULTS["p_threshold"]
 
@@ -196,17 +197,17 @@ def build_parser() -> argparse.ArgumentParser:
         "--unitary-only",
         dest="unitary_only",
         action="store_true",
+        default=argparse.SUPPRESS,
         help="emit plain Haar unitaries instead of full Gaussian unitaries",
     )
     _add_common(p)
     return parser
 
 
-def resolve_config(args: argparse.Namespace) -> tuple[RunConfig, dict]:
+def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Merge defaults < config file < environment < flags into a RunConfig."""
     merged = dict(DEFAULTS)
     ns = vars(args).copy()
-    extra = {"unitary_only": ns.pop("unitary_only", False)}
     config_path = ns.pop("config", None)
     if config_path:
         try:
@@ -229,7 +230,7 @@ def resolve_config(args: argparse.Namespace) -> tuple[RunConfig, dict]:
     if unknown:
         raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
     try:
-        return RunConfig(**merged), extra
+        return RunConfig(**merged)
     except TypeError as exc:
         raise ConfigError(str(exc))
 
@@ -385,12 +386,12 @@ def _cmd_verify(config: RunConfig) -> int:
     return EXIT_OK if passed else EXIT_VERIFICATION
 
 
-def _cmd_haar_sample(config: RunConfig, unitary_only: bool) -> int:
+def _cmd_haar_sample(config: RunConfig) -> int:
     config.require("n")
     rng = np.random.default_rng(config.seed)
     draws = []
     for _ in range(config.count):
-        if unitary_only:
+        if config.unitary_only:
             U = sample_haar_unitary(config.n, rng)
             draws.append({"U_re": U.real.tolist(), "U_im": U.imag.tolist()})
         else:
@@ -412,7 +413,7 @@ def _cmd_haar_sample(config: RunConfig, unitary_only: bool) -> int:
     return EXIT_OK
 
 
-def run(config: RunConfig, unitary_only: bool = False) -> int:
+def run(config: RunConfig) -> int:
     """Dispatch a resolved configuration; returns the process exit code."""
     handlers = {
         "williamson": _cmd_williamson,
@@ -420,9 +421,8 @@ def run(config: RunConfig, unitary_only: bool = False) -> int:
         "density": _cmd_density,
         "sample": _cmd_sample,
         "verify": _cmd_verify,
+        "haar-sample": _cmd_haar_sample,
     }
-    if config.command == "haar-sample":
-        return _cmd_haar_sample(config, unitary_only)
     return handlers[config.command](config)
 
 
@@ -434,12 +434,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config, extra = resolve_config(args)
+        config = resolve_config(args)
     except ConfigError as exc:
         _error_json(EXIT_CONFIG, str(exc))
         return EXIT_CONFIG
     try:
-        return run(config, unitary_only=extra.get("unitary_only", False))
+        return run(config)
     except ConfigError as exc:
         _error_json(EXIT_CONFIG, str(exc))
         return EXIT_CONFIG

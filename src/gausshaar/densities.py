@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Optional
 
 import numpy as np
 
@@ -37,32 +36,6 @@ class EnergyConstraint:
     @property
     def min_energy(self) -> float:
         return min(self.E_A, self.E_B)
-
-
-DensityKind = Literal[
-    "unconstrained", "constrained_1p1", "constrained_2p2",
-    "submanifold", "submanifold_energy",
-]
-
-
-@dataclass(frozen=True)
-class DensitySpec:
-    """Which analytic density to evaluate, with its dimensions and constraint."""
-
-    kind: DensityKind
-    n_A: int
-    n_B: int
-    constraint: Optional[EnergyConstraint] = None
-
-    def __post_init__(self):
-        if self.n_A < 1 or self.n_B < 1 or self.n_A > self.n_B:
-            raise ValueError("need 1 <= n_A <= n_B")
-        if self.kind == "constrained_1p1" and (self.n_A, self.n_B) != (1, 1):
-            raise ValueError("constrained_1p1 requires n_A = n_B = 1")
-        if self.kind == "constrained_2p2" and (self.n_A, self.n_B) != (2, 2):
-            raise ValueError("constrained_2p2 requires n_A = n_B = 2")
-        if self.kind.startswith("constrained") and self.constraint is None:
-            raise ValueError(f"{self.kind} requires an energy constraint")
 
 
 def _check_nu(nu: np.ndarray):

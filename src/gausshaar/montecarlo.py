@@ -1,16 +1,15 @@
 """Monte Carlo machinery: density samplers and shell-conditioned verification.
 
 The verification pipeline reconstructs the conditional eigenvalue density
-P(nu | E_A, E_B) from first principles: draw nu from the unconstrained
-invariant factor on a bounded box, draw the local squeezing weights and
-mixing unitaries of each subsystem from their invariant measure, and keep
-proposals whose subsystem energies fall in shells of width epsilon around
-the targets.  The Dirac energy constraint is replaced by the shell, and the
-shell probability is averaged analytically where a closed conditional is
-available (over the uniform lambda factor for one-mode subsystems, and over
-the interval of squeezing weights compatible with the shell at fixed mixing),
-which multiplies the effective sample size by orders of magnitude without
-changing the estimand.
+P(nu | E_A, E_B) from first principles, with one estimator for every n:
+propose nu on the bounded support box, weight it by the unconstrained
+invariant factor, draw the mixing unitaries of each subsystem from their
+invariant measure, and estimate the probability that the subsystem energies
+fall in shells of width epsilon around the targets.  The Dirac energy
+constraint is replaced by the shell, and the shell probability is averaged
+analytically over the interval of squeezing weights compatible with the
+shell at fixed mixing, which multiplies the effective sample size by orders
+of magnitude without changing the estimand.
 Accepted samples carry the residual importance weights.
 
 Work is partitioned into independently seeded streams spawned from a single
@@ -66,11 +65,6 @@ class HistogramReport:
         total = float(np.sum(self.normalized_density * cell))
         if self.counts.sum() > 0 and abs(total - 1.0) > 1e-9:
             raise ValueError(f"normalized density integrates to {total}, not 1")
-
-
-def _unconstrained_factor_2(nu1, nu2):
-    """Invariant nu-factor for a balanced two-eigenvalue split."""
-    return nu1**2 * nu2**2 * (nu1**2 - nu2**2) ** 2
 
 
 def sample_density_2p2(
@@ -168,14 +162,7 @@ def g_constraint_mc(
 
 
 # ---------------------------------------------------------------------------
-# shell-overlap conditionals
-
-
-def _lambda_shell_overlap(nu, E, eps, cutoff):
-    """P(|lambda nu / 2 - E| <= eps) for lambda uniform on [1, cutoff]."""
-    lo = np.maximum(1.0, 2.0 * (E - eps) / nu)
-    hi = np.minimum(cutoff, 2.0 * (E + eps) / nu)
-    return np.clip(hi - lo, 0.0, None) / (cutoff - 1.0)
+# the shell-band estimator
 
 
 def _shell_band_lambda(c, E, eps, lam_top, rng):
@@ -276,66 +263,40 @@ def chi2_sf(x: float, dof: int) -> float:
 # the end-to-end verification pipeline
 
 
-def _pipeline_partition_1p1(constraint, count, eps, cutoff, rng):
-    """One stream of the n = 2 pipeline; returns (values, weights)."""
-    top = 2.0 * constraint.min_energy
-    # inverse-CDF draw of nu with density prop. to nu^2 on [1, top]
-    u = rng.random(count)
-    nu = np.cbrt(1.0 + (top**3 - 1.0) * u)
-    w = _lambda_shell_overlap(nu, constraint.E_A, eps, cutoff) * _lambda_shell_overlap(
-        nu, constraint.E_B, eps, cutoff
-    )
-    keep = w > 0
-    return nu[keep], w[keep]
+def _pipeline_partition(m, constraint, count, eps, cutoff, rng):
+    """One stream of the pipeline, m eigenvalues a side; returns (values, weights).
 
-
-def _pipeline_partition_2p2(constraint, count, eps, cutoff, rng):
-    """One stream of the n = 4 pipeline; returns (values, weights).
-
-    nu proposals come from the closed-form constrained density (any
-    support-covering proposal is valid); the importance weight carries the
-    invariant factor over the proposal density, times a single-sample
-    estimate of each subsystem's shell probability from the mixing matrix
-    |U|^2 of a Haar unitary and shell-band lambda draws.  For a 2 x 2 Haar
-    unitary |U|^2 = [[p, 1 - p], [1 - p, p]] with p uniform on (0, 1), so p
-    is drawn directly.  The weights are flat only if the closed form matches
-    the first-principles pipeline law, so the comparison still detects a
-    wrong closed form.  Lambda values above 2(E + eps) can
-    never reach the shell (the energy is at least half the largest lambda,
-    because the mixing coefficients are stochastic mixtures of nu >= 1), so
-    the lambda box is clipped there.
+    nu is proposed on the box [1, 2 min(E)]^m, the support set by each
+    subsystem energy being at least sum(nu)/2: uniformly, except at m = 2,
+    where the proposal is the closed-form constrained density (any
+    support-covering proposal is valid; the weights are then flat only if the
+    closed form matches the pipeline law, so the comparison still detects a
+    wrong closed form).  The weight is the invariant factor
+    prod nu_j^2 prod (nu_h^2 - nu_k^2)^2 over the proposal density, times a
+    single-sample estimate of each subsystem's shell probability from the
+    mixing matrix |U|^2 and shell-band lambda draws.  For m <= 2 the Haar
+    |U|^2 is [[p, 1 - p], [1 - p, p]] with p uniform on (0, 1), so p is drawn
+    directly (at m = 1 the mixture is nu itself).  Lambda values above
+    2(E + eps) can never reach the shell (the energy is at least half the
+    largest lambda, because the mixing coefficients are stochastic mixtures
+    of nu >= 1), so the lambda box is clipped there.
     """
-    nu = sample_density_2p2(constraint, count, rng)
-    w = _unconstrained_factor_2(nu[:, 0], nu[:, 1]) / density_2p2(
-        nu[:, 0], nu[:, 1], constraint
-    )
-    for E in (constraint.E_A, constraint.E_B):
-        lam_top = min(cutoff, 2.0 * (E + eps))
-        p = rng.random((count, 1))
-        c = p * nu + (1.0 - p) * nu[:, ::-1]
-        w = w * _shell_band_lambda(c, E, eps, lam_top, rng)
-    keep = w > 0
-    return nu[keep], w[keep]
-
-
-def _pipeline_partition_generic(m, constraint, count, eps, cutoff, rng):
-    """One stream of the general-n pipeline.
-
-    nu is drawn uniformly on the box and importance-weighted by the invariant
-    factor times the shell-band lambda estimates; there is no closed-form
-    comparison at this size.
-    """
-    top = 2.0 * constraint.min_energy
-    nu = rng.uniform(1.0, top, size=(count, m))
+    if m == 2:
+        nu = sample_density_2p2(constraint, count, rng)
+        proposal = density_2p2(nu[:, 0], nu[:, 1], constraint)
+    else:
+        nu = rng.uniform(1.0, 2.0 * constraint.min_energy, size=(count, m))
+        proposal = 1.0  # a constant density cancels in the normalized weights
     sq = nu**2
-    w = np.prod(sq, axis=1)
-    for h in range(m):
-        for k in range(h + 1, m):
-            w = w * (sq[:, h] - sq[:, k]) ** 2
+    w = np.prod(sq, axis=1) * vandermonde_repulsion(sq) ** 2 / proposal
     for E in (constraint.E_A, constraint.E_B):
         lam_top = min(cutoff, 2.0 * (E + eps))
-        U = sample_haar_unitary(m, rng, size=count)
-        c = np.einsum("ihk,ik->ih", np.abs(U) ** 2, nu)
+        if m <= 2:
+            p = rng.random((count, 1))
+            c = p * nu + (1.0 - p) * nu[:, ::-1]
+        else:
+            U = sample_haar_unitary(m, rng, size=count)
+            c = np.einsum("ihk,ik->ih", np.abs(U) ** 2, nu)
         w = w * _shell_band_lambda(c, E, eps, lam_top, rng)
     keep = w > 0
     return nu[keep], w[keep]
@@ -419,15 +380,10 @@ def verify_constrained_density(
             else:
                 raise ValueError("self-test mode requires n in {2, 4}")
             pieces.append((np.atleast_2d(vals.reshape(part_count, -1)), np.ones(part_count)))
-        elif m == 1:
-            v, w = _pipeline_partition_1p1(constraint, part_count, eps, cutoff, rng)
-            pieces.append((v.reshape(-1, 1), w))
-        elif m == 2:
-            v, w = _pipeline_partition_2p2(constraint, part_count, eps, cutoff, rng)
-            pieces.append((v, w))
         else:
-            v, w = _pipeline_partition_generic(m, constraint, part_count, eps, cutoff, rng)
-            pieces.append((v, w))
+            pieces.append(
+                _pipeline_partition(m, constraint, part_count, eps, cutoff, rng)
+            )
 
     values = np.concatenate([p[0] for p in pieces], axis=0)
     weights = np.concatenate([p[1] for p in pieces])
@@ -437,7 +393,8 @@ def verify_constrained_density(
             f"zero accepted samples out of {count} proposals "
             f"(shell {eps}, cutoff {cutoff}); widen the shell or raise the cutoff"
         )
-    ess = float(weights.sum() ** 2 / (weights**2).sum())
+    total = weights.sum()
+    ess = float(total**2 / (weights**2).sum())
     metadata = {
         "seed": seed,
         "proposal_count": count,
@@ -446,6 +403,8 @@ def verify_constrained_density(
         "shell_width": eps,
         "acceptance_rate": accepted / count,
         "effective_sample_size": ess,
+        "ess_fraction": ess / accepted,
+        "max_weight_share": float(weights.max() / total),
         "partitions": len(streams),
         "n": n,
         "E_A": constraint.E_A,

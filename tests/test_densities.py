@@ -6,7 +6,6 @@ import pytest
 from scipy import integrate
 
 from gausshaar.densities import (
-    DensitySpec,
     EnergyConstraint,
     density_1p1,
     density_2p2,
@@ -261,17 +260,3 @@ class TestSubmanifoldDensities:
         # 2E = n/2 leaves only nu = (1, 1), which has no density on a line
         with pytest.raises(ValueError, match="single point"):
             density_submanifold_energy([1.0, 1.0], 1.0, 4)
-
-
-class TestDensitySpec:
-    def test_kind_dimension_checks(self):
-        with pytest.raises(ValueError):
-            DensitySpec("constrained_1p1", 2, 2, EnergyConstraint(2.0, 2.0))
-        with pytest.raises(ValueError):
-            DensitySpec("constrained_2p2", 2, 2)  # missing constraint
-        spec = DensitySpec("constrained_2p2", 2, 2, EnergyConstraint(2.5, 2.5))
-        assert spec.kind == "constrained_2p2"
-
-    def test_subsystem_ordering(self):
-        with pytest.raises(ValueError):
-            DensitySpec("unconstrained", 3, 2)

@@ -8,6 +8,7 @@ from gausshaar.densities import EnergyConstraint, g_2p2
 from gausshaar.haar import vandermonde_repulsion
 from gausshaar.montecarlo import (
     HistogramReport,
+    _shell_band_lambda,
     _sum_marginal_cdf,
     chi2_sf,
     g_constraint_mc,
@@ -192,6 +193,26 @@ class TestWeightedStatistics:
         assert chi2_sf(0.0, 3) == 1.0
 
 
+class TestShellBandLambda:
+    def test_one_mode_is_the_shell_interval(self):
+        # at m = 1 the estimate is the length of the lambda interval whose
+        # energy lambda nu / 2 lies within eps of E, clipped to [1, lam_top]
+        rng = np.random.default_rng(3)
+        nu = rng.uniform(1.0, 7.0, size=(10_000, 1))
+        E, eps, lam_top = 3.0, 0.05, 6.0
+        got = _shell_band_lambda(nu, E, eps, lam_top, rng)
+        want = np.clip(
+            np.minimum(lam_top, 2.0 * (E + eps) / nu[:, 0])
+            - np.maximum(1.0, 2.0 * (E - eps) / nu[:, 0]),
+            0.0,
+            None,
+        )
+        assert np.abs(got - want).max() < 1e-12
+        # both the empty shell (nu > 2(E + eps)) and the lam_top clip occur
+        assert np.any(want == 0.0)
+        assert np.any(2.0 * (E + eps) / nu[:, 0] > lam_top)
+
+
 class TestVerifyPipeline:
     def test_self_test_calibration_across_seeds(self):
         c = EnergyConstraint(3.0, 3.0)
@@ -242,12 +263,34 @@ class TestVerifyPipeline:
         assert rep_a.comparison["p_value"] > 0.01
         assert rep_b.comparison["p_value"] > 0.01
 
-    def test_determinism_for_fixed_seed_and_partitions(self):
-        c = EnergyConstraint(2.5, 2.5)
-        a = verify_constrained_density(4, c, 20_000, seed=7, partitions=4)
-        b = verify_constrained_density(4, c, 20_000, seed=7, partitions=4)
+    @pytest.mark.parametrize(
+        "n, c, cutoff",
+        [
+            (2, EnergyConstraint(2.5, 2.5), 10.0),
+            (4, EnergyConstraint(2.5, 2.5), 10.0),
+            (6, EnergyConstraint(2.0, 2.0, 0.4), 5.0),
+        ],
+        ids=["2", "4", "6"],
+    )
+    def test_determinism_for_fixed_seed_and_partitions(self, n, c, cutoff):
+        kwargs = dict(cutoff=cutoff, seed=7, partitions=4)
+        a = verify_constrained_density(n, c, 20_000, **kwargs)
+        b = verify_constrained_density(n, c, 20_000, **kwargs)
         assert np.array_equal(a.counts, b.counts)
+        assert np.array_equal(a.normalized_density, b.normalized_density)
         assert a.comparison == b.comparison
+
+    def test_1p1_weights_nearly_flat(self):
+        # uniform proposals on [1, 2 min(E)] against a uniform law: the
+        # invariant factor nu^2 cancels the two 1/nu shell intervals
+        c = EnergyConstraint(3.0, 3.0, 0.05)
+        rep = verify_constrained_density(2, c, 200_000, cutoff=10.0, seed=40)
+        meta = rep.metadata
+        assert meta["ess_fraction"] > 0.9
+        assert meta["ess_fraction"] == pytest.approx(
+            meta["effective_sample_size"] / meta["sample_count"]
+        )
+        assert 0.0 < meta["max_weight_share"] < 1e-3
 
     def test_cutoff_too_small_rejected(self):
         c = EnergyConstraint(3.0, 3.0)
