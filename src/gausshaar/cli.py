@@ -310,14 +310,11 @@ def _density_grid(config: RunConfig) -> dict:
     fn = log_density_unconstrained if kind == "unconstrained" else log_density_submanifold
     if config.n_A == 1:
         nu = np.linspace(1.0, config.cutoff, config.grid)
-        vals = np.array([fn([x], config.n_A, config.n_B) for x in nu])
-        return {"nu": nu, "log_density": vals}
+        return {"nu": nu, "log_density": fn(nu[:, np.newaxis], config.n_A, config.n_B)}
     if config.n_A == 2:
         axis = np.linspace(1.0, config.cutoff, config.grid)
         X, Y = np.meshgrid(axis, axis, indexing="ij")
-        vals = np.array(
-            [fn([a, b], config.n_A, config.n_B) for a, b in zip(X.ravel(), Y.ravel())]
-        ).reshape(X.shape)
+        vals = fn(np.stack([X, Y], axis=-1), config.n_A, config.n_B)
         return {"nu_1": X, "nu_2": Y, "log_density": vals}
     raise ConfigError("grid output is implemented for n_A in {1, 2}")
 
@@ -389,25 +386,26 @@ def _cmd_verify(config: RunConfig) -> int:
 def _cmd_haar_sample(config: RunConfig) -> int:
     config.require("n")
     rng = np.random.default_rng(config.seed)
-    draws = []
-    for _ in range(config.count):
-        if config.unitary_only:
-            U = sample_haar_unitary(config.n, rng)
-            draws.append({"U_re": U.real.tolist(), "U_im": U.imag.tolist()})
-        else:
-            g = sample_homogeneous_gaussian_unitary(config.n, config.cutoff, rng)
-            state = apply_to_vacuum(euler_to_symplectic(g))
-            draws.append(
-                {
-                    "theta": g.theta,
-                    "U_re": g.U.real.tolist(),
-                    "U_im": g.U.imag.tolist(),
-                    "s": g.s.tolist(),
-                    "U_prime_re": g.U_prime.real.tolist(),
-                    "U_prime_im": g.U_prime.imag.tolist(),
-                    "state": state_to_json_dict(state),
-                }
-            )
+    if config.unitary_only:
+        U = sample_haar_unitary(config.n, rng, size=config.count)
+        keys = ("U_re", "U_im")
+        columns = (U.real.tolist(), U.imag.tolist())
+    else:
+        g = sample_homogeneous_gaussian_unitary(
+            config.n, config.cutoff, rng, size=config.count
+        )
+        state = apply_to_vacuum(euler_to_symplectic(g))
+        keys = ("theta", "U_re", "U_im", "s", "U_prime_re", "U_prime_im", "state")
+        columns = (
+            g.theta.tolist(),
+            g.U.real.tolist(),
+            g.U.imag.tolist(),
+            g.s.tolist(),
+            g.U_prime.real.tolist(),
+            g.U_prime.imag.tolist(),
+            state_to_json_dict(state),
+        )
+    draws = [dict(zip(keys, row)) for row in zip(*columns)]
     payload = {"draws": draws, "metadata": _metadata(config)}
     _emit(payload, config)
     return EXIT_OK

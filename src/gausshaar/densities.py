@@ -43,71 +43,61 @@ def _check_nu(nu: np.ndarray):
         raise ValueError("symplectic eigenvalues must be >= 1")
 
 
-def log_density_unconstrained(nu, n_A: int, n_B: int) -> float:
+def log_density_unconstrained(nu, n_A: int, n_B: int) -> float | np.ndarray:
     """Unnormalized log of the invariant nu-density for an n_A + n_B split.
 
     log of prod_{h>k} (nu_h^2 - nu_k^2)^2 * prod_j nu_j^2 (nu_j^2-1)^(n_B-n_A);
-    -inf on coincident eigenvalues, and at nu = 1 when n_B > n_A.
+    -inf on coincident eigenvalues, and at nu = 1 when n_B > n_A.  Takes a
+    stack nu (..., n_A) and returns the stack (...) of values, or a float for
+    a single vector.
     """
-    nu = np.atleast_1d(np.asarray(nu, dtype=float))
-    if nu.size != n_A or n_A > n_B:
-        raise ValueError("need len(nu) = n_A <= n_B")
-    _check_nu(nu)
+    nu = _check_split(nu, n_A, n_B)
     sq = nu**2
-    total = 0.0
-    for h in range(n_A):
-        for k in range(h + 1, n_A):
-            gap = abs(sq[h] - sq[k])
-            if gap == 0.0:
-                return -np.inf
-            total += 2 * np.log(gap)
-    total += 2 * np.sum(np.log(nu))
-    if n_B > n_A:
-        shifted = sq - 1.0
-        if np.any(shifted == 0.0):
-            return -np.inf
-        total += (n_B - n_A) * np.sum(np.log(shifted))
-    return float(total)
+    with np.errstate(divide="ignore"):
+        total = 2 * np.log(vandermonde_repulsion(sq)) + 2 * np.sum(np.log(nu), axis=-1)
+        if n_B > n_A:
+            total = total + (n_B - n_A) * np.sum(np.log(sq - 1.0), axis=-1)
+    return float(total) if total.ndim == 0 else total
 
 
-def log_density_submanifold(nu, n_A: int, n_B: int) -> float:
+def log_density_submanifold(nu, n_A: int, n_B: int) -> float | np.ndarray:
     """Unnormalized log nu-density on the parametric-process submanifold.
 
     log of prod_{h<k} (nu_h - nu_k)^2 * prod_j (nu_j - 1)^(n_B-n_A); -inf on
-    the zero set.
+    the zero set.  Takes a stack nu (..., n_A) like
+    ``log_density_unconstrained``.
     """
+    nu = _check_split(nu, n_A, n_B)
+    with np.errstate(divide="ignore"):
+        total = 2 * np.log(vandermonde_repulsion(nu))
+        if n_B > n_A:
+            total = total + (n_B - n_A) * np.sum(np.log(nu - 1.0), axis=-1)
+    return float(total) if total.ndim == 0 else total
+
+
+def _check_split(nu, n_A: int, n_B: int) -> np.ndarray:
     nu = np.atleast_1d(np.asarray(nu, dtype=float))
-    if nu.size != n_A or n_A > n_B:
+    if nu.shape[-1] != n_A or n_A > n_B:
         raise ValueError("need len(nu) = n_A <= n_B")
     _check_nu(nu)
-    total = 0.0
-    for h in range(n_A):
-        for k in range(h + 1, n_A):
-            gap = abs(nu[h] - nu[k])
-            if gap == 0.0:
-                return -np.inf
-            total += 2 * np.log(gap)
-    if n_B > n_A:
-        shifted = nu - 1.0
-        if np.any(shifted == 0.0):
-            return -np.inf
-        total += (n_B - n_A) * np.sum(np.log(shifted))
-    return float(total)
+    return nu
 
 
-def mean_energy(U: np.ndarray, lam, nu) -> float:
+def mean_energy(U: np.ndarray, lam, nu) -> float | np.ndarray:
     """Subsystem mean energy from mixing matrix U and weights (lambda, nu).
 
     (1/2) sum_{h,k} |U_{hk}|^2 lambda_h nu_k, for a balanced bipartition of
-    n = 2 * len(nu) modes.
+    n = 2 * len(nu) modes.  Broadcasts over leading axes of U (..., m, m),
+    lambda (..., m) and nu (..., m); returns a float for a single draw.
     """
     U = np.asarray(U, dtype=complex)
     lam = np.atleast_1d(np.asarray(getattr(lam, "values", lam), dtype=float))
     nu = np.atleast_1d(np.asarray(nu, dtype=float))
-    m = nu.size
-    if lam.size != m or U.shape != (m, m):
+    m = nu.shape[-1]
+    if lam.shape[-1] != m or U.shape[-2:] != (m, m):
         raise ValueError("U, lambda and nu must share the subsystem dimension")
-    return float(0.5 * np.sum(np.abs(U) ** 2 * np.outer(lam, nu)))
+    energy = 0.5 * np.einsum("...hk,...h,...k->...", np.abs(U) ** 2, lam, nu)
+    return float(energy) if energy.ndim == 0 else energy
 
 
 def energy_mixing_parameters(g: EulerGaussianUnitary):

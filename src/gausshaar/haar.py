@@ -9,6 +9,13 @@ pairwise-repulsion density prod |lambda_h - lambda_k|.
 The squeezing directions are noncompact, so lambda is restricted to a cutoff
 box [1, cutoff]^n; the cutoff is a run parameter that must dominate any
 energy shell studied downstream.
+
+Gaussian unitaries are drawn, converted and applied to the vacuum as stacks
+along a leading axis: ``sample_homogeneous_gaussian_unitary(..., size=N)``
+draws all N lambda vectors, then all phases, then all U, then all U', and
+``EulerGaussianUnitary``, ``euler_to_symplectic`` and ``apply_to_vacuum``
+carry the stack through.  Every check still holds for each matrix of a stack
+on its own, with the tolerance and scale of a single matrix.
 """
 
 from __future__ import annotations
@@ -25,9 +32,13 @@ SYMPLECTIC_TOL = 1e-10
 
 @dataclass(frozen=True)
 class EulerGaussianUnitary:
-    """Parameters (theta, U, s, U_prime) of a homogeneous Gaussian unitary."""
+    """Parameters (theta, U, s, U_prime) of a homogeneous Gaussian unitary.
 
-    theta: float
+    A stack of them shares leading axes: theta (...), U and U_prime
+    (..., n, n), s (..., n).
+    """
+
+    theta: float | np.ndarray
     U: np.ndarray
     s: np.ndarray
     U_prime: np.ndarray
@@ -36,12 +47,14 @@ class EulerGaussianUnitary:
         U = np.asarray(self.U, dtype=complex)
         Up = np.asarray(self.U_prime, dtype=complex)
         s = np.atleast_1d(np.asarray(self.s, dtype=float))
-        n = s.size
+        n = s.shape[-1]
         eye = np.eye(n)
         for name, M in (("U", U), ("U_prime", Up)):
-            if M.shape != (n, n):
+            if M.shape != s.shape[:-1] + (n, n):
                 raise ValueError(f"{name} must be {n}x{n}")
-            if np.abs(M.conj().T @ M - eye).max() > UNITARITY_TOL:
+            # an absolute tolerance, so the largest entry over the stack
+            # exceeds it exactly when some matrix's does
+            if np.abs(M.conj().swapaxes(-1, -2) @ M - eye).max() > UNITARITY_TOL:
                 raise ValueError(f"{name} is not unitary")
         if np.any(s < 0):
             raise ValueError("squeezing parameters must be nonnegative")
@@ -51,7 +64,7 @@ class EulerGaussianUnitary:
 
     @property
     def n_modes(self) -> int:
-        return self.s.size
+        return self.s.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -144,15 +157,24 @@ def sample_lambda(
 
 
 def sample_homogeneous_gaussian_unitary(
-    n: int, cutoff: float, rng: np.random.Generator
+    n: int, cutoff: float, rng: np.random.Generator, size: int | None = None
 ) -> EulerGaussianUnitary:
-    """Draw from the invariant measure restricted to lambda in [1, cutoff]^n."""
-    lam = sample_lambda(n, cutoff, rng)
+    """Draw from the invariant measure restricted to lambda in [1, cutoff]^n.
+
+    With ``size`` given, returns one EulerGaussianUnitary holding a stack of
+    ``size`` draws.  The stream is consumed as lambda, theta, U, U' for the
+    whole stack; ``size=None`` is the stack of one, unstacked, so a single
+    draw is the same as the first row of ``size=1``.
+    """
+    count = 1 if size is None else size
+    lam = sample_lambda(n, cutoff, rng, size=count)
+    theta = rng.uniform(0.0, 2 * np.pi, count)
+    U = sample_haar_unitary(n, rng, size=count)
+    U_prime = sample_haar_unitary(n, rng, size=count)
+    if size is None:
+        theta, U, lam, U_prime = float(theta[0]), U[0], lam[0], U_prime[0]
     return EulerGaussianUnitary(
-        theta=float(rng.uniform(0.0, 2 * np.pi)),
-        U=sample_haar_unitary(n, rng),
-        s=lam.s,
-        U_prime=sample_haar_unitary(n, rng),
+        theta=theta, U=U, s=LambdaVector(values=lam).s, U_prime=U_prime
     )
 
 
@@ -161,15 +183,16 @@ def passive_symplectic(U: np.ndarray) -> np.ndarray:
 
     Under a -> sum_h U_{kh} a_h the quadratures transform as
     x' = Re(U) x - Im(U) p, p' = Im(U) x + Re(U) p; this interleaves those
-    blocks into the (x_1, p_1, ...) ordering.
+    blocks into the (x_1, p_1, ...) ordering.  Maps a stack (..., n, n) to a
+    stack (..., 2n, 2n).
     """
     U = np.asarray(U, dtype=complex)
-    n = U.shape[0]
-    S = np.zeros((2 * n, 2 * n))
-    S[0::2, 0::2] = U.real
-    S[0::2, 1::2] = -U.imag
-    S[1::2, 0::2] = U.imag
-    S[1::2, 1::2] = U.real
+    n = U.shape[-1]
+    S = np.zeros(U.shape[:-2] + (2 * n, 2 * n))
+    S[..., 0::2, 0::2] = U.real
+    S[..., 0::2, 1::2] = -U.imag
+    S[..., 1::2, 0::2] = U.imag
+    S[..., 1::2, 1::2] = U.real
     return S
 
 
@@ -177,17 +200,20 @@ def squeeze_symplectic(s) -> np.ndarray:
     """Direct sum of per-mode squeezers diag(e^{-2 s_k}, e^{+2 s_k}).
 
     The sign matches a generator s(a^2 - a^dag^2): x is squeezed, p is
-    stretched.
+    stretched.  Maps a stack (..., n) to a stack (..., 2n, 2n).
     """
     s = np.atleast_1d(np.asarray(s, dtype=float))
-    d = np.empty(2 * s.size)
-    d[0::2] = np.exp(-2 * s)
-    d[1::2] = np.exp(2 * s)
-    return np.diag(d)
+    d = np.empty(s.shape[:-1] + (2 * s.shape[-1],))
+    d[..., 0::2] = np.exp(-2 * s)
+    d[..., 1::2] = np.exp(2 * s)
+    return d[..., np.newaxis] * np.eye(d.shape[-1])
 
 
 def euler_to_symplectic(g: EulerGaussianUnitary) -> np.ndarray:
-    """Symplectic matrix of the Euler factorization; the phase theta drops out."""
+    """Symplectic matrix of the Euler factorization; the phase theta drops out.
+
+    A stacked ``g`` gives the stack (..., 2n, 2n).
+    """
     return (
         passive_symplectic(g.U)
         @ squeeze_symplectic(g.s)
@@ -196,11 +222,16 @@ def euler_to_symplectic(g: EulerGaussianUnitary) -> np.ndarray:
 
 
 def apply_to_vacuum(S: np.ndarray) -> GaussianPureState:
-    """State obtained by acting with the symplectic matrix S on the vacuum."""
+    """State obtained by acting with the symplectic matrix S on the vacuum.
+
+    A stack S (..., 2n, 2n) gives one GaussianPureState holding the stack of
+    covariances.  Each matrix is checked against its own scale max|S|^2.
+    """
     S = np.asarray(S, dtype=float)
-    n = S.shape[0] // 2
+    n = S.shape[-1] // 2
     omega = symplectic_form(n).matrix
-    scale = max(1.0, np.abs(S).max() ** 2)
-    if np.abs(S @ omega @ S.T - omega).max() > SYMPLECTIC_TOL * scale:
+    St = S.swapaxes(-1, -2)
+    scale = np.maximum(1.0, np.abs(S).max(axis=(-2, -1)) ** 2)
+    if np.any(np.abs(S @ omega @ St - omega).max(axis=(-2, -1)) > SYMPLECTIC_TOL * scale):
         raise ValueError("matrix is not symplectic")
-    return GaussianPureState(n_modes=n, covariance=S @ S.T)
+    return GaussianPureState(n_modes=n, covariance=S @ St)

@@ -49,12 +49,20 @@ def read_covariance_csv(path) -> GaussianPureState:
     return GaussianPureState(n_modes=n_modes, covariance=np.array(rows))
 
 
-def state_to_json_dict(state: GaussianPureState) -> dict:
-    return {
-        "n_modes": state.n_modes,
-        "covariance": state.covariance.tolist(),
-        "displacement": state.displacement.tolist(),
-    }
+def state_to_json_dict(state: GaussianPureState) -> dict | list[dict]:
+    """{"n_modes", "covariance", "displacement"}; a list of them for a stack of states."""
+    covariance = state.covariance.tolist()
+    displacement = state.displacement.tolist()
+    if state.covariance.ndim == 2:
+        return {
+            "n_modes": state.n_modes,
+            "covariance": covariance,
+            "displacement": displacement,
+        }
+    return [
+        {"n_modes": state.n_modes, "covariance": cov, "displacement": disp}
+        for cov, disp in zip(covariance, displacement)
+    ]
 
 
 def state_from_json_dict(data: dict) -> GaussianPureState:
@@ -97,17 +105,20 @@ def write_density_grid_csv(grid_columns: dict, path) -> None:
 
 
 def dump_output(payload: dict, path: str | None, timestamp: bool = True) -> str:
-    """Serialize a result payload to JSON; write to ``path`` or return it.
+    """Serialize a result payload to one line of JSON; write to ``path`` or return it.
 
-    The timestamp is attached under metadata only, so stripping it recovers a
-    byte-identical document for identical (config, seed).
+    Keys are sorted and nothing is indented: with ``indent`` set, the json
+    module falls back from its C encoder to the pure-Python one, which took
+    about a third of a 1000-draw ``haar-sample`` run.  The timestamp is
+    attached under metadata only, so stripping it recovers a byte-identical
+    document for identical (config, seed).
     """
     if timestamp:
         payload = dict(payload)
         meta = dict(payload.get("metadata", {}))
         meta["timestamp"] = datetime.now(timezone.utc).isoformat()
         payload["metadata"] = meta
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(payload, sort_keys=True) + "\n"
     if path:
         with open(path, "w") as fh:
             fh.write(text)

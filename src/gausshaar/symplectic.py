@@ -47,12 +47,43 @@ def symplectic_form(n_modes: int) -> SymplecticForm:
     return SymplecticForm(n_modes=n_modes, matrix=matrix)
 
 
+def validate_pure_covariance(cov: np.ndarray) -> None:
+    """Check that every matrix of a stack (..., 2n, 2n) is a pure-state covariance.
+
+    Each matrix must be symmetric, symplectic (cov Omega cov^T = Omega), of
+    determinant 1 and positive definite, each within a tolerance scaled by
+    that matrix's own largest entry max(1, max|cov|).  Raises
+    NotAGaussianPureStateError naming the first invariant that some matrix
+    breaks.
+    """
+    n = cov.shape[-1] // 2
+    scale = np.maximum(1.0, np.abs(cov).max(axis=(-2, -1)))
+    cov_t = cov.swapaxes(-1, -2)
+    if np.any(np.abs(cov - cov_t).max(axis=(-2, -1)) > SYMMETRY_TOL * scale):
+        raise NotAGaussianPureStateError("covariance is not symmetric")
+    omega = symplectic_form(n).matrix
+    defect = np.abs(cov @ omega @ cov_t - omega).max(axis=(-2, -1))
+    impure = defect > PURITY_TOL * scale**2
+    if np.any(impure):
+        raise NotAGaussianPureStateError(
+            f"covariance is not symplectic (defect {np.max(defect[impure]):.3e}); "
+            "the state is not pure"
+        )
+    sign, logdet = np.linalg.slogdet(cov)
+    if np.any((sign <= 0) | (np.abs(logdet) > PURITY_TOL * 2 * n * scale)):
+        raise NotAGaussianPureStateError("det(covariance) != 1")
+    if np.any(np.linalg.eigvalsh(cov).min(axis=-1) <= 0):
+        raise NotAGaussianPureStateError("covariance is not positive definite")
+
+
 @dataclass(frozen=True)
 class GaussianPureState:
     """A pure Gaussian state: real covariance matrix plus displacement.
 
     The covariance of a pure state is a symmetric symplectic matrix; this is
-    validated at construction time.
+    validated at construction time.  A stack of states on the same modes
+    shares leading axes: covariance (..., 2n, 2n) and displacement (..., 2n).
+    The spectrum and energy functions take a single state.
     """
 
     n_modes: int
@@ -61,38 +92,21 @@ class GaussianPureState:
 
     def __post_init__(self):
         cov = np.asarray(self.covariance, dtype=float)
-        if cov.shape != (2 * self.n_modes, 2 * self.n_modes):
-            raise ValueError(
-                f"covariance must be {2 * self.n_modes}x{2 * self.n_modes}, "
-                f"got {cov.shape}"
-            )
+        dim = 2 * self.n_modes
+        if cov.shape[-2:] != (dim, dim):
+            raise ValueError(f"covariance must be {dim}x{dim}, got {cov.shape}")
         if self.displacement is None:
-            disp = np.zeros(2 * self.n_modes)
+            disp = np.zeros(cov.shape[:-1])
         else:
             disp = np.asarray(self.displacement, dtype=float)
-            if disp.shape != (2 * self.n_modes,):
+            if disp.shape != cov.shape[:-1]:
                 raise ValueError("displacement has wrong length")
         object.__setattr__(self, "covariance", cov)
         object.__setattr__(self, "displacement", disp)
         self._validate()
 
     def _validate(self):
-        cov = self.covariance
-        scale = max(1.0, np.abs(cov).max())
-        if np.abs(cov - cov.T).max() > SYMMETRY_TOL * scale:
-            raise NotAGaussianPureStateError("covariance is not symmetric")
-        omega = symplectic_form(self.n_modes).matrix
-        defect = np.abs(cov @ omega @ cov.T - omega).max()
-        if defect > PURITY_TOL * scale**2:
-            raise NotAGaussianPureStateError(
-                f"covariance is not symplectic (defect {defect:.3e}); "
-                "the state is not pure"
-            )
-        sign, logdet = np.linalg.slogdet(cov)
-        if sign <= 0 or abs(logdet) > PURITY_TOL * 2 * self.n_modes * scale:
-            raise NotAGaussianPureStateError("det(covariance) != 1")
-        if np.linalg.eigvalsh(cov).min() <= 0:
-            raise NotAGaussianPureStateError("covariance is not positive definite")
+        validate_pure_covariance(self.covariance)
 
 
 @dataclass(frozen=True)
@@ -230,6 +244,8 @@ def canonical_state(r, bipartition: Bipartition) -> GaussianPureState:
 
 def reduced_covariance(state: GaussianPureState, modes) -> np.ndarray:
     """Covariance block of the given modes (partial trace in phase space)."""
+    if state.covariance.ndim != 2:
+        raise ValueError("reduced_covariance takes a single state, not a stack")
     idx = quadrature_indices(modes)
     return state.covariance[np.ix_(idx, idx)]
 

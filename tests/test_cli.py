@@ -9,7 +9,7 @@ import pytest
 
 import gausshaar
 from gausshaar.cli import main
-from gausshaar.serialization import write_covariance_csv
+from gausshaar.serialization import state_from_json_dict, write_covariance_csv
 from gausshaar.symplectic import Bipartition, canonical_state
 
 
@@ -165,6 +165,15 @@ class TestHaarSampleCommand:
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["draws"]) == 2
         assert doc["draws"][0]["state"]["n_modes"] == 2
+
+    def test_every_state_reloads(self, tmp_path):
+        out = tmp_path / "draws.json"
+        assert main(["haar-sample", "--n", "4", "--count", "200", "--output", str(out)]) == 0
+        draws = json.loads(out.read_text())["draws"]
+        assert len(draws) == 200
+        for draw in draws:
+            assert np.array(draw["U_prime_im"]).shape == (4, 4) and len(draw["s"]) == 4
+            assert state_from_json_dict(draw["state"]).covariance.shape == (8, 8)
 
     def test_unitary_only(self, capsys):
         code = main(["haar-sample", "--n", "3", "--count", "1", "--unitary-only"])

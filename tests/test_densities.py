@@ -53,6 +53,44 @@ class TestUnconstrainedLogDensity:
             log_density_unconstrained([0.9], 1, 1)
 
 
+def _log_density_loop(nu, n_A, n_B, square):
+    """Pair-by-pair reference for the log densities on one vector."""
+    x = np.asarray(nu, dtype=float) ** (2 if square else 1)
+    total = 0.0
+    for h in range(n_A):
+        for k in range(h + 1, n_A):
+            gap = abs(x[h] - x[k])
+            if gap == 0.0:
+                return -np.inf
+            total += 2 * np.log(gap)
+    if square:
+        total += 2 * np.sum(np.log(nu))
+    if n_B > n_A:
+        if np.any(x == 1.0):
+            return -np.inf
+        total += (n_B - n_A) * np.sum(np.log(x - 1.0))
+    return total
+
+
+@pytest.mark.parametrize(
+    "fn, square", [(log_density_unconstrained, True), (log_density_submanifold, False)]
+)
+@pytest.mark.parametrize("n_A, n_B", [(1, 1), (1, 3), (2, 2), (2, 4), (3, 3), (3, 5)])
+def test_log_density_stack_matches_loop(fn, square, n_A, n_B):
+    # a grid with repeated coordinates and coordinates at 1, where the
+    # densities vanish, plus random interior points
+    axis = np.array([1.0, 1.25, 2.0, 3.5, 6.0])
+    grid = np.stack(np.meshgrid(*[axis] * n_A, indexing="ij"), axis=-1).reshape(-1, n_A)
+    stack = np.concatenate([grid, 1.0 + 5.0 * np.random.default_rng(n_A).random((50, n_A))])
+    values = fn(stack, n_A, n_B)
+    reference = np.array([_log_density_loop(nu, n_A, n_B, square) for nu in stack])
+    assert values.shape == (stack.shape[0],)
+    assert np.array_equal(np.isneginf(values), np.isneginf(reference))
+    finite = np.isfinite(reference)
+    assert np.all(np.isfinite(values[finite]))
+    np.testing.assert_allclose(values[finite], reference[finite], rtol=1e-12, atol=0)
+
+
 class TestMeanEnergy:
     def test_identity_mixing_no_squeezing(self):
         nu = np.array([1.7, 2.4])

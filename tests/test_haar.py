@@ -162,6 +162,13 @@ class TestEulerSymplectic:
         ks = stats.kstest(half_traces, stats.uniform(loc=1.0, scale=9.0).cdf).statistic
         assert ks < 0.015
 
+    def test_single_mode_energy_factor_uniform_batched(self):
+        g = sample_homogeneous_gaussian_unitary(1, 10.0, np.random.default_rng(18), size=20_000)
+        S = euler_to_symplectic(g)
+        half_traces = np.trace(S @ S.transpose(0, 2, 1), axis1=1, axis2=2) / 2
+        ks = stats.kstest(half_traces, stats.uniform(loc=1.0, scale=9.0).cdf).statistic
+        assert ks < 0.015
+
     def test_symplectic_group_membership(self):
         rng = np.random.default_rng(12)
         omega = symplectic_form(3).matrix
@@ -213,6 +220,44 @@ class TestApplyToVacuum:
         for _ in range(20):
             g = sample_homogeneous_gaussian_unitary(2, 5.0, rng)
             apply_to_vacuum(euler_to_symplectic(g))  # constructor validates
+
+    def test_stack_rejects_one_non_symplectic_matrix(self):
+        # the squeezed member has scale max|S|^2 ~ 3e3, so a tolerance scaled
+        # by the whole stack would let the defect 2e-9 of the last one through
+        squeezed = squeeze_symplectic([2.0, 0.0])
+        good = np.stack([np.eye(4), squeezed])
+        assert apply_to_vacuum(good).covariance.shape == (2, 4, 4)
+        with pytest.raises(ValueError, match="matrix is not symplectic"):
+            apply_to_vacuum(np.stack([*good, (1.0 + 1e-9) * np.eye(4)]))
+
+
+class TestBatchedDraws:
+    @pytest.mark.parametrize("n", [1, 2, 4, 6])
+    def test_size_one_matches_single_draw(self, n):
+        rng_single, rng_batch = np.random.default_rng(30 + n), np.random.default_rng(30 + n)
+        single = sample_homogeneous_gaussian_unitary(n, 7.0, rng_single)
+        batch = sample_homogeneous_gaussian_unitary(n, 7.0, rng_batch, size=1)
+        assert single.theta == batch.theta[0]
+        for field in ("U", "s", "U_prime"):
+            assert np.array_equal(getattr(single, field), getattr(batch, field)[0])
+        assert np.array_equal(
+            euler_to_symplectic(single), euler_to_symplectic(batch)[0]
+        )
+        assert rng_single.random() == rng_batch.random()
+
+    @pytest.mark.parametrize("field", ["U", "U_prime"])
+    def test_stack_rejects_one_non_unitary_matrix(self, field):
+        rng = np.random.default_rng(31)
+        factors = {
+            "theta": np.zeros(3),
+            "U": sample_haar_unitary(2, rng, size=3),
+            "s": np.zeros((3, 2)),
+            "U_prime": sample_haar_unitary(2, rng, size=3),
+        }
+        EulerGaussianUnitary(**factors)
+        factors[field][1] *= 1.0 + 1e-9
+        with pytest.raises(ValueError, match=f"{field} is not unitary"):
+            EulerGaussianUnitary(**factors)
 
 
 class TestSmallLimits:

@@ -50,6 +50,38 @@ class TestGaussianPureState:
         state = GaussianPureState(n_modes=3, covariance=np.eye(6))
         assert np.array_equal(state.displacement, np.zeros(6))
 
+    @pytest.mark.parametrize(
+        "invariant, match",
+        [
+            ("symmetry", "not symmetric"),
+            ("symplectic", "not symplectic"),
+            ("determinant", "det"),
+            ("positivity", "positive definite"),
+        ],
+    )
+    def test_stack_rejects_one_bad_matrix(self, invariant, match):
+        # the good matrices include a strongly squeezed one (scale ~ 200), so
+        # a tolerance scaled by the whole stack would let each defect through
+        good = [np.eye(4), tmsv_state(3.0).covariance, np.eye(4)]
+        if invariant == "symmetry":
+            bad = np.eye(4)
+            bad[0, 3] += 1e-10
+        elif invariant == "symplectic":
+            bad = (1.0 + 7e-9) * np.eye(4)  # defect 1.4e-8, log det 2.8e-8
+        elif invariant == "determinant":
+            # defect 0.02 is inside this matrix's own tolerance 1e-8 * 1.01e4^2
+            bad = 1.01 * np.diag([1e4, 1e-4, 1.0, 1.0])
+        else:
+            bad = -np.eye(4)  # symmetric, symplectic, det +1
+        GaussianPureState(n_modes=2, covariance=np.stack(good))
+        with pytest.raises(NotAGaussianPureStateError, match=match):
+            GaussianPureState(n_modes=2, covariance=np.stack([*good[:2], bad, good[2]]))
+
+    def test_spectrum_rejects_a_stack(self):
+        stack = GaussianPureState(n_modes=2, covariance=np.stack([np.eye(4)] * 3))
+        with pytest.raises(ValueError, match="single state"):
+            williamson_spectrum(stack, Bipartition(1, 1))
+
 
 class TestBipartition:
     def test_label_swap_keeps_a_smaller(self):
