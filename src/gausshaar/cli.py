@@ -14,7 +14,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, asdict
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -225,6 +225,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     merged.update({k: v for k, v in ns.items() if v is not None})
     if merged.get("count", 1) < 1:
         raise ConfigError("count must be positive")
+    # the seed is echoed in JSON, whose encoder takes 64-bit integers
+    if not 0 <= merged["seed"] < 2**64:
+        raise ConfigError("seed must be in [0, 2**64)")
     allowed = set(RunConfig.__dataclass_fields__)
     unknown = set(merged) - allowed
     if unknown:
@@ -239,13 +242,17 @@ def _metadata(config: RunConfig) -> dict:
     return {"tool_version": __version__, "config": config.echo(), "seed": config.seed}
 
 
-def _emit(payload: dict, config: RunConfig, csv_text: str | None = None) -> None:
+def _emit(
+    payload: dict, config: RunConfig, csv_text: Callable[[], str] | None = None
+) -> None:
+    """Write the JSON payload, or in CSV mode the text ``csv_text()`` builds."""
     if config.format == "csv" and csv_text is not None:
+        text = csv_text()
         if config.output_path:
             with open(config.output_path, "w") as fh:
-                fh.write(csv_text)
+                fh.write(text)
         else:
-            sys.stdout.write(csv_text)
+            sys.stdout.write(text)
         return
     text = dump_output(payload, config.output_path)
     if not config.output_path:
@@ -261,9 +268,11 @@ def _cmd_williamson(config: RunConfig) -> int:
         "r": spectrum.r.tolist(),
         "metadata": _metadata(config),
     }
-    csv_text = "nu,r\n" + "".join(
-        f"{nu:.17g},{r:.17g}\n" for nu, r in zip(spectrum.nu, spectrum.r)
-    )
+
+    def csv_text() -> str:
+        rows = zip(spectrum.nu, spectrum.r)
+        return "nu,r\n" + "".join(f"{nu:.17g},{r:.17g}\n" for nu, r in rows)
+
     _emit(payload, config, csv_text)
     return EXIT_OK
 
@@ -278,7 +287,7 @@ def _cmd_entropy(config: RunConfig) -> int:
         "nu": spectrum.nu.tolist(),
         "metadata": _metadata(config),
     }
-    _emit(payload, config, f"entropy_nats\n{entropy:.17g}\n")
+    _emit(payload, config, lambda: f"entropy_nats\n{entropy:.17g}\n")
     return EXIT_OK
 
 
@@ -353,7 +362,7 @@ def _cmd_sample(config: RunConfig) -> int:
         "samples": np.asarray(samples).tolist(),
         "metadata": _metadata(config),
     }
-    _emit(payload, config, samples_csv_text(samples, energies))
+    _emit(payload, config, lambda: samples_csv_text(samples, energies))
     return EXIT_OK
 
 

@@ -40,6 +40,8 @@ from .haar import sample_haar_unitary, sample_repulsive, vandermonde_repulsion
 logger = logging.getLogger(__name__)
 
 MIN_EXPECTED_PER_BIN = 5.0
+# draws per block in g_constraint_mc; bounds its memory, not its law
+G_BLOCK = 2**17
 
 
 @dataclass
@@ -146,16 +148,23 @@ def g_constraint_mc(
             f"cutoff {cutoff} too small: the energy shell requires lambda up "
             f"to {needed:.3g}"
         )
-    if m == 1:
-        lam = rng.uniform(1.0, cutoff, size=(count, 1))
-    else:
-        lam, _ = sample_repulsive(m, 1.0, cutoff, count, rng)
-    U = sample_haar_unitary(m, rng, size=count)
-    energies = mean_energy(U, lam, nu)
-    hits = (np.abs(energies - E) <= shell_width).astype(float)
-    estimate = hits.mean() / (2.0 * shell_width)
-    stderr = hits.std(ddof=1) / np.sqrt(count) / (2.0 * shell_width)
-    return float(estimate), float(stderr)
+    if count < 2:
+        raise ValueError("a standard error needs count >= 2")
+    hits = 0
+    for start in range(0, count, G_BLOCK):
+        size = min(G_BLOCK, count - start)
+        if m == 1:
+            lam = rng.uniform(1.0, cutoff, size=(size, 1))
+        else:
+            lam, _ = sample_repulsive(m, 1.0, cutoff, size, rng)
+        U = sample_haar_unitary(m, rng, size=size)
+        energies = mean_energy(U, lam, nu)
+        hits += int(np.count_nonzero(np.abs(energies - E) <= shell_width))
+    # mean and ddof=1 standard deviation of the 0/1 hit indicators
+    std = math.sqrt(hits * (count - hits) / (count * (count - 1)))
+    estimate = hits / count / (2.0 * shell_width)
+    stderr = std / math.sqrt(count) / (2.0 * shell_width)
+    return estimate, stderr
 
 
 # ---------------------------------------------------------------------------

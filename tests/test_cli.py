@@ -1,5 +1,7 @@
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -92,6 +94,24 @@ class TestDensityCommand:
         # uniform on [1, 2 min(E)] = [1, 4]
         assert max(doc["density"]) == pytest.approx(1.0 / 3.0)
         assert doc["nu"][-1] == pytest.approx(4.0)
+
+    def test_unconstrained_grid_is_strict_json(self, capsys):
+        # the log density is -inf where two eigenvalues coincide; strict JSON
+        # has no token for it, so those entries are null
+        code = main(
+            ["density", "--kind", "unconstrained", "--nA", "2", "--nB", "2",
+             "--grid", "12"]
+        )
+        assert code == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+        nulls = [v is None for v in doc["log_density"]]
+        diagonal = [a == b for a, b in zip(doc["nu_1"], doc["nu_2"])]
+        assert len(nulls) == 144
+        assert nulls == diagonal
 
     def test_missing_energy_is_config_error(self, capsys):
         code = main(["density", "--kind", "2p2", "--EA", "2.5"])
@@ -249,6 +269,13 @@ class TestConfigPrecedence:
         code = main(["sample", "--kind", "lambda", "--n", "1", "--count", "0"])
         assert code == 2
 
+    def test_seed_beyond_64_bits_rejected(self, capsys):
+        code = main(
+            ["sample", "--kind", "lambda", "--n", "1", "--seed", str(2**64)]
+        )
+        assert code == 2
+        assert "seed" in json.loads(capsys.readouterr().err)["error"]
+
 
 class TestSeededReproducibility:
     def test_verify_outputs_identical_for_same_seed(self, tmp_path):
@@ -293,6 +320,29 @@ def test_cli_import_loads_no_scipy():
         "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
     )
     assert _run_python("-c", probe).strip() == "[]"
+
+
+def test_runtime_imports_are_declared_dependencies():
+    # every third-party module the package imports must be installed with it;
+    # scipy, a test-only dependency, fails this like any undeclared import
+    tomllib = pytest.importorskip("tomllib")
+    package = Path(gausshaar.__file__).resolve().parent
+    root = package.parent.parent
+    with open(root / "pyproject.toml", "rb") as fh:
+        requirements = tomllib.load(fh)["project"]["dependencies"]
+    declared = {
+        re.match(r"[A-Za-z0-9_.-]+", req).group().lower().replace("-", "_")
+        for req in requirements
+    }
+    imported = set()
+    for path in package.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"gausshaar"}
+    assert {"numpy", "orjson"} <= third_party <= declared
 
 
 def test_haar_sample_six_modes_finishes():

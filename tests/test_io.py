@@ -87,6 +87,23 @@ class TestReportJson:
         assert d1 == d2
 
 
+class TestDumpOutput:
+    def test_floats_round_trip_bit_exactly(self, tmp_path):
+        edge = [5e-324, -0.0, 0.1, 1e-7, 1e16, 1.7976931348623157e308]
+        normals = np.random.default_rng(40).standard_normal(10_000).tolist()
+        payload = {"edge": edge, "normals": normals, "metadata": {"seed": 40}}
+        path = tmp_path / "out.json"
+        text = dump_output(payload, str(path), timestamp=False)
+        assert path.read_text() == text
+        back = json.loads(text)
+        for key in ("edge", "normals"):
+            sent = np.array(payload[key])
+            got = np.array(back[key])
+            assert got.dtype == np.float64
+            assert np.array_equal(sent.view(np.int64), got.view(np.int64))
+        assert back == json.loads(json.dumps(payload, sort_keys=True))
+
+
 class TestSampleAndGridCsv:
     def test_samples_csv_layout(self):
         text = samples_csv_text(np.array([[1.5, 2.5], [1.1, 1.9]]), (2.5, 2.5))
