@@ -3,7 +3,7 @@
 Covariance-matrix representation and Williamson spectra, Haar sampling of
 homogeneous Gaussian unitaries, the closed-form symplectic-eigenvalue
 densities under energy constraints, and Monte Carlo verification of those
-densities by shell conditioning.
+densities under the exact energy constraint.
 """
 
 __version__ = "0.1.0"

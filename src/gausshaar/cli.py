@@ -57,7 +57,6 @@ EXIT_VERIFICATION = 4
 
 DEFAULTS = {
     "cutoff": 10.0,
-    "shell_width": 0.05,
     "count": 100_000,
     "format": "json",
     "seed": 0,
@@ -85,7 +84,6 @@ class RunConfig:
     n: Optional[int] = None
     kind: Optional[str] = None
     cutoff: float = DEFAULTS["cutoff"]
-    shell_width: float = DEFAULTS["shell_width"]
     count: int = DEFAULTS["count"]
     seed: int = DEFAULTS["seed"]
     grid: int = DEFAULTS["grid"]
@@ -175,7 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--EA", dest="E_A", type=float, required=True)
     p.add_argument("--EB", dest="E_B", type=float, required=True)
     p.add_argument("--count", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--shell", dest="shell_width", type=float, default=argparse.SUPPRESS)
     p.add_argument("--cutoff", type=float, default=argparse.SUPPRESS)
     p.add_argument("--bins", type=int, default=argparse.SUPPRESS)
     p.add_argument("--partitions", type=int, default=argparse.SUPPRESS)
@@ -295,12 +292,12 @@ def _density_grid(config: RunConfig) -> dict:
     kind = config.kind
     if kind == "1p1":
         config.require("E_A", "E_B")
-        constraint = EnergyConstraint(config.E_A, config.E_B, config.shell_width)
+        constraint = EnergyConstraint(config.E_A, config.E_B)
         nu = np.linspace(*support_1p1(constraint), config.grid)
         return {"nu": nu, "density": density_1p1(nu, constraint)}
     if kind == "2p2":
         config.require("E_A", "E_B")
-        constraint = EnergyConstraint(config.E_A, config.E_B, config.shell_width)
+        constraint = EnergyConstraint(config.E_A, config.E_B)
         axis = np.linspace(1.0, 2.0 * constraint.min_energy - 1.0, config.grid)
         X, Y = np.meshgrid(axis, axis, indexing="ij")
         return {"nu_1": X, "nu_2": Y, "density": density_2p2(X, Y, constraint)}
@@ -347,7 +344,7 @@ def _cmd_sample(config: RunConfig) -> int:
     rng = np.random.default_rng(config.seed)
     if config.kind == "2p2":
         config.require("E_A", "E_B")
-        constraint = EnergyConstraint(config.E_A, config.E_B, config.shell_width)
+        constraint = EnergyConstraint(config.E_A, config.E_B)
         samples = sample_density_2p2(constraint, config.count, rng)
         energies = (config.E_A, config.E_B)
     elif config.kind == "submanifold-energy":
@@ -368,7 +365,7 @@ def _cmd_sample(config: RunConfig) -> int:
 
 def _cmd_verify(config: RunConfig) -> int:
     config.require("n", "E_A", "E_B")
-    constraint = EnergyConstraint(config.E_A, config.E_B, config.shell_width)
+    constraint = EnergyConstraint(config.E_A, config.E_B)
     report = verify_constrained_density(
         config.n,
         constraint,

@@ -23,7 +23,13 @@ SIMPLEX_SLACK = 1e-9
 
 @dataclass(frozen=True)
 class EnergyConstraint:
-    """Target mean energies of the two subsystems plus an MC shell width."""
+    """Target mean energies of the two subsystems.
+
+    ``shell_width`` is accepted and checked, but ``verify`` does not read it:
+    ``verify_constrained_density`` imposes the energy constraint exactly, and
+    the shell-hit reference ``g_constraint_mc`` takes its own width as an
+    argument.
+    """
 
     E_A: float
     E_B: float

@@ -7,8 +7,8 @@ lambda_k = cosh(4 s_k) = tr(S_k S_k^T) / 2, where S_k = diag(e^{-2 s_k},
 e^{2 s_k}) is the k-th single-mode squeezer, distributed with the
 pairwise-repulsion density prod |lambda_h - lambda_k|.
 The squeezing directions are noncompact, so lambda is restricted to a cutoff
-box [1, cutoff]^n; the cutoff is a run parameter that must dominate any
-energy shell studied downstream.
+box [1, cutoff]^n; the cutoff is a run parameter that must reach every
+lambda an energy constraint studied downstream allows.
 
 Gaussian unitaries are drawn, converted and applied to the vacuum as stacks
 along a leading axis: ``sample_homogeneous_gaussian_unitary(..., size=N)``

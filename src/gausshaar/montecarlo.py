@@ -1,15 +1,14 @@
-"""Monte Carlo machinery: density samplers and shell-conditioned verification.
+"""Monte Carlo machinery: density samplers and exactly constrained verification.
 
 The verification pipeline reconstructs the conditional eigenvalue density
 P(nu | E_A, E_B) from first principles, with one estimator for every n:
 propose nu on the bounded support box, weight it by the unconstrained
 invariant factor, draw the mixing unitaries of each subsystem from their
-invariant measure, and estimate the probability that the subsystem energies
-fall in shells of width epsilon around the targets.  The Dirac energy
-constraint is replaced by the shell, and the shell probability is averaged
-analytically over the interval of squeezing weights compatible with the
-shell at fixed mixing, which multiplies the effective sample size by orders
-of magnitude without changing the estimand.
+invariant measure, and integrate the squeezing weights against the Dirac
+energy constraint of each subsystem exactly.  At fixed mixing the
+constrained squeezing weights form a scaled simplex, so the integral is its
+volume times the mean repulsion at one uniform point of it: no shell width,
+no lambda cutoff, and no zero weight inside the support.
 Accepted samples carry the residual importance weights.
 
 Work is partitioned into independently seeded streams spawned from a single
@@ -86,7 +85,7 @@ def sample_density_2p2(
     k = rng.choice(weights.size, size=count, p=weights / weights.sum())
     y = L * rng.beta(4.0, 3.0 + k)
     t = np.cbrt(2.0 * rng.random(count) - 1.0)
-    # nu = 1 + y (1 +/- t)/2 keeps both eigenvalues >= 1 under round-off
+    # nu = 1 + y (1 +/- t)/2 holds both eigenvalues >= 1 under round-off
     return np.column_stack([1.0 + 0.5 * y * (1.0 + t), 1.0 + 0.5 * y * (1.0 - t)])
 
 
@@ -128,11 +127,12 @@ def g_constraint_mc(
 ) -> tuple[float, float]:
     """Shell estimate of the delta-constrained local integral g(nu, E).
 
-    Estimates (1/(2 eps)) P(|E(U, lambda, nu) - E| <= eps) with lambda drawn
-    from the pairwise-repulsion density on [1, cutoff]^(n/2) and U Haar.  The
-    result carries a cutoff-dependent normalization that is shared across nu
-    at fixed (E, cutoff, eps), so only ratios are meaningful.  Returns
-    (estimate, standard_error).
+    Estimates (1/(2 w)) P(|E(U, lambda, nu) - E| <= w), w the shell width,
+    with lambda drawn from the pairwise-repulsion density on [1, cutoff]^(n/2)
+    and U Haar: raw shell hits, sharing no shortcut with the exact estimator
+    of ``verify_constrained_density``.  The result carries a cutoff-dependent
+    normalization that is shared across nu at fixed (E, cutoff, w), so only
+    ratios are meaningful.  Returns (estimate, standard_error).
     """
     if n % 2 != 0 or n < 2:
         raise ValueError("n must be a positive even number of modes")
@@ -153,10 +153,7 @@ def g_constraint_mc(
     hits = 0
     for start in range(0, count, G_BLOCK):
         size = min(G_BLOCK, count - start)
-        if m == 1:
-            lam = rng.uniform(1.0, cutoff, size=(size, 1))
-        else:
-            lam, _ = sample_repulsive(m, 1.0, cutoff, size, rng)
+        lam, _ = sample_repulsive(m, 1.0, cutoff, size, rng)
         U = sample_haar_unitary(m, rng, size=size)
         energies = mean_energy(U, lam, nu)
         hits += int(np.count_nonzero(np.abs(energies - E) <= shell_width))
@@ -168,38 +165,30 @@ def g_constraint_mc(
 
 
 # ---------------------------------------------------------------------------
-# the shell-band estimator
+# the exact energy-constraint estimator
 
 
-def _shell_band_lambda(c, E, eps, lam_top, rng):
-    """Single-sample importance estimate of the lambda shell integral.
+def _constrained_lambda_weight(c, E, rng):
+    """Single-sample estimate of the delta-constrained lambda integral.
 
-    Given per-draw coefficients c (shape (count, m), each entry >= 1 because
-    they are stochastic mixtures of nu >= 1), the subsystem energy is
-    sum_h lambda_h c_h / 2.  Each lambda_h is drawn uniformly on the exact
-    interval compatible with the energy shell, accounting for the worst cases
-    of the not-yet-drawn coordinates; the returned weight is the repulsion
-    density of the drawn lambda times the product of interval lengths, an
-    unbiased estimate (up to a constant shared across nu) of the shell
-    probability under lambda ~ prod |lambda_i - lambda_j| on [1, lam_top]^m.
-    A weight of zero marks an infeasible proposal.
+    Given per-draw mixing coefficients c (shape (count, m)), the subsystem
+    energy is sum_h lambda_h c_h / 2.  With mu_h = c_h (lambda_h - 1) the
+    constraint delta(E - sum lambda c / 2) becomes 2 delta(R - sum mu), where
+    R = 2E - sum(c) (= 2E - sum(nu), because |U|^2 is doubly stochastic), and
+    dlambda = dmu / prod(c).  The integral of the repulsion prod |lambda_h -
+    lambda_k| is therefore 2 / prod(c) times the simplex volume
+    R^(m-1) / (m-1)! times the mean repulsion at mu uniform on the simplex
+    {mu >= 0, sum mu = R}, which is R times normalized exponentials.  The
+    returned weight is that product at one such draw: an unbiased estimate
+    with no shell width and no lambda cutoff, zero exactly where R <= 0.
     """
     count, m = c.shape
-    lam = np.empty_like(c)
-    w = np.ones(count)
-    acc = np.zeros(count)
-    suffix = np.concatenate(
-        [np.cumsum(c[:, ::-1], axis=1)[:, ::-1][:, 1:], np.zeros((count, 1))], axis=1
-    )
-    for h in range(m):
-        rem = suffix[:, h]
-        lo = np.maximum(1.0, (2.0 * (E - eps) - acc - rem * lam_top) / c[:, h])
-        hi = np.minimum(lam_top, (2.0 * (E + eps) - acc - rem) / c[:, h])
-        length = np.clip(hi - lo, 0.0, None)
-        lam[:, h] = lo + rng.random(count) * length
-        acc = acc + lam[:, h] * c[:, h]
-        w = w * length
-    return w * vandermonde_repulsion(lam)
+    # column by column: sums over rows of length m are about 15x slower
+    R = 2.0 * E - functools.reduce(np.add, c.T)
+    x = rng.standard_exponential((count, m))
+    mu = x * (R / functools.reduce(np.add, x.T))[:, None]
+    w = 2.0 / functools.reduce(np.multiply, c.T) * R ** (m - 1) / math.factorial(m - 1)
+    return np.where(R > 0, w * vandermonde_repulsion(1.0 + mu / c), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +258,7 @@ def chi2_sf(x: float, dof: int) -> float:
 # the end-to-end verification pipeline
 
 
-def _pipeline_partition(m, constraint, count, eps, cutoff, rng):
+def _pipeline_partition(m, constraint, count, rng):
     """One stream of the pipeline, m eigenvalues a side; returns (values, weights).
 
     nu is proposed on the box [1, 2 min(E)]^m, the support set by each
@@ -279,13 +268,10 @@ def _pipeline_partition(m, constraint, count, eps, cutoff, rng):
     closed form matches the pipeline law, so the comparison still detects a
     wrong closed form).  The weight is the invariant factor
     prod nu_j^2 prod (nu_h^2 - nu_k^2)^2 over the proposal density, times a
-    single-sample estimate of each subsystem's shell probability from the
-    mixing matrix |U|^2 and shell-band lambda draws.  For m <= 2 the Haar
-    |U|^2 is [[p, 1 - p], [1 - p, p]] with p uniform on (0, 1), so p is drawn
-    directly (at m = 1 the mixture is nu itself).  Lambda values above
-    2(E + eps) can never reach the shell (the energy is at least half the
-    largest lambda, because the mixing coefficients are stochastic mixtures
-    of nu >= 1), so the lambda box is clipped there.
+    single-sample estimate of each subsystem's delta-constrained lambda
+    integral from the mixing matrix |U|^2.  For m <= 2 the Haar |U|^2 is
+    [[p, 1 - p], [1 - p, p]] with p uniform on (0, 1), so p is drawn directly
+    (at m = 1 the mixture is nu itself).
     """
     if m == 2:
         nu = sample_density_2p2(constraint, count, rng)
@@ -297,14 +283,13 @@ def _pipeline_partition(m, constraint, count, eps, cutoff, rng):
     # column by column: np.prod over rows of length m is about 20x slower
     w = functools.reduce(np.multiply, sq.T) * vandermonde_repulsion(sq) ** 2 / proposal
     for E in (constraint.E_A, constraint.E_B):
-        lam_top = min(cutoff, 2.0 * (E + eps))
         if m <= 2:
             p = rng.random((count, 1))
             c = p * nu + (1.0 - p) * nu[:, ::-1]
         else:
             U = sample_haar_unitary(m, rng, size=count)
             c = np.einsum("ihk,ik->ih", np.abs(U) ** 2, nu)
-        w = w * _shell_band_lambda(c, E, eps, lam_top, rng)
+        w = w * _constrained_lambda_weight(c, E, rng)
     keep = w > 0
     return nu[keep], w[keep]
 
@@ -343,30 +328,32 @@ def verify_constrained_density(
     partitions: int = 8,
     self_test: bool = False,
 ) -> HistogramReport:
-    """End-to-end reconstruction of P(nu | E_A, E_B) with shell conditioning.
+    """End-to-end reconstruction of P(nu | E_A, E_B) under the exact constraint.
 
-    For n = 2 and n = 4 the report includes KS and chi-square comparisons
-    against the closed-form densities; other even n yield a 1D histogram of
-    the pooled eigenvalues without comparison.  In self-test mode the samples
-    are drawn directly from the closed form (unit weights), which exercises
-    the comparison statistics under the null.
+    The Dirac energy constraint of each subsystem is imposed exactly; the
+    constraint's ``shell_width`` is not read.  ``cutoff`` bounds the
+    squeezing weights: it must reach 1 + 2 max(E) - n/2, the largest lambda
+    the constraint allows, so that the law is not truncated.  For n = 2 and
+    n = 4 the report includes KS and chi-square comparisons against the
+    closed-form densities; other even n yield a 1D histogram of the pooled
+    eigenvalues without comparison.  In self-test mode the samples are drawn
+    directly from the closed form (unit weights), which exercises the
+    comparison statistics under the null.
     """
     if n % 2 != 0 or n < 2:
         raise ValueError("n must be a positive even number of modes")
     m = n // 2
-    eps = constraint.shell_width
     # each subsystem energy is at least sum(nu)/2 and each nu >= 1
     if 2.0 * constraint.min_energy <= m:
         raise ValueError(
             f"2 min(E_A, E_B) = {2.0 * constraint.min_energy:.6g} must exceed "
             f"n/2 = {m} (empty support)"
         )
-    # lambda values above 2(E + eps) can never land in an energy shell, so
-    # the cutoff box must reach at least that far not to truncate the law
-    needed = 2.0 * (max(constraint.E_A, constraint.E_B) + eps)
+    # lambda_h = 1 + mu_h / c_h with mu_h <= 2E - sum(nu) and c_h >= 1
+    needed = 1.0 + 2.0 * max(constraint.E_A, constraint.E_B) - m
     if not self_test and cutoff < needed:
         raise ValueError(
-            f"cutoff {cutoff} too small for the energy shell (needs {needed:.3g})"
+            f"cutoff {cutoff} too small for the energy constraint (needs {needed:.3g})"
         )
     if bins is None:
         bins = 20 if m == 1 else 10
@@ -388,17 +375,15 @@ def verify_constrained_density(
                 raise ValueError("self-test mode requires n in {2, 4}")
             pieces.append((np.atleast_2d(vals.reshape(part_count, -1)), np.ones(part_count)))
         else:
-            pieces.append(
-                _pipeline_partition(m, constraint, part_count, eps, cutoff, rng)
-            )
+            pieces.append(_pipeline_partition(m, constraint, part_count, rng))
 
     values = np.concatenate([p[0] for p in pieces], axis=0)
     weights = np.concatenate([p[1] for p in pieces])
     accepted = values.shape[0]
     if accepted == 0:
         raise RuntimeError(
-            f"zero accepted samples out of {count} proposals "
-            f"(shell {eps}, cutoff {cutoff}); widen the shell or raise the cutoff"
+            f"zero accepted samples out of {count} proposals: none has sum(nu) "
+            f"below 2 min(E) = {2.0 * constraint.min_energy:.6g}; raise the count"
         )
     total = weights.sum()
     ess = float(total**2 / (weights**2).sum())
@@ -407,7 +392,6 @@ def verify_constrained_density(
         "proposal_count": count,
         "sample_count": accepted,
         "cutoff": cutoff,
-        "shell_width": eps,
         "acceptance_rate": accepted / count,
         "effective_sample_size": ess,
         "ess_fraction": ess / accepted,

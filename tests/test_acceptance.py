@@ -1,6 +1,6 @@
 """Acceptance suite: one test and one printed PASS/FAIL line per criterion.
 
-Criterion 3 compares the end-to-end shell-conditioned pipeline for a 1 + 1
+Criterion 3 compares the end-to-end exactly constrained pipeline for a 1 + 1
 bipartition against the uniform reference density on [1, 2 min(E_A, E_B)].
 Under the convention E = tr(sigma_X)/4, a one-mode subsystem has
 E >= nu/2, so the support reaches 2 min(E_A, E_B).

@@ -5,10 +5,10 @@ import pytest
 from scipy import stats
 
 from gausshaar.densities import EnergyConstraint, g_2p2
-from gausshaar.haar import vandermonde_repulsion
+from gausshaar.haar import sample_haar_unitary, vandermonde_repulsion
 from gausshaar.montecarlo import (
     HistogramReport,
-    _shell_band_lambda,
+    _constrained_lambda_weight,
     _sum_marginal_cdf,
     chi2_sf,
     g_constraint_mc,
@@ -193,24 +193,56 @@ class TestWeightedStatistics:
         assert chi2_sf(0.0, 3) == 1.0
 
 
-class TestShellBandLambda:
-    def test_one_mode_is_the_shell_interval(self):
-        # at m = 1 the estimate is the length of the lambda interval whose
-        # energy lambda nu / 2 lies within eps of E, clipped to [1, lam_top]
+def _mean_constrained_weight(nu, E, count, rng):
+    """Mean and standard error of the exact-constraint weight over Haar |U|^2."""
+    nu = np.asarray(nu, dtype=float)
+    U = sample_haar_unitary(nu.size, rng, size=count)
+    w = _constrained_lambda_weight(np.abs(U) ** 2 @ nu, E, rng)
+    return w.mean(), w.std(ddof=1) / np.sqrt(count)
+
+
+def _assert_constant_ratio(ratios, stderrs):
+    ratios, stderrs = np.asarray(ratios), np.asarray(stderrs)
+    mean = np.average(ratios, weights=stderrs**-2)
+    assert np.all(np.abs(ratios - mean) < 3 * stderrs), (ratios, stderrs)
+
+
+class TestConstrainedLambdaWeight:
+    def test_one_mode_is_two_over_nu(self):
+        # delta(E - lambda nu / 2) integrates over lambda to 2 / nu
         rng = np.random.default_rng(3)
         nu = rng.uniform(1.0, 7.0, size=(10_000, 1))
-        E, eps, lam_top = 3.0, 0.05, 6.0
-        got = _shell_band_lambda(nu, E, eps, lam_top, rng)
-        want = np.clip(
-            np.minimum(lam_top, 2.0 * (E + eps) / nu[:, 0])
-            - np.maximum(1.0, 2.0 * (E - eps) / nu[:, 0]),
-            0.0,
-            None,
-        )
-        assert np.abs(got - want).max() < 1e-12
-        # both the empty shell (nu > 2(E + eps)) and the lam_top clip occur
-        assert np.any(want == 0.0)
-        assert np.any(2.0 * (E + eps) / nu[:, 0] > lam_top)
+        E = 3.0
+        got = _constrained_lambda_weight(nu, E, rng)
+        want = np.where(2.0 * E - nu[:, 0] > 0, 2.0 / nu[:, 0], 0.0)
+        assert np.array_equal(got, want)
+        assert np.any(want == 0.0) and np.any(want > 0.0)
+
+    def test_two_modes_proportional_to_g_2p2(self):
+        rng = np.random.default_rng(4)
+        E = 3.0
+        ratios, stderrs = [], []
+        for nu in [(1.0, 1.0), (1.5, 1.0), (2.0, 1.3), (3.0, 1.5), (1.2, 1.1)]:
+            mean, stderr = _mean_constrained_weight(nu, E, 100_000, rng)
+            g = g_2p2(*nu, E)
+            ratios.append(mean / g)
+            stderrs.append(stderr / g)
+        _assert_constant_ratio(ratios, stderrs)
+
+    def test_three_modes_match_shell_hits(self):
+        # g_constraint_mc counts raw shell hits; at E = 7 a shell of width
+        # 0.5 inflates g ~ (2E - sum nu)^5 by 2.8-3.3% at these points, alike
+        # to within 0.6%, well inside the statistical error
+        rng = np.random.default_rng(5)
+        E, width = 7.0, 0.5
+        ratios, stderrs = [], []
+        for nu in [(1.0, 1.0, 1.0), (1.2, 1.0, 1.1), (1.3, 1.0, 1.6)]:
+            mean, stderr = _mean_constrained_weight(nu, E, 100_000, rng)
+            hits, hits_err = g_constraint_mc(nu, E, 6, 300_000, width, 2.0 * E, rng)
+            ratio = mean / hits
+            ratios.append(ratio)
+            stderrs.append(ratio * np.hypot(stderr / mean, hits_err / hits))
+        _assert_constant_ratio(ratios, stderrs)
 
 
 class TestVerifyPipeline:
@@ -228,7 +260,7 @@ class TestVerifyPipeline:
         assert min(pvals) > 0.001
 
     def test_pipeline_1p1_actual_law_is_uniform_to_twice_min_energy(self):
-        # The end-to-end shell pipeline puts uniform mass on [1, 2 min(E)]:
+        # The end-to-end pipeline puts uniform mass on [1, 2 min(E)]:
         # nothing in the construction cuts the support at min(E).
         c = EnergyConstraint(3.0, 3.0, 0.05)
         rep = verify_constrained_density(2, c, 500_000, cutoff=10.0, seed=40)
@@ -249,13 +281,18 @@ class TestVerifyPipeline:
         assert above > 0.4
 
     def test_pipeline_2p2_matches_closed_form(self):
-        c = EnergyConstraint(2.5, 2.5, 0.05)
-        rep = verify_constrained_density(4, c, 200_000, cutoff=10.0, seed=41)
-        assert rep.comparison["p_value"] > 0.01
-        assert rep.comparison["ks_statistic"] < 0.02
-        assert rep.metadata["effective_sample_size"] > 10_000
+        # unequal energies weight all three Beta components of the proposal
+        for c, count in [
+            (EnergyConstraint(2.5, 2.5, 0.05), 200_000),
+            (EnergyConstraint(2.2, 2.9), 1_000_000),
+        ]:
+            rep = verify_constrained_density(4, c, count, cutoff=10.0, seed=41)
+            assert rep.comparison["p_value"] > 0.01, c
+            assert rep.comparison["ks_statistic"] < 0.02, c
+            assert rep.metadata["effective_sample_size"] > 10_000, c
 
     def test_shell_halving_stability(self):
+        # verify imposes the constraint exactly, so the width must not matter
         base = EnergyConstraint(2.5, 2.5, 0.05)
         half = EnergyConstraint(2.5, 2.5, 0.025)
         rep_a = verify_constrained_density(4, base, 100_000, seed=42)
@@ -282,7 +319,7 @@ class TestVerifyPipeline:
 
     def test_1p1_weights_nearly_flat(self):
         # uniform proposals on [1, 2 min(E)] against a uniform law: the
-        # invariant factor nu^2 cancels the two 1/nu shell intervals
+        # invariant factor nu^2 cancels the two 2/nu delta factors
         c = EnergyConstraint(3.0, 3.0, 0.05)
         rep = verify_constrained_density(2, c, 200_000, cutoff=10.0, seed=40)
         meta = rep.metadata
@@ -312,9 +349,9 @@ class TestVerifyPipeline:
 
     def test_low_energy_1p1_has_support(self):
         # 2 min(E) = 1.6 > n/2 = 1: the law is uniform on [1, 1.6]
-        c = EnergyConstraint(0.8, 0.8, 0.01)
-        rep = verify_constrained_density(2, c, 500_000, cutoff=10.0, seed=0)
-        assert rep.comparison["ks_statistic"] < 0.03
+        for c in (EnergyConstraint(0.8, 0.8, 0.01), EnergyConstraint(0.8, 0.8)):
+            rep = verify_constrained_density(2, c, 500_000, cutoff=10.0, seed=0)
+            assert rep.comparison["ks_statistic"] < 0.03, c
 
     def test_empty_support_rejected_before_sampling(self):
         # 2 min(E) = 2.4 <= n/2 = 3: no three eigenvalues >= 1 fit
