@@ -34,8 +34,10 @@ from .haar import (
 )
 from .densities import (
     EnergyConstraint,
+    balanced_sum_law,
     density_1p1,
     density_2p2,
+    density_balanced,
     density_submanifold_energy,
     energy_mixing_parameters,
     g_2p2,
@@ -47,6 +49,7 @@ from .densities import (
 from .montecarlo import (
     HistogramReport,
     g_constraint_mc,
+    sample_balanced,
     sample_density_2p2,
     sample_submanifold_energy,
     verify_constrained_density,
@@ -75,8 +78,10 @@ __all__ = [
     "sample_lambda",
     "squeeze_symplectic",
     "EnergyConstraint",
+    "balanced_sum_law",
     "density_1p1",
     "density_2p2",
+    "density_balanced",
     "density_submanifold_energy",
     "energy_mixing_parameters",
     "g_2p2",
@@ -86,6 +91,7 @@ __all__ = [
     "mean_energy_from_state",
     "HistogramReport",
     "g_constraint_mc",
+    "sample_balanced",
     "sample_density_2p2",
     "sample_submanifold_energy",
     "verify_constrained_density",

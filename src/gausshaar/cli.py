@@ -26,7 +26,6 @@ from .densities import (
     density_submanifold_energy,
     log_density_submanifold,
     log_density_unconstrained,
-    support_1p1,
 )
 from .haar import (
     euler_to_symplectic,
@@ -251,9 +250,9 @@ def _emit(
         else:
             sys.stdout.write(text)
         return
-    text = dump_output(payload, config.output_path)
+    data = dump_output(payload, config.output_path)
     if not config.output_path:
-        sys.stdout.write(text)
+        sys.stdout.write(data.decode())
 
 
 def _cmd_williamson(config: RunConfig) -> int:
@@ -293,7 +292,7 @@ def _density_grid(config: RunConfig) -> dict:
     if kind == "1p1":
         config.require("E_A", "E_B")
         constraint = EnergyConstraint(config.E_A, config.E_B)
-        nu = np.linspace(*support_1p1(constraint), config.grid)
+        nu = np.linspace(1.0, 2.0 * constraint.min_energy, config.grid)
         return {"nu": nu, "density": density_1p1(nu, constraint)}
     if kind == "2p2":
         config.require("E_A", "E_B")
@@ -378,13 +377,11 @@ def _cmd_verify(config: RunConfig) -> int:
     )
     payload = report_to_json_dict(report)
     payload["metadata"] = {**payload["metadata"], **_metadata(config)}
-    passed = True
-    if report.comparison is not None:
-        if config.n == 2:
-            passed = report.comparison["ks_statistic"] < config.ks_threshold
-        else:
-            passed = report.comparison["p_value"] > config.p_threshold
-        payload["verification_passed"] = bool(passed)
+    if config.n == 2:
+        passed = report.comparison["ks_statistic"] < config.ks_threshold
+    else:
+        passed = report.comparison["p_value"] > config.p_threshold
+    payload["verification_passed"] = bool(passed)
     _emit(payload, config)
     return EXIT_OK if passed else EXIT_VERIFICATION
 

@@ -1,15 +1,16 @@
 """Closed-form densities of the symplectic eigenvalues and energy formulas.
 
-The normalized densities carry closed-form normalization constants: the 2+2
-constant from the Beta-mixture law of nu1 + nu2 (``sum_mixture_2p2``, which
-the exact 2+2 sampler and its KS reference share), and the fixed-energy
-simplex constant from homogeneity of the squared Vandermonde plus the
-Laguerre Selberg integral.  Unnormalized log densities return -inf on their
-algebraic zero sets.
+The normalized densities carry closed-form normalization constants: the
+fixed-energy simplex constant from homogeneity of the squared Vandermonde
+plus the Laguerre Selberg integral, and the balanced m + m constant, which
+is that constant times the Beta-mixture law of sum(nu) (``balanced_sum_law``,
+shared by the exact sampler and the KS reference).  Unnormalized log
+densities return -inf on their algebraic zero sets.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -147,86 +148,73 @@ def g_2p2(nu1: float, nu2: float, E: float):
     return float(val) if val.ndim == 0 else val
 
 
-def support_1p1(constraint: EnergyConstraint) -> tuple[float, float]:
-    """Support [1, 2 min(E_A, E_B)] of the 1 + 1 eigenvalue density.
+def _log_simplex_constant(m: int) -> float:
+    """log prod_{j<m} j! (j+1)! / Gamma(m^2): the unit-simplex integral of Delta^2."""
+    log_simplex = sum(math.lgamma(j + 1) + math.lgamma(j + 2) for j in range(m))
+    return log_simplex - math.lgamma(m * m)
 
-    A one-mode subsystem state is sigma = nu S S^T with S in SL(2, R), and
-    tr(S S^T) >= 2, so E = tr(sigma)/4 >= nu/2; every nu up to 2 min(E) is
-    reached with local squeezing.
+
+def balanced_sum_law(m: int, constraint: EnergyConstraint):
+    """Law of S = sum(nu) under the balanced m + m law, as a Beta mixture.
+
+    Each subsystem energy is at least S/2, so S <= 2 min(E).  Integrating
+    Delta(nu)^2 over the simplex {nu >= 1, sum nu = S} leaves the marginal
+    (S - m)^(m^2 - 1) [(2 E_A - S)(2 E_B - S)]^a, a = (m - 1)(m + 2)/2.
+    With L = 2 min(E) - m, x = (S - m)/L and b = 2 |E_A - E_B| / L this is
+    L^(m^2 - 1 + 2a) x^(m^2 - 1) (1 - x)^a (b + 1 - x)^a, and expanding
+    (b + 1 - x)^a in powers of 1 - x makes x a mixture over j = 0..a of
+    Beta(m^2, a + j + 1), with unnormalized weights
+    C(a, j) b^(a - j) B(m^2, a + j + 1).  Returns (L, a, weights).
     """
-    top = 2.0 * constraint.min_energy
-    if top <= 1.0:
-        raise ValueError("2 min(E_A, E_B) must exceed 1 (empty support)")
-    return 1.0, top
+    L = 2.0 * constraint.min_energy - m
+    if L <= 0:
+        raise ValueError(f"2 min(E_A, E_B) must exceed m = {m} (empty support)")
+    a = (m - 1) * (m + 2) // 2
+    b = 2.0 * abs(constraint.E_A - constraint.E_B) / L
+    p = m * m
+    # C(a, j) B(p, a + j + 1) as one exact ratio of integers
+    return L, a, np.array([
+        math.comb(a, j) * math.factorial(p - 1) * math.factorial(a + j)
+        / math.factorial(p + a + j) * b ** (a - j)
+        for j in range(a + 1)
+    ])
 
 
-def density_1p1(nu: float, constraint: EnergyConstraint):
-    """Closed-form eigenvalue density for 1 + 1 modes at fixed mean energies.
+def density_balanced(nu, constraint: EnergyConstraint):
+    """Normalized eigenvalue density of a balanced m + m split at fixed mean energies.
 
-    Uniform, 1 / (2 min(E_A, E_B) - 1) on [1, 2 min(E_A, E_B)], zero outside:
-    lambda = cosh(2t) is uniform under the Haar measure of SL(2, R), and the
-    delta constraint on each side contributes 2/nu, which cancels the
-    unconstrained factor nu^2.
+    Proportional to Delta(nu)^2 [(2E_A - S)(2E_B - S)]^a with S = sum(nu) and
+    a = (m - 1)(m + 2)/2, on {nu >= 1, S <= 2 min(E_A, E_B)}, and zero
+    outside.  nu has shape (..., m); returns the stack (...) of values, or a
+    float for a single vector.  The normalizer is the unit-simplex constant
+    times L^(m^2 + 2a) times the summed weights of ``balanced_sum_law``.
     """
-    lo, top = support_1p1(constraint)
     nu = np.asarray(nu, dtype=float)
-    val = np.where((nu >= lo) & (nu <= top), 1.0 / (top - lo), 0.0)
+    m = nu.shape[-1]
+    L, a, weights = balanced_sum_law(m, constraint)
+    simplex = math.exp(_log_simplex_constant(m))
+    norm = simplex * L ** (m * m + 2 * a) * float(weights.sum())
+    # column by column: reductions over rows of length m are about 20x slower
+    columns = np.moveaxis(nu, -1, 0)
+    total = functools.reduce(np.add, columns)
+    support = (functools.reduce(np.minimum, columns) >= 1.0) & (
+        total <= 2.0 * constraint.min_energy
+    )
+    bracket = (2.0 * constraint.E_A - total) * (2.0 * constraint.E_B - total)
+    val = np.where(support, vandermonde_repulsion(nu) ** 2 * bracket**a / norm, 0.0)
     return float(val) if val.ndim == 0 else val
 
 
-def _density_2p2_unnormalized(nu1, nu2, constraint: EnergyConstraint):
-    total = nu1 + nu2
-    support = (
-        (nu1 >= 1.0)
-        & (nu2 >= 1.0)
-        & (total <= 2.0 * constraint.min_energy)
-    )
-    val = (
-        (nu1 - nu2) ** 2
-        * (2.0 * constraint.E_A - total) ** 2
-        * (2.0 * constraint.E_B - total) ** 2
-    )
-    return np.where(support, val, 0.0)
-
-
-def sum_mixture_2p2(constraint: EnergyConstraint) -> tuple[float, np.ndarray]:
-    """Law of S = nu1 + nu2 under the 2+2 density, as a Beta mixture.
-
-    Integrating (nu1 - nu2)^2 over the anti-diagonal leaves the marginal
-    (S - 2)^3 (2 E_A - S)^2 (2 E_B - S)^2 on [2, 2 min(E)].  With
-    L = 2 min(E) - 2, x = (S - 2)/L and b = 2 |E_A - E_B| / L this is
-    L^7 x^3 (1 - x)^2 (b + 1 - x)^2, and expanding (b + 1 - x)^2 in powers
-    of 1 - x makes x a mixture of Beta(4, 3), Beta(4, 4) and Beta(4, 5) with
-    unnormalized weights b^2/60, b/70, 1/280 (each a coefficient times the
-    Beta function B(4, 3 + k)).  Returns (L, weights).
-    """
-    if constraint.min_energy <= 1.0:
-        raise ValueError("min(E_A, E_B) must exceed 1 (empty support)")
-    L = 2.0 * constraint.min_energy - 2.0
-    b = 2.0 * abs(constraint.E_A - constraint.E_B) / L
-    return L, np.array([b * b / 60.0, b / 70.0, 1.0 / 280.0])
-
-
-def _norm_2p2(constraint: EnergyConstraint) -> float:
-    # the anti-diagonal integral of D^2 over |D| <= S - 2, with the Jacobian
-    # 1/2 of (nu1, nu2) -> (S, D), is (S - 2)^3 / 3
-    L, weights = sum_mixture_2p2(constraint)
-    return L**8 * float(weights.sum()) / 3.0
+def density_1p1(nu, constraint: EnergyConstraint):
+    """``density_balanced`` at m = 1: uniform on [1, 2 min(E_A, E_B)], zero outside."""
+    return density_balanced(np.asarray(nu, dtype=float)[..., np.newaxis], constraint)
 
 
 def density_2p2(nu1, nu2, constraint: EnergyConstraint):
-    """Normalized eigenvalue density for 2 + 2 modes at fixed mean energies.
-
-    Proportional to (nu1-nu2)^2 [2E_A - S]^2 [2E_B - S]^2 with S = nu1+nu2,
-    on {nu >= 1, S <= 2 min(E_A, E_B)}.  Supports array arguments.
-    """
-    norm = _norm_2p2(constraint)
-    nu1 = np.asarray(nu1, dtype=float)
-    nu2 = np.asarray(nu2, dtype=float)
-    _check_nu(nu1)
-    _check_nu(nu2)
-    val = _density_2p2_unnormalized(nu1, nu2, constraint) / norm
-    return float(val) if val.ndim == 0 else val
+    """``density_balanced`` at m = 2, on separate nu1 and nu2; raises below nu = 1."""
+    nu = np.stack(np.broadcast_arrays(*map(np.asarray, (nu1, nu2))), -1)
+    _check_nu(nu)
+    return density_balanced(nu, constraint)
 
 
 def _norm_submanifold_energy(m: int, E: float) -> float:
@@ -238,10 +226,7 @@ def _norm_submanifold_energy(m: int, E: float) -> float:
     Vandermonde gives (2E - m)^(m^2 - 1) times its unit-simplex integral, and
     the Laguerre Selberg integral gives that as prod_{j<m} j! (j+1)! / Gamma(m^2).
     """
-    log_simplex = sum(math.lgamma(j + 1) + math.lgamma(j + 2) for j in range(m))
-    return math.exp(
-        (m * m - 1) * math.log(2.0 * E - m) + log_simplex - math.lgamma(m * m)
-    )
+    return math.exp((m * m - 1) * math.log(2.0 * E - m) + _log_simplex_constant(m))
 
 
 def density_submanifold_energy(nu, E: float, n: int):

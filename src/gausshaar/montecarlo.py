@@ -2,10 +2,11 @@
 
 The verification pipeline reconstructs the conditional eigenvalue density
 P(nu | E_A, E_B) from first principles, with one estimator for every n:
-propose nu on the bounded support box, weight it by the unconstrained
-invariant factor, draw the mixing unitaries of each subsystem from their
-invariant measure, and integrate the squeezing weights against the Dirac
-energy constraint of each subsystem exactly.  At fixed mixing the
+propose nu from the closed-form balanced law mixed with a uniform share on
+the support box, weight it by the unconstrained invariant factor, draw the
+mixing unitaries of each subsystem from their invariant measure, and
+integrate the squeezing weights against the Dirac energy constraint of each
+subsystem exactly.  At fixed mixing the
 constrained squeezing weights form a scaled simplex, so the integral is its
 volume times the mean repulsion at one uniform point of it: no shell width,
 no lambda cutoff, and no zero weight inside the support.
@@ -28,11 +29,10 @@ import numpy as np
 
 from .densities import (
     EnergyConstraint,
-    density_1p1,
+    balanced_sum_law,
     density_2p2,
+    density_balanced,
     mean_energy,
-    sum_mixture_2p2,
-    support_1p1,
 )
 from .haar import sample_haar_unitary, sample_repulsive, vandermonde_repulsion
 
@@ -41,6 +41,10 @@ logger = logging.getLogger(__name__)
 MIN_EXPECTED_PER_BIN = 5.0
 # draws per block in g_constraint_mc; bounds its memory, not its law
 G_BLOCK = 2**17
+# share of verify's proposal drawn uniformly on the support box (a defensive
+# mixture, Hesterberg 1995): the closed form alone puts no draw where it is
+# zero, so a closed form with too small a support would pass unseen
+DEFENSIVE = 0.1
 
 
 @dataclass
@@ -70,23 +74,49 @@ class HistogramReport:
             raise ValueError(f"normalized density integrates to {total}, not 1")
 
 
+def _unit_simplex_delta2(m: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw ``count`` points x of the unit simplex with density prop. to Delta(x)^2.
+
+    At m = 2, x = ((1 + t)/2, (1 - t)/2) with t of density 3 t^2 / 2 on
+    [-1, 1], whose CDF (t^3 + 1)/2 inverts to a cube root.  For m >= 3 the
+    eigenvalues y of G G^dag, G an m x m complex Ginibre matrix, have density
+    prod (y_h - y_k)^2 exp(-sum y) (the beta = 2 Laguerre ensemble); the
+    exponential depends on sum(y) alone and the squared Vandermonde is
+    homogeneous, so y / sum(y) has the simplex law.  They are shuffled
+    because the law is of unordered vectors.
+    """
+    if m == 1:
+        return np.ones((count, 1))
+    if m == 2:
+        t = np.cbrt(2.0 * rng.random(count) - 1.0)
+        return np.column_stack([0.5 * (1.0 + t), 0.5 * (1.0 - t)])
+    shape = (count, m, m)
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    y = rng.permuted(np.linalg.eigvalsh(g @ g.conj().transpose(0, 2, 1)), axis=1)
+    return y / y.sum(axis=1, keepdims=True)
+
+
+def sample_balanced(
+    m: int, constraint: EnergyConstraint, count: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Draw nu-vectors (count, m) from the closed-form balanced law, exactly.
+
+    (S - m)/L, S = sum(nu), follows the Beta mixture of ``balanced_sum_law``:
+    pick a component by its weight, then draw that Beta.  Given S, nu is
+    1 + (S - m) x with x from the Delta^2 law on the unit simplex, which
+    keeps every eigenvalue >= 1 under round-off.  Nothing is rejected.
+    """
+    L, a, weights = balanced_sum_law(m, constraint)
+    k = rng.choice(weights.size, size=count, p=weights / weights.sum())
+    y = L * rng.beta(m * m, a + 1.0 + k)
+    return 1.0 + y[:, None] * _unit_simplex_delta2(m, count, rng)
+
+
 def sample_density_2p2(
     constraint: EnergyConstraint, count: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Draw (nu1, nu2) pairs from the closed-form constrained density, exactly.
-
-    In S = nu1 + nu2 and D = nu1 - nu2 the density factors.  (S - 2)/L, with
-    L = 2 min(E) - 2, follows the Beta mixture of ``sum_mixture_2p2``: pick a
-    component by its weight, then draw that Beta.  Given S, t = D/(S - 2) has
-    density 3 t^2 / 2 on [-1, 1], whose CDF (t^3 + 1)/2 inverts to a cube
-    root.  Each row costs three draws; nothing is rejected.
-    """
-    L, weights = sum_mixture_2p2(constraint)
-    k = rng.choice(weights.size, size=count, p=weights / weights.sum())
-    y = L * rng.beta(4.0, 3.0 + k)
-    t = np.cbrt(2.0 * rng.random(count) - 1.0)
-    # nu = 1 + y (1 +/- t)/2 holds both eigenvalues >= 1 under round-off
-    return np.column_stack([1.0 + 0.5 * y * (1.0 + t), 1.0 + 0.5 * y * (1.0 - t)])
+    """``sample_balanced`` at m = 2: (nu1, nu2) pairs from the 2 + 2 law."""
+    return sample_balanced(2, constraint, count, rng)
 
 
 def sample_submanifold_energy(
@@ -94,15 +124,9 @@ def sample_submanifold_energy(
 ) -> np.ndarray:
     """Draw nu-vectors from the fixed-energy simplex density of the submanifold.
 
-    The density is prod (nu_h - nu_k)^2 on {nu >= 1, sum(nu) = 2E}.  The
-    eigenvalues x of G G^dag, with G an m x m complex Ginibre matrix, form
-    the beta = 2 Laguerre ensemble with zero exponent, density
-    prod (x_h - x_k)^2 exp(-sum x); the exponential depends on sum(x) alone
-    and the squared Vandermonde is homogeneous, so x / sum(x) has density
-    prod (y_h - y_k)^2 on the unit simplex.  Scaling by 2E - m and shifting
-    by 1 is exact; nothing is rejected.  The coordinates are shuffled because
-    the law is of unordered vectors.  Every sample satisfies sum(nu) = 2E to
-    round-off.
+    The density is prod (nu_h - nu_k)^2 on {nu >= 1, sum(nu) = 2E}: the unit
+    simplex law of ``_unit_simplex_delta2``, scaled by 2E - m and shifted by
+    1, which is exact.  Every sample satisfies sum(nu) = 2E to round-off.
     """
     if n % 2 != 0 or n < 2:
         raise ValueError("n must be a positive even number of modes")
@@ -110,10 +134,7 @@ def sample_submanifold_energy(
     width = 2.0 * E - m
     if width < 0:
         raise ValueError("2E < n/2: the energy simplex is empty")
-    shape = (count, m, m)
-    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    x = rng.permuted(np.linalg.eigvalsh(g @ g.conj().transpose(0, 2, 1)), axis=1)
-    return 1.0 + width * x / x.sum(axis=1, keepdims=True)
+    return 1.0 + width * _unit_simplex_delta2(m, count, rng)
 
 
 def g_constraint_mc(
@@ -261,24 +282,25 @@ def chi2_sf(x: float, dof: int) -> float:
 def _pipeline_partition(m, constraint, count, rng):
     """One stream of the pipeline, m eigenvalues a side; returns (values, weights).
 
-    nu is proposed on the box [1, 2 min(E)]^m, the support set by each
-    subsystem energy being at least sum(nu)/2: uniformly, except at m = 2,
-    where the proposal is the closed-form constrained density (any
-    support-covering proposal is valid; the weights are then flat only if the
-    closed form matches the pipeline law, so the comparison still detects a
-    wrong closed form).  The weight is the invariant factor
+    nu is proposed from the closed-form balanced law, except for a share
+    DEFENSIVE drawn uniformly on the box [1, 2 min(E)]^m, the support set by
+    each subsystem energy being at least sum(nu)/2.  Any support-covering
+    proposal is valid: the weights are flat only if the closed form matches
+    the pipeline law, and the uniform share lets them show mass the closed
+    form misses.  The weight is the invariant factor
     prod nu_j^2 prod (nu_h^2 - nu_k^2)^2 over the proposal density, times a
     single-sample estimate of each subsystem's delta-constrained lambda
     integral from the mixing matrix |U|^2.  For m <= 2 the Haar |U|^2 is
     [[p, 1 - p], [1 - p, p]] with p uniform on (0, 1), so p is drawn directly
     (at m = 1 the mixture is nu itself).
     """
-    if m == 2:
-        nu = sample_density_2p2(constraint, count, rng)
-        proposal = density_2p2(nu[:, 0], nu[:, 1], constraint)
-    else:
-        nu = rng.uniform(1.0, 2.0 * constraint.min_energy, size=(count, m))
-        proposal = 1.0  # a constant density cancels in the normalized weights
+    top = 2.0 * constraint.min_energy
+    nu = sample_balanced(m, constraint, count, rng)
+    box = rng.random(count) < DEFENSIVE
+    nu[box] = rng.uniform(1.0, top, (int(box.sum()), m))
+    proposal = DEFENSIVE / (top - 1.0) ** m + (1.0 - DEFENSIVE) * density_balanced(
+        nu, constraint
+    )
     sq = nu**2
     # column by column: np.prod over rows of length m is about 20x slower
     w = functools.reduce(np.multiply, sq.T) * vandermonde_repulsion(sq) ** 2 / proposal
@@ -294,23 +316,28 @@ def _pipeline_partition(m, constraint, count, rng):
     return nu[keep], w[keep]
 
 
-def _sum_marginal_cdf(constraint: EnergyConstraint):
-    """CDF of nu1 + nu2 under the closed-form constrained density.
+def _sum_marginal_cdf(m: int, constraint: EnergyConstraint):
+    """CDF of S = sum(nu) under the closed-form balanced law.
 
-    The Beta mixture of ``sum_mixture_2p2``, with each component's CDF in
-    closed form: for integer a and b the regularized incomplete Beta is the
-    binomial tail I_x(a, b) = sum_{j >= a} C(a+b-1, j) x^j (1-x)^(a+b-1-j),
-    here with a + b - 1 = 6 + k for Beta(4, 3 + k).  The mixture is summed
-    once into a degree-8 polynomial in x = (S - 2)/L.
+    The Beta mixture of ``balanced_sum_law``.  For integer p and q the
+    regularized incomplete Beta is a binomial tail, in negative-binomial form
+    I_x(p, q) = x^p sum_{r < q} C(p + r - 1, r) (1 - x)^r.  Summed over the
+    components Beta(p, a + j + 1), x = (S - m)/L gives x^p times a polynomial
+    in 1 - x with positive coefficients, so Horner's rule cancels nothing;
+    the same CDF in powers of x has degree 34 at m = 4 and loses every digit
+    near x = 1.  Term r sums the components with a + j >= r.
     """
-    L, weights = sum_mixture_2p2(constraint)
-    x = np.polynomial.Polynomial([0.0, 1.0])
-    poly = sum(
-        weight * math.comb(6 + k, j) * x**j * (1.0 - x) ** (6 + k - j)
-        for k, weight in enumerate(weights / weights.sum())
-        for j in range(4, 7 + k)
-    )
-    return lambda v: poly(np.clip((np.asarray(v, dtype=float) - 2.0) / L, 0.0, 1.0))
+    L, a, weights = balanced_sum_law(m, constraint)
+    p = m * m
+    tail = np.cumsum((weights / weights.sum())[::-1])[::-1]
+    share = np.concatenate([np.ones(a), tail])
+    coef = np.array([math.comb(p + r - 1, r) for r in range(2 * a + 1)]) * share
+
+    def cdf(v):
+        x = np.clip((np.asarray(v, dtype=float) - m) / L, 0.0, 1.0)
+        return x**p * np.polynomial.polynomial.polyval(1.0 - x, coef)
+
+    return cdf
 
 
 def _partition_counts(count: int, partitions: int) -> list[int]:
@@ -333,12 +360,12 @@ def verify_constrained_density(
     The Dirac energy constraint of each subsystem is imposed exactly; the
     constraint's ``shell_width`` is not read.  ``cutoff`` bounds the
     squeezing weights: it must reach 1 + 2 max(E) - n/2, the largest lambda
-    the constraint allows, so that the law is not truncated.  For n = 2 and
-    n = 4 the report includes KS and chi-square comparisons against the
-    closed-form densities; other even n yield a 1D histogram of the pooled
-    eigenvalues without comparison.  In self-test mode the samples are drawn
-    directly from the closed form (unit weights), which exercises the
-    comparison statistics under the null.
+    the constraint allows, so that the law is not truncated.  Every even n
+    is compared with the closed-form balanced law: n = 4 with a 2D
+    chi-square of (nu1, nu2) and a KS of nu1 + nu2, every other n with a
+    histogram, a chi-square and a KS of S = sum(nu).  In self-test mode the
+    samples are drawn directly from the closed form (unit weights), which
+    exercises the comparison statistics under the null.
     """
     if n % 2 != 0 or n < 2:
         raise ValueError("n must be a positive even number of modes")
@@ -367,13 +394,8 @@ def verify_constrained_density(
         if part_count == 0:
             continue
         if self_test:
-            if m == 1:
-                vals = rng.uniform(*support_1p1(constraint), part_count)
-            elif m == 2:
-                vals = sample_density_2p2(constraint, part_count, rng)
-            else:
-                raise ValueError("self-test mode requires n in {2, 4}")
-            pieces.append((np.atleast_2d(vals.reshape(part_count, -1)), np.ones(part_count)))
+            nu = sample_balanced(m, constraint, part_count, rng)
+            pieces.append((nu, np.ones(part_count)))
         else:
             pieces.append(_pipeline_partition(m, constraint, part_count, rng))
 
@@ -406,28 +428,25 @@ def verify_constrained_density(
         "verify pipeline n=%d: %d/%d accepted (ESS %.0f)", n, accepted, count, ess
     )
 
-    if m == 1:
-        return _report_1d(values[:, 0], weights, constraint, bins, metadata)
     if m == 2:
         return _report_2d(values, weights, constraint, bins, metadata)
-    return _report_pooled(values, weights, constraint, bins, metadata)
+    return _report_sum(values, weights, constraint, bins, metadata)
 
 
-def _report_1d(values, weights, constraint, bins, metadata) -> HistogramReport:
-    lo, top = support_1p1(constraint)
-    hi = max(float(values.max()), top)
-    edges = np.linspace(lo, hi, bins + 1)
-    counts, _ = np.histogram(values, edges)
-    whist, _ = np.histogram(values, edges, weights=weights)
+def _report_sum(values, weights, constraint, bins, metadata) -> HistogramReport:
+    """Histogram, chi-square and KS of S = sum(nu) against its exact law."""
+    m = values.shape[1]
+    total = functools.reduce(np.add, values.T)
+    hi = max(float(total.max()), 2.0 * constraint.min_energy)
+    edges = np.linspace(m, hi, bins + 1)
+    counts, _ = np.histogram(total, edges)
+    whist, _ = np.histogram(total, edges, weights=weights)
     density = whist / (weights.sum() * np.diff(edges))
 
-    ref = density_1p1(0.5 * (edges[:-1] + edges[1:]), constraint)
-    expected_prob = ref * np.diff(edges)
-    idx = np.clip(np.digitize(values, edges) - 1, 0, bins - 1)
-    chi2, dof, p = weighted_chi2(idx, weights, expected_prob)
-    ks = weighted_ks_statistic(
-        values, weights, lambda v: np.clip((v - lo) / (top - lo), 0.0, 1.0)
-    )
+    cdf = _sum_marginal_cdf(m, constraint)
+    idx = np.clip(np.digitize(total, edges) - 1, 0, bins - 1)
+    chi2, dof, p = weighted_chi2(idx, weights, np.diff(cdf(edges)))
+    ks = weighted_ks_statistic(total, weights, cdf)
     comparison = {"ks_statistic": ks, "chi2": chi2, "dof": dof, "p_value": p}
     return HistogramReport([edges], counts, density, comparison, metadata)
 
@@ -459,20 +478,10 @@ def _report_2d(values, weights, constraint, bins, metadata) -> HistogramReport:
     iy = np.clip(np.digitize(values[:, 1], edges) - 1, 0, bins - 1)
     chi2, dof, p = weighted_chi2(ix * bins + iy, weights, expected_prob.ravel())
     ks = weighted_ks_statistic(
-        values.sum(axis=1), weights, _sum_marginal_cdf(constraint)
+        values.sum(axis=1), weights, _sum_marginal_cdf(2, constraint)
     )
     comparison = {"ks_statistic": ks, "chi2": chi2, "dof": dof, "p_value": p}
     return HistogramReport(
         [edges, edges], counts.astype(int), density, comparison, metadata
     )
 
-
-def _report_pooled(values, weights, constraint, bins, metadata) -> HistogramReport:
-    pooled = values.ravel()
-    pooled_w = np.repeat(weights, values.shape[1])
-    edges = np.linspace(1.0, float(pooled.max()), bins + 1)
-    counts, _ = np.histogram(pooled, edges)
-    whist, _ = np.histogram(pooled, edges, weights=pooled_w)
-    density = whist / (pooled_w.sum() * np.diff(edges))
-    meta = dict(metadata, sample_count=int(counts.sum()))
-    return HistogramReport([edges], counts, density, None, meta)

@@ -9,7 +9,6 @@ non-reproducible field is the timestamp, which lives in metadata.
 from __future__ import annotations
 
 import csv
-import io
 import json
 from datetime import datetime, timezone
 
@@ -106,8 +105,11 @@ def write_density_grid_csv(grid_columns: dict, path) -> None:
             writer.writerow(_format_row(row))
 
 
-def dump_output(payload: dict, path: str | None, timestamp: bool = True) -> str:
-    """Serialize a result payload to one line of JSON; write to ``path`` or return it.
+def dump_output(payload: dict, path: str | None, timestamp: bool = True) -> bytes:
+    """Encode a result payload as one line of UTF-8 JSON; write it to ``path`` if given.
+
+    Returns the encoded bytes, undecoded: a decoded copy would only double
+    the memory held while a large document is written.
 
     orjson writes sorted keys, no spaces and the shortest round-trip digits
     of every float; non-finite floats become ``null`` (RFC 8259 has no
@@ -130,16 +132,14 @@ def dump_output(payload: dict, path: str | None, timestamp: bool = True) -> str:
     if path:
         with open(path, "wb") as fh:
             fh.write(data)
-    return data.decode()
+    return data
 
 
 def samples_csv_text(samples: np.ndarray, energies) -> str:
-    """One sample per row: nu_1 ... nu_m, E_A, E_B."""
-    buf = io.StringIO()
+    """One sample per row: nu_1 ... nu_m, E_A, E_B; CRLF line ends, as csv writes."""
     samples = np.atleast_2d(samples)
-    e_a, e_b = energies
-    writer = csv.writer(buf)
-    writer.writerow([f"nu_{k + 1}" for k in range(samples.shape[1])] + ["E_A", "E_B"])
-    for row in samples:
-        writer.writerow(_format_row(list(row) + [e_a, e_b]))
-    return buf.getvalue()
+    m = samples.shape[1]
+    header = ",".join([f"nu_{k + 1}" for k in range(m)] + ["E_A", "E_B"])
+    row = ",".join([FLOAT_FMT] * m)
+    tail = "," + ",".join(_format_row(energies)) + "\r\n"
+    return header + "\r\n" + "".join(row % tuple(r) + tail for r in samples.tolist())

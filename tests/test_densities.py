@@ -9,6 +9,7 @@ from gausshaar.densities import (
     EnergyConstraint,
     density_1p1,
     density_2p2,
+    density_balanced,
     density_submanifold_energy,
     energy_mixing_parameters,
     g_2p2,
@@ -21,6 +22,7 @@ from gausshaar.haar import (
     euler_to_symplectic,
     sample_haar_unitary,
     sample_homogeneous_gaussian_unitary,
+    vandermonde_repulsion,
 )
 from gausshaar.symplectic import (
     Bipartition,
@@ -200,14 +202,37 @@ class TestDensity2p2:
         )
         assert val == pytest.approx(1.0, abs=1e-6)
 
-    @pytest.mark.parametrize("energies", [(2.2, 2.9), (1.5, 4.0), (1.2, 1.3)])
-    def test_normalization_unequal_energies(self, energies):
+    @pytest.mark.parametrize(
+        "m, energies",
+        [
+            pytest.param(2, (2.2, 2.9), id="energies0"),
+            pytest.param(2, (1.5, 4.0), id="energies1"),
+            pytest.param(2, (1.2, 1.3), id="energies2"),
+            pytest.param(3, (2.2, 2.9), id="m3"),
+        ],
+    )
+    def test_normalization_unequal_energies(self, m, energies):
         c = EnergyConstraint(*energies)
         top = 2.0 * c.min_energy
-        val, _ = integrate.dblquad(
-            lambda y, x: density_2p2(x, y, c), 1.0, top - 1.0, 1.0, lambda x: top - x,
-            epsabs=1e-12, epsrel=1e-10,
-        )
+        if m == 2:
+            val, _ = integrate.dblquad(
+                lambda y, x: density_2p2(x, y, c), 1.0, top - 1.0, 1.0, lambda x: top - x,
+                epsabs=1e-12, epsrel=1e-10,
+            )
+        else:
+            # along the ray nu = 1 + u x0, for a fixed point x0 of the unit
+            # simplex, the density is Delta(u x0)^2 f(u) / Z; dividing by
+            # Delta(x0)^2 and multiplying by u^(m - 1) and the unit-simplex
+            # integral of Delta^2 gives the density of u = S - m
+            x0 = np.array([0.5, 0.3, 0.2])
+            simplex = math.prod(
+                math.factorial(j) * math.factorial(j + 1) for j in range(m)
+            ) / math.factorial(m * m - 1)
+            scale = simplex / vandermonde_repulsion(x0) ** 2
+            val, _ = integrate.quad(
+                lambda u: density_balanced(1.0 + u * x0, c) * u ** (m - 1) * scale,
+                0.0, top - m, epsabs=1e-13, epsrel=1e-11,
+            )
         assert val == pytest.approx(1.0, abs=1e-9)
 
     def test_product_form_identity(self):

@@ -93,9 +93,9 @@ class TestDumpOutput:
         normals = np.random.default_rng(40).standard_normal(10_000).tolist()
         payload = {"edge": edge, "normals": normals, "metadata": {"seed": 40}}
         path = tmp_path / "out.json"
-        text = dump_output(payload, str(path), timestamp=False)
-        assert path.read_text() == text
-        back = json.loads(text)
+        data = dump_output(payload, str(path), timestamp=False)
+        assert path.read_bytes() == data
+        back = json.loads(data)
         for key in ("edge", "normals"):
             sent = np.array(payload[key])
             got = np.array(back[key])

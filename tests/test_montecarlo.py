@@ -12,6 +12,7 @@ from gausshaar.montecarlo import (
     _sum_marginal_cdf,
     chi2_sf,
     g_constraint_mc,
+    sample_balanced,
     sample_density_2p2,
     sample_submanifold_energy,
     verify_constrained_density,
@@ -20,21 +21,26 @@ from gausshaar.montecarlo import (
 )
 
 
-def _sum_cdf_by_polynomial(c):
-    """CDF of nu1 + nu2 by exact integration of its marginal polynomial.
+def _sum_cdf_by_polynomial(m, c):
+    """CDF of S = sum(nu) by exact integration of its marginal polynomial.
 
-    The polynomial is taken in u = nu1 + nu2 - 2, which keeps it well
-    conditioned: u^3 (2 E_A - 2 - u)^2 (2 E_B - 2 - u)^2 on [0, 2 min(E) - 2].
+    The marginal is u^(m^2 - 1) [(2 E_A - m - u)(2 E_B - m - u)]^a in
+    u = S - m on [0, 2 min(E) - m], a = (m - 1)(m + 2)/2, of degree at most
+    33 for m <= 4.  Gauss-Legendre quadrature with 24 nodes integrates it
+    exactly, and evaluating it as a product of positive factors cancels
+    nothing, where its coefficients in powers of u would (at m = 4 they
+    alternate in sign with magnitudes up to 1e4 times the integral).
     """
-    P = np.polynomial.Polynomial
-    pdf = (
-        P([0.0, 1.0]) ** 3
-        * P([2.0 * c.E_A - 2.0, -1.0]) ** 2
-        * P([2.0 * c.E_B - 2.0, -1.0]) ** 2
-    )
-    top = 2.0 * c.min_energy - 2.0
-    anti = pdf.integ()
-    return lambda s: anti(np.clip(s - 2.0, 0.0, top)) / anti(top)
+    a = (m - 1) * (m + 2) // 2
+    nodes, node_weights = np.polynomial.legendre.leggauss(24)
+
+    def integral(u):
+        t = 0.5 * u[..., None] * (1.0 + nodes)
+        pdf = t ** (m * m - 1) * ((2 * c.E_A - m - t) * (2 * c.E_B - m - t)) ** a
+        return 0.5 * u * (pdf * node_weights).sum(axis=-1)
+
+    top = 2.0 * c.min_energy - m
+    return lambda s: integral(np.clip(s - m, 0.0, top)) / integral(np.array(top))
 
 
 class TestSampleDensity2p2:
@@ -67,23 +73,44 @@ class TestSampleDensity2p2:
         stderr = total.std(ddof=1) / np.sqrt(count)
         assert abs(total.mean() - moment) < 3 * stderr
 
-    # (2.2, 2.9) has b > 0, so all three Beta components carry weight
-    @pytest.mark.parametrize("energies, seed", [((2.5, 2.5), 46), ((2.2, 2.9), 47)])
-    def test_exact_sampler_laws(self, energies, seed):
+    # (2.2, 2.9) has b > 0, so every Beta component carries weight
+    @pytest.mark.parametrize(
+        "m, energies, seed",
+        [
+            pytest.param(2, (2.5, 2.5), 46, id="energies0-46"),
+            pytest.param(2, (2.2, 2.9), 47, id="energies1-47"),
+            pytest.param(3, (2.2, 2.9), 48, id="m3"),
+        ],
+    )
+    def test_exact_sampler_laws(self, m, energies, seed):
         c = EnergyConstraint(*energies)
-        samples = sample_density_2p2(c, 100_000, np.random.default_rng(seed))
+        samples = sample_balanced(m, c, 100_000, np.random.default_rng(seed))
         total = samples.sum(axis=1)
-        assert stats.kstest(total, _sum_cdf_by_polynomial(c)).pvalue > 0.01
-        # given S, D = nu1 - nu2 has density prop. to D^2 on |D| <= S - 2
-        t = (samples[:, 0] - samples[:, 1]) / (total - 2.0)
-        assert stats.kstest(t, lambda v: (v**3 + 1.0) / 2.0).pvalue > 0.01
+        assert stats.kstest(total, _sum_cdf_by_polynomial(m, c)).pvalue > 0.01
+        if m == 2:
+            # given S, D = nu1 - nu2 has density prop. to D^2 on |D| <= S - 2
+            t = (samples[:, 0] - samples[:, 1]) / (total - 2.0)
+            assert stats.kstest(t, lambda v: (v**3 + 1.0) / 2.0).pvalue > 0.01
 
-    @pytest.mark.parametrize("energies", [(2.5, 2.5), (2.2, 2.9), (1.5, 4.0), (1.2, 1.3)])
-    def test_sum_cdf_matches_polynomial_integral(self, energies):
+    @pytest.mark.parametrize(
+        "m, energies",
+        [
+            pytest.param(2, (2.5, 2.5), id="energies0"),
+            pytest.param(2, (2.2, 2.9), id="energies1"),
+            pytest.param(2, (1.5, 4.0), id="energies2"),
+            pytest.param(2, (1.2, 1.3), id="energies3"),
+            pytest.param(1, (2.2, 2.9), id="m1"),
+            pytest.param(3, (2.2, 2.9), id="m3"),
+            pytest.param(3, (1.6, 4.0), id="m3-small-support"),
+            pytest.param(4, (2.5, 2.5), id="m4"),
+            pytest.param(4, (2.2, 2.9), id="m4-unequal"),
+        ],
+    )
+    def test_sum_cdf_matches_polynomial_integral(self, m, energies):
         c = EnergyConstraint(*energies)
-        s = np.linspace(1.5, 2.0 * c.min_energy + 0.5, 201)
-        exact = _sum_cdf_by_polynomial(c)(s)
-        assert np.abs(_sum_marginal_cdf(c)(s) - exact).max() < 1e-12
+        s = np.linspace(m - 0.5, 2.0 * c.min_energy + 0.5, 201)
+        exact = _sum_cdf_by_polynomial(m, c)(s)
+        assert np.abs(_sum_marginal_cdf(m, c)(s) - exact).max() < 1e-12
 
 
 class TestSampleSubmanifoldEnergy:
@@ -254,9 +281,12 @@ class TestVerifyPipeline:
             rep = verify_constrained_density(2, c, 20_000, seed=seed, self_test=True)
             pvals.append(rep.comparison["p_value"])
             assert rep.comparison["ks_statistic"] < 0.03
-        for seed in range(5):
-            rep = verify_constrained_density(4, c4, 10_000, seed=seed, self_test=True)
-            pvals.append(rep.comparison["p_value"])
+        for n in (4, 6):
+            for seed in range(5):
+                rep = verify_constrained_density(
+                    n, c4, 10_000, seed=seed, self_test=True
+                )
+                pvals.append(rep.comparison["p_value"])
         assert min(pvals) > 0.001
 
     def test_pipeline_1p1_actual_law_is_uniform_to_twice_min_energy(self):
@@ -334,18 +364,19 @@ class TestVerifyPipeline:
         with pytest.raises(ValueError):
             verify_constrained_density(2, c, 1000, cutoff=4.0, seed=0)
 
-    def test_generic_n_reports_without_comparison(self):
+    def test_generic_n_matches_closed_form(self):
+        # n = 6 is compared through S = sum(nu) against the balanced law
         c = EnergyConstraint(2.0, 2.0, 0.4)
         rep = verify_constrained_density(6, c, 400_000, cutoff=5.0, seed=44)
-        assert rep.comparison is None
-        assert rep.counts.sum() > 0
+        assert rep.comparison["p_value"] > 0.01
+        assert rep.comparison["ks_statistic"] < 0.02
 
     def test_zero_accepted_diagnostic(self):
-        # energies just above the 3-mode ground value leave almost no
-        # feasible proposals; a short run must fail with the diagnostic
+        # every closed-form proposal lies in the support; at seed 7 the one
+        # proposal is a uniform box draw with sum(nu) above 2 min(E) = 3.1
         c = EnergyConstraint(1.55, 1.55, 0.005)
         with pytest.raises(RuntimeError, match="zero accepted"):
-            verify_constrained_density(6, c, 500, cutoff=3.5, seed=45)
+            verify_constrained_density(6, c, 1, cutoff=3.5, seed=7)
 
     def test_low_energy_1p1_has_support(self):
         # 2 min(E) = 1.6 > n/2 = 1: the law is uniform on [1, 1.6]
