@@ -1,10 +1,11 @@
 """Command-line front-end: reproducible runs with config files and JSON output.
 
 Configuration precedence is flags > environment > config file > defaults.
-Environment overrides: GAUSSHAAR_SEED (seed) and GAUSSHAAR_THREADS (number of
-independent sampling streams).  Exit codes: 0 success, 2 invalid
-configuration, 3 numerical failure, 4 statistical verification failure (the
-report is still written).
+The one environment override is GAUSSHAAR_SEED (seed).  ``verify`` passes
+when the chi-square p-value of its comparison exceeds ``--p-threshold``, for
+every n.  ``verify`` and ``haar-sample`` write JSON only.  Exit codes:
+0 success, 2 invalid configuration, 3 numerical failure, 4 statistical
+verification failure (the report is still written).
 """
 
 from __future__ import annotations
@@ -54,14 +55,15 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_VERIFICATION = 4
 
+# commands whose output has no CSV form
+JSON_ONLY = ("verify", "haar-sample")
+
 DEFAULTS = {
     "cutoff": 10.0,
     "count": 100_000,
     "format": "json",
     "seed": 0,
     "grid": 100,
-    "partitions": 8,
-    "ks_threshold": 0.03,
     "p_threshold": 0.01,
 }
 
@@ -86,14 +88,11 @@ class RunConfig:
     count: int = DEFAULTS["count"]
     seed: int = DEFAULTS["seed"]
     grid: int = DEFAULTS["grid"]
-    bins: Optional[int] = None
-    partitions: int = DEFAULTS["partitions"]
     input_path: Optional[str] = None
     output_path: Optional[str] = None
     format: str = DEFAULTS["format"]
     self_test: bool = False
     unitary_only: bool = False
-    ks_threshold: float = DEFAULTS["ks_threshold"]
     p_threshold: float = DEFAULTS["p_threshold"]
 
     def require(self, *names):
@@ -173,11 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--EB", dest="E_B", type=float, required=True)
     p.add_argument("--count", type=int, default=argparse.SUPPRESS)
     p.add_argument("--cutoff", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--bins", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--partitions", type=int, default=argparse.SUPPRESS)
     p.add_argument("--self-test", dest="self_test", action="store_true",
-                   default=argparse.SUPPRESS)
-    p.add_argument("--ks-threshold", dest="ks_threshold", type=float,
                    default=argparse.SUPPRESS)
     p.add_argument("--p-threshold", dest="p_threshold", type=float,
                    default=argparse.SUPPRESS)
@@ -216,8 +211,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         merged.update(file_conf)
     if "GAUSSHAAR_SEED" in os.environ:
         merged["seed"] = int(os.environ["GAUSSHAAR_SEED"])
-    if "GAUSSHAAR_THREADS" in os.environ:
-        merged["partitions"] = int(os.environ["GAUSSHAAR_THREADS"])
     merged.update({k: v for k, v in ns.items() if v is not None})
     if merged.get("count", 1) < 1:
         raise ConfigError("count must be positive")
@@ -242,7 +235,7 @@ def _emit(
     payload: dict, config: RunConfig, csv_text: Callable[[], str] | None = None
 ) -> None:
     """Write the JSON payload, or in CSV mode the text ``csv_text()`` builds."""
-    if config.format == "csv" and csv_text is not None:
+    if config.format == "csv":
         text = csv_text()
         if config.output_path:
             with open(config.output_path, "w") as fh:
@@ -371,16 +364,11 @@ def _cmd_verify(config: RunConfig) -> int:
         config.count,
         cutoff=config.cutoff,
         seed=config.seed,
-        bins=config.bins,
-        partitions=config.partitions,
         self_test=config.self_test,
     )
     payload = report_to_json_dict(report)
     payload["metadata"] = {**payload["metadata"], **_metadata(config)}
-    if config.n == 2:
-        passed = report.comparison["ks_statistic"] < config.ks_threshold
-    else:
-        passed = report.comparison["p_value"] > config.p_threshold
+    passed = report.comparison["p_value"] > config.p_threshold
     payload["verification_passed"] = bool(passed)
     _emit(payload, config)
     return EXIT_OK if passed else EXIT_VERIFICATION
@@ -416,6 +404,8 @@ def _cmd_haar_sample(config: RunConfig) -> int:
 
 def run(config: RunConfig) -> int:
     """Dispatch a resolved configuration; returns the process exit code."""
+    if config.format == "csv" and config.command in JSON_ONLY:
+        raise ConfigError(f"command {config.command!r} writes JSON only, not csv")
     handlers = {
         "williamson": _cmd_williamson,
         "entropy": _cmd_entropy,

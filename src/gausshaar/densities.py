@@ -187,13 +187,18 @@ def density_balanced(nu, constraint: EnergyConstraint):
     a = (m - 1)(m + 2)/2, on {nu >= 1, S <= 2 min(E_A, E_B)}, and zero
     outside.  nu has shape (..., m); returns the stack (...) of values, or a
     float for a single vector.  The normalizer is the unit-simplex constant
-    times L^(m^2 + 2a) times the summed weights of ``balanced_sum_law``.
+    times L^(m^2 + 2a) times the summed weights of ``balanced_sum_law``; it
+    and the value are formed in logs, since L^(m^2 + 2a) overflows a double
+    already at m = 10, E = 30.
     """
     nu = np.asarray(nu, dtype=float)
     m = nu.shape[-1]
     L, a, weights = balanced_sum_law(m, constraint)
-    simplex = math.exp(_log_simplex_constant(m))
-    norm = simplex * L ** (m * m + 2 * a) * float(weights.sum())
+    log_norm = (
+        _log_simplex_constant(m)
+        + (m * m + 2 * a) * math.log(L)
+        + math.log(float(weights.sum()))
+    )
     # column by column: reductions over rows of length m are about 20x slower
     columns = np.moveaxis(nu, -1, 0)
     total = functools.reduce(np.add, columns)
@@ -201,7 +206,13 @@ def density_balanced(nu, constraint: EnergyConstraint):
         total <= 2.0 * constraint.min_energy
     )
     bracket = (2.0 * constraint.E_A - total) * (2.0 * constraint.E_B - total)
-    val = np.where(support, vandermonde_repulsion(nu) ** 2 * bracket**a / norm, 0.0)
+    # log(0) = -inf gives a zero density, and outside the support the log may
+    # be nan; at m = 1, a = 0 and the bracket factor is 1 even where it is 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_val = 2.0 * np.log(vandermonde_repulsion(nu)) - log_norm
+        if a:
+            log_val = log_val + a * np.log(bracket)
+        val = np.where(support, np.exp(log_val), 0.0)
     return float(val) if val.ndim == 0 else val
 
 

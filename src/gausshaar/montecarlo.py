@@ -12,9 +12,9 @@ volume times the mean repulsion at one uniform point of it: no shell width,
 no lambda cutoff, and no zero weight inside the support.
 Accepted samples carry the residual importance weights.
 
-Work is partitioned into independently seeded streams spawned from a single
-seed; merging is associative, so results are deterministic for a fixed
-(seed, partitions) pair.
+One generator seeded with ``seed`` feeds every draw, in blocks of BLOCK
+proposals so that memory stays bounded; results are deterministic for a
+fixed seed.
 """
 
 from __future__ import annotations
@@ -39,8 +39,9 @@ from .haar import sample_haar_unitary, sample_repulsive, vandermonde_repulsion
 logger = logging.getLogger(__name__)
 
 MIN_EXPECTED_PER_BIN = 5.0
-# draws per block in g_constraint_mc; bounds its memory, not its law
-G_BLOCK = 2**17
+# draws per block in verify and g_constraint_mc; bounds their memory, not
+# their law (2**17 more than doubles the peak memory of verify at n = 6)
+BLOCK = 2**15
 # share of verify's proposal drawn uniformly on the support box (a defensive
 # mixture, Hesterberg 1995): the closed form alone puts no draw where it is
 # zero, so a closed form with too small a support would pass unseen
@@ -172,8 +173,8 @@ def g_constraint_mc(
     if count < 2:
         raise ValueError("a standard error needs count >= 2")
     hits = 0
-    for start in range(0, count, G_BLOCK):
-        size = min(G_BLOCK, count - start)
+    for start in range(0, count, BLOCK):
+        size = min(BLOCK, count - start)
         lam, _ = sample_repulsive(m, 1.0, cutoff, size, rng)
         U = sample_haar_unitary(m, rng, size=size)
         energies = mean_energy(U, lam, nu)
@@ -279,8 +280,8 @@ def chi2_sf(x: float, dof: int) -> float:
 # the end-to-end verification pipeline
 
 
-def _pipeline_partition(m, constraint, count, rng):
-    """One stream of the pipeline, m eigenvalues a side; returns (values, weights).
+def _pipeline_block(m, constraint, count, rng):
+    """One block of the pipeline, m eigenvalues a side; returns (values, weights).
 
     nu is proposed from the closed-form balanced law, except for a share
     DEFENSIVE drawn uniformly on the box [1, 2 min(E)]^m, the support set by
@@ -331,7 +332,10 @@ def _sum_marginal_cdf(m: int, constraint: EnergyConstraint):
     p = m * m
     tail = np.cumsum((weights / weights.sum())[::-1])[::-1]
     share = np.concatenate([np.ones(a), tail])
-    coef = np.array([math.comb(p + r - 1, r) for r in range(2 * a + 1)]) * share
+    # float64: from m = 6 the binomials exceed int64 and numpy would keep
+    # them as Python integers
+    coef = np.array([math.comb(p + r - 1, r) for r in range(2 * a + 1)], dtype=float)
+    coef *= share
 
     def cdf(v):
         x = np.clip((np.asarray(v, dtype=float) - m) / L, 0.0, 1.0)
@@ -340,19 +344,12 @@ def _sum_marginal_cdf(m: int, constraint: EnergyConstraint):
     return cdf
 
 
-def _partition_counts(count: int, partitions: int) -> list[int]:
-    base, extra = divmod(count, partitions)
-    return [base + (i < extra) for i in range(partitions)]
-
-
 def verify_constrained_density(
     n: int,
     constraint: EnergyConstraint,
     count: int,
     cutoff: float = 10.0,
     seed: int = 0,
-    bins: int | None = None,
-    partitions: int = 8,
     self_test: bool = False,
 ) -> HistogramReport:
     """End-to-end reconstruction of P(nu | E_A, E_B) under the exact constraint.
@@ -363,9 +360,11 @@ def verify_constrained_density(
     the constraint allows, so that the law is not truncated.  Every even n
     is compared with the closed-form balanced law: n = 4 with a 2D
     chi-square of (nu1, nu2) and a KS of nu1 + nu2, every other n with a
-    histogram, a chi-square and a KS of S = sum(nu).  In self-test mode the
-    samples are drawn directly from the closed form (unit weights), which
-    exercises the comparison statistics under the null.
+    histogram (20 bins at n = 2, 10 otherwise), a chi-square and a KS of
+    S = sum(nu).  The proposals are drawn from one generator seeded with
+    ``seed``, BLOCK at a time.  In self-test mode the samples are drawn
+    directly from the closed form (unit weights), which exercises the
+    comparison statistics under the null.
     """
     if n % 2 != 0 or n < 2:
         raise ValueError("n must be a positive even number of modes")
@@ -382,25 +381,19 @@ def verify_constrained_density(
         raise ValueError(
             f"cutoff {cutoff} too small for the energy constraint (needs {needed:.3g})"
         )
-    if bins is None:
-        bins = 20 if m == 1 else 10
+    bins = 20 if m == 1 else 10
 
-    streams = [
-        np.random.Generator(np.random.PCG64(child))
-        for child in np.random.SeedSequence(seed).spawn(max(partitions, 1))
-    ]
+    rng = np.random.default_rng(seed)
     pieces = []
-    for rng, part_count in zip(streams, _partition_counts(count, len(streams))):
-        if part_count == 0:
-            continue
+    for start in range(0, count, BLOCK):
+        size = min(BLOCK, count - start)
         if self_test:
-            nu = sample_balanced(m, constraint, part_count, rng)
-            pieces.append((nu, np.ones(part_count)))
+            pieces.append((sample_balanced(m, constraint, size, rng), np.ones(size)))
         else:
-            pieces.append(_pipeline_partition(m, constraint, part_count, rng))
+            pieces.append(_pipeline_block(m, constraint, size, rng))
 
-    values = np.concatenate([p[0] for p in pieces], axis=0)
-    weights = np.concatenate([p[1] for p in pieces])
+    values, weights = map(np.concatenate, zip(*pieces))
+    del pieces  # kept through the report, the blocks would add to its peak memory
     accepted = values.shape[0]
     if accepted == 0:
         raise RuntimeError(
@@ -418,7 +411,6 @@ def verify_constrained_density(
         "effective_sample_size": ess,
         "ess_fraction": ess / accepted,
         "max_weight_share": float(weights.max() / total),
-        "partitions": len(streams),
         "n": n,
         "E_A": constraint.E_A,
         "E_B": constraint.E_B,

@@ -1,7 +1,9 @@
 import ast
 import json
+import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +12,8 @@ import numpy as np
 import pytest
 
 import gausshaar
-from gausshaar.cli import main
+from gausshaar import cli
+from gausshaar.cli import build_parser, main
 from gausshaar.serialization import state_from_json_dict, write_covariance_csv
 from gausshaar.symplectic import Bipartition, canonical_state
 
@@ -158,22 +161,57 @@ class TestVerifyCommand:
         assert doc["metadata"]["seed"] == 5
 
     def test_statistical_failure_still_writes_report(self, tmp_path):
-        # the KS statistic of a finite sample is always positive, so a KS
-        # threshold of 0 fails verification with exit code 4
+        # no p-value exceeds 1, so a p threshold of 1 fails verification with
+        # exit code 4
         out = tmp_path / "report.json"
         code = main(
             [
                 "verify", "--n", "2", "--EA", "3", "--EB", "3",
-                "--count", "100000", "--seed", "5", "--ks-threshold", "0",
+                "--count", "100000", "--seed", "5", "--p-threshold", "1",
                 "--output", str(out),
             ]
         )
         assert code == 4
         doc = json.loads(out.read_text())
         assert doc["verification_passed"] is False
-        threshold = doc["metadata"]["config"]["ks_threshold"]
-        assert threshold == 0.0
-        assert doc["comparison"]["ks_statistic"] >= threshold
+        threshold = doc["metadata"]["config"]["p_threshold"]
+        assert threshold == 1.0
+        assert doc["comparison"]["p_value"] <= threshold
+
+    def test_twelve_modes_give_a_finite_p_value(self, tmp_path):
+        # at m = 6 the binomials of the S CDF exceed int64
+        out = tmp_path / "report.json"
+        code = main(
+            [
+                "verify", "--n", "12", "--EA", "7", "--EB", "7",
+                "--count", "2000", "--cutoff", "20", "--output", str(out),
+            ]
+        )
+        assert code in (0, 4)
+        assert math.isfinite(json.loads(out.read_text())["comparison"]["p_value"])
+
+    @pytest.mark.parametrize(
+        "argv, sampler",
+        [
+            (["verify", "--n", "4", "--EA", "2.5", "--EB", "2.5"],
+             "verify_constrained_density"),
+            (["haar-sample", "--n", "4"], "sample_homogeneous_gaussian_unitary"),
+        ],
+        ids=["verify", "haar-sample"],
+    )
+    def test_csv_format_rejected_before_sampling(
+        self, argv, sampler, tmp_path, monkeypatch, capsys
+    ):
+        def fail(*args, **kwargs):
+            raise AssertionError("sampled before rejecting --format csv")
+
+        monkeypatch.setattr(cli, sampler, fail)
+        out = tmp_path / "out.csv"
+        code = main([*argv, "--format", "csv", "--output", str(out)])
+        assert code == 2
+        assert not out.exists()
+        error = json.loads(capsys.readouterr().err)
+        assert argv[0] in error["error"] and "csv" in error["error"]
 
 
 class TestHaarSampleCommand:
@@ -360,3 +398,15 @@ def test_submanifold_sample_eight_modes_finishes():
     rows = np.array(json.loads(out)["samples"])
     assert rows.shape == (10, 4)
     assert np.allclose(rows.sum(axis=1), 8.0, rtol=0, atol=1e-12)
+
+
+def test_readme_cli_examples_parse():
+    # a flag deleted from the parser must not linger in the README examples
+    root = Path(gausshaar.__file__).resolve().parent.parent.parent
+    readme = (root / "README.md").read_text()
+    block = re.search(r"## CLI examples\n+```sh\n(.*?)```", readme, re.S).group(1)
+    commands = [line for line in block.splitlines() if line.startswith("gausshaar ")]
+    assert commands
+    parser = build_parser()
+    for line in commands:
+        parser.parse_args(shlex.split(line)[1:])

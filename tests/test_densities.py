@@ -7,6 +7,7 @@ from scipy import integrate
 
 from gausshaar.densities import (
     EnergyConstraint,
+    balanced_sum_law,
     density_1p1,
     density_2p2,
     density_balanced,
@@ -179,6 +180,32 @@ class TestDensity1p1:
         # 2 min(E) <= 1 leaves no room above nu = 1
         with pytest.raises(ValueError):
             density_1p1(1.0, EnergyConstraint(0.5, 3.0))
+
+
+class TestDensityBalanced:
+    def test_many_modes_high_energy_finite(self):
+        # L^(m^2 + 2a) = 50^208 overflows a double; the log form does not
+        nu = 1.0 + 0.5 * np.arange(1, 11)
+        val = density_balanced(nu, EnergyConstraint(30.0, 30.0))
+        assert math.isfinite(val) and val > 0.0
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_log_form_matches_direct_product(self, m):
+        # the normalized product Delta^2 [(2E_A - S)(2E_B - S)]^a / Z, with
+        # Z = simplex constant x L^(m^2 + 2a) x summed Beta-mixture weights
+        c = EnergyConstraint(m + 1.2, m + 1.9)
+        L, a, weights = balanced_sum_law(m, c)
+        simplex = math.prod(
+            math.factorial(j) * math.factorial(j + 1) for j in range(m)
+        ) / math.factorial(m * m - 1)
+        norm = simplex * L ** (m * m + 2 * a) * weights.sum()
+        rng = np.random.default_rng(m)
+        nu = 1.0 + rng.dirichlet(np.ones(m), 50) * rng.uniform(0.0, L, (50, 1))
+        total = nu.sum(axis=1)
+        bracket = (2 * c.E_A - total) * (2 * c.E_B - total)
+        direct = vandermonde_repulsion(nu) ** 2 * bracket**a / norm
+        assert np.all(direct > 0.0)
+        assert np.allclose(density_balanced(nu, c), direct, rtol=1e-12, atol=0.0)
 
 
 class TestDensity2p2:

@@ -5,8 +5,10 @@ import pytest
 from scipy import stats
 
 from gausshaar.densities import EnergyConstraint, g_2p2
+from gausshaar import montecarlo
 from gausshaar.haar import sample_haar_unitary, vandermonde_repulsion
 from gausshaar.montecarlo import (
+    BLOCK,
     HistogramReport,
     _constrained_lambda_weight,
     _sum_marginal_cdf,
@@ -26,13 +28,13 @@ def _sum_cdf_by_polynomial(m, c):
 
     The marginal is u^(m^2 - 1) [(2 E_A - m - u)(2 E_B - m - u)]^a in
     u = S - m on [0, 2 min(E) - m], a = (m - 1)(m + 2)/2, of degree at most
-    33 for m <= 4.  Gauss-Legendre quadrature with 24 nodes integrates it
+    75 for m <= 6.  Gauss-Legendre quadrature with 40 nodes integrates it
     exactly, and evaluating it as a product of positive factors cancels
     nothing, where its coefficients in powers of u would (at m = 4 they
     alternate in sign with magnitudes up to 1e4 times the integral).
     """
     a = (m - 1) * (m + 2) // 2
-    nodes, node_weights = np.polynomial.legendre.leggauss(24)
+    nodes, node_weights = np.polynomial.legendre.leggauss(40)
 
     def integral(u):
         t = 0.5 * u[..., None] * (1.0 + nodes)
@@ -104,13 +106,18 @@ class TestSampleDensity2p2:
             pytest.param(3, (1.6, 4.0), id="m3-small-support"),
             pytest.param(4, (2.5, 2.5), id="m4"),
             pytest.param(4, (2.2, 2.9), id="m4-unequal"),
+            pytest.param(6, (4.0, 4.6), id="m6"),
         ],
     )
     def test_sum_cdf_matches_polynomial_integral(self, m, energies):
         c = EnergyConstraint(*energies)
         s = np.linspace(m - 0.5, 2.0 * c.min_energy + 0.5, 201)
         exact = _sum_cdf_by_polynomial(m, c)(s)
-        assert np.abs(_sum_marginal_cdf(m, c)(s) - exact).max() < 1e-12
+        cdf = _sum_marginal_cdf(m, c)(s)
+        # from m = 6 the binomial coefficients exceed int64; they must not
+        # turn the CDF into an array of Python objects
+        assert cdf.dtype == np.float64
+        assert np.abs(cdf - exact).max() < 1e-12
 
 
 class TestSampleSubmanifoldEnergy:
@@ -339,10 +346,14 @@ class TestVerifyPipeline:
         ],
         ids=["2", "4", "6"],
     )
-    def test_determinism_for_fixed_seed_and_partitions(self, n, c, cutoff):
-        kwargs = dict(cutoff=cutoff, seed=7, partitions=4)
-        a = verify_constrained_density(n, c, 20_000, **kwargs)
-        b = verify_constrained_density(n, c, 20_000, **kwargs)
+    # 2 BLOCK + 7 proposals cross two block boundaries and end in a short block
+    @pytest.mark.parametrize(
+        "count", [20_000, 2 * BLOCK + 7], ids=["one-block", "three-blocks"]
+    )
+    def test_determinism_for_fixed_seed(self, n, c, cutoff, count):
+        a = verify_constrained_density(n, c, count, cutoff=cutoff, seed=7)
+        b = verify_constrained_density(n, c, count, cutoff=cutoff, seed=7)
+        assert a.metadata["proposal_count"] == count
         assert np.array_equal(a.counts, b.counts)
         assert np.array_equal(a.normalized_density, b.normalized_density)
         assert a.comparison == b.comparison
@@ -371,12 +382,14 @@ class TestVerifyPipeline:
         assert rep.comparison["p_value"] > 0.01
         assert rep.comparison["ks_statistic"] < 0.02
 
-    def test_zero_accepted_diagnostic(self):
-        # every closed-form proposal lies in the support; at seed 7 the one
-        # proposal is a uniform box draw with sum(nu) above 2 min(E) = 3.1
+    def test_zero_accepted_diagnostic(self, monkeypatch):
+        # every closed-form proposal lies in the support, so all proposals
+        # are drawn from the box [1, 3.1]^3, where sum(nu) <= 2 min(E) = 3.1
+        # has probability (0.1 / 2.1)^3 / 6 < 2e-5 per draw
+        monkeypatch.setattr(montecarlo, "DEFENSIVE", 1.0)
         c = EnergyConstraint(1.55, 1.55, 0.005)
         with pytest.raises(RuntimeError, match="zero accepted"):
-            verify_constrained_density(6, c, 1, cutoff=3.5, seed=7)
+            verify_constrained_density(6, c, 20, cutoff=3.5, seed=7)
 
     def test_low_energy_1p1_has_support(self):
         # 2 min(E) = 1.6 > n/2 = 1: the law is uniform on [1, 1.6]
