@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .symplectic import (
     Bipartition,
     GaussianPureState,
-    SymplecticForm,
     SymplecticSpectrum,
     canonical_state,
     entanglement_entropy,
@@ -59,7 +58,6 @@ __all__ = [
     "__version__",
     "Bipartition",
     "GaussianPureState",
-    "SymplecticForm",
     "SymplecticSpectrum",
     "canonical_state",
     "entanglement_entropy",

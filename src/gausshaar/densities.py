@@ -164,7 +164,10 @@ def balanced_sum_law(m: int, constraint: EnergyConstraint):
     L^(m^2 - 1 + 2a) x^(m^2 - 1) (1 - x)^a (b + 1 - x)^a, and expanding
     (b + 1 - x)^a in powers of 1 - x makes x a mixture over j = 0..a of
     Beta(m^2, a + j + 1), with unnormalized weights
-    C(a, j) b^(a - j) B(m^2, a + j + 1).  Returns (L, a, weights).
+    C(a, j) b^(a - j) B(m^2, a + j + 1).  These are formed in logs, since
+    b^(a - j) overflows a double for very unequal energies; at b = 0 only
+    j = a survives.  Returns (L, a, weights, log_total): the weights
+    normalized to sum 1, and the log of their unnormalized sum.
     """
     L = 2.0 * constraint.min_energy - m
     if L <= 0:
@@ -172,12 +175,21 @@ def balanced_sum_law(m: int, constraint: EnergyConstraint):
     a = (m - 1) * (m + 2) // 2
     b = 2.0 * abs(constraint.E_A - constraint.E_B) / L
     p = m * m
-    # C(a, j) B(p, a + j + 1) as one exact ratio of integers
-    return L, a, np.array([
-        math.comb(a, j) * math.factorial(p - 1) * math.factorial(a + j)
-        / math.factorial(p + a + j) * b ** (a - j)
-        for j in range(a + 1)
+    j = np.arange(a + 1)
+    # log C(a, j) B(p, a + j + 1)
+    log_weights = np.array([
+        math.lgamma(a + 1) - math.lgamma(k + 1) - math.lgamma(a - k + 1)
+        + math.lgamma(p) + math.lgamma(a + k + 1) - math.lgamma(p + a + k + 1)
+        for k in range(a + 1)
     ])
+    if b > 0:
+        log_weights += (a - j) * math.log(b)
+    else:
+        log_weights[:a] = -np.inf
+    top = log_weights.max()
+    weights = np.exp(log_weights - top)
+    total = weights.sum()
+    return L, a, weights / total, top + math.log(total)
 
 
 def density_balanced(nu, constraint: EnergyConstraint):
@@ -187,18 +199,14 @@ def density_balanced(nu, constraint: EnergyConstraint):
     a = (m - 1)(m + 2)/2, on {nu >= 1, S <= 2 min(E_A, E_B)}, and zero
     outside.  nu has shape (..., m); returns the stack (...) of values, or a
     float for a single vector.  The normalizer is the unit-simplex constant
-    times L^(m^2 + 2a) times the summed weights of ``balanced_sum_law``; it
-    and the value are formed in logs, since L^(m^2 + 2a) overflows a double
-    already at m = 10, E = 30.
+    times L^(m^2 + 2a) times the unnormalized sum of the ``balanced_sum_law``
+    weights; it and the value are formed in logs, since L^(m^2 + 2a)
+    overflows a double already at m = 10, E = 30.
     """
     nu = np.asarray(nu, dtype=float)
     m = nu.shape[-1]
-    L, a, weights = balanced_sum_law(m, constraint)
-    log_norm = (
-        _log_simplex_constant(m)
-        + (m * m + 2 * a) * math.log(L)
-        + math.log(float(weights.sum()))
-    )
+    L, a, _, log_total = balanced_sum_law(m, constraint)
+    log_norm = _log_simplex_constant(m) + (m * m + 2 * a) * math.log(L) + log_total
     # column by column: reductions over rows of length m are about 20x slower
     columns = np.moveaxis(nu, -1, 0)
     total = functools.reduce(np.add, columns)

@@ -229,7 +229,7 @@ def apply_to_vacuum(S: np.ndarray) -> GaussianPureState:
     """
     S = np.asarray(S, dtype=float)
     n = S.shape[-1] // 2
-    omega = symplectic_form(n).matrix
+    omega = symplectic_form(n)
     St = S.swapaxes(-1, -2)
     scale = np.maximum(1.0, np.abs(S).max(axis=(-2, -1)) ** 2)
     if np.any(np.abs(S @ omega @ St - omega).max(axis=(-2, -1)) > SYMPLECTIC_TOL * scale):

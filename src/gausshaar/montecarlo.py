@@ -10,7 +10,11 @@ subsystem exactly.  At fixed mixing the
 constrained squeezing weights form a scaled simplex, so the integral is its
 volume times the mean repulsion at one uniform point of it: no shell width,
 no lambda cutoff, and no zero weight inside the support.
-Accepted samples carry the residual importance weights.
+Accepted samples carry the residual importance weights, divided by their
+maximum before any statistic: every reported value is invariant to their
+scale, and with a maximum of 1 their squares cannot overflow.  One binning
+path serves every n; only the coordinates ((nu1, nu2) at n = 4, S = sum(nu)
+otherwise), the edges and the expected bin masses depend on n.
 
 One generator seeded with ``seed`` feeds every draw, in blocks of BLOCK
 proposals so that memory stays bounded; results are deterministic for a
@@ -66,13 +70,14 @@ class HistogramReport:
     def __post_init__(self):
         if int(self.counts.sum()) != int(self.metadata.get("sample_count", self.counts.sum())):
             raise ValueError("counts must sum to the accepted sample count")
-        widths = [np.diff(e) for e in self.bin_edges]
-        cell = widths[0]
-        for w in widths[1:]:
-            cell = np.multiply.outer(cell, w)
-        total = float(np.sum(self.normalized_density * cell))
+        total = float(np.sum(self.normalized_density * _cell_volume(self.bin_edges)))
         if self.counts.sum() > 0 and abs(total - 1.0) > 1e-9:
             raise ValueError(f"normalized density integrates to {total}, not 1")
+
+
+def _cell_volume(bin_edges) -> np.ndarray:
+    """Volume of each histogram cell: the outer product of the edge widths."""
+    return functools.reduce(np.multiply.outer, map(np.diff, bin_edges))
 
 
 def _unit_simplex_delta2(m: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -107,8 +112,8 @@ def sample_balanced(
     1 + (S - m) x with x from the Delta^2 law on the unit simplex, which
     keeps every eigenvalue >= 1 under round-off.  Nothing is rejected.
     """
-    L, a, weights = balanced_sum_law(m, constraint)
-    k = rng.choice(weights.size, size=count, p=weights / weights.sum())
+    L, a, weights, _ = balanced_sum_law(m, constraint)
+    k = rng.choice(weights.size, size=count, p=weights)
     y = L * rng.beta(m * m, a + 1.0 + k)
     return 1.0 + y[:, None] * _unit_simplex_delta2(m, count, rng)
 
@@ -328,9 +333,9 @@ def _sum_marginal_cdf(m: int, constraint: EnergyConstraint):
     the same CDF in powers of x has degree 34 at m = 4 and loses every digit
     near x = 1.  Term r sums the components with a + j >= r.
     """
-    L, a, weights = balanced_sum_law(m, constraint)
+    L, a, weights, _ = balanced_sum_law(m, constraint)
     p = m * m
-    tail = np.cumsum((weights / weights.sum())[::-1])[::-1]
+    tail = np.cumsum(weights[::-1])[::-1]
     share = np.concatenate([np.ones(a), tail])
     # float64: from m = 6 the binomials exceed int64 and numpy would keep
     # them as Python integers
@@ -400,6 +405,8 @@ def verify_constrained_density(
             f"zero accepted samples out of {count} proposals: none has sum(nu) "
             f"below 2 min(E) = {2.0 * constraint.min_energy:.6g}; raise the count"
         )
+    # scale-free: with a maximum of 1 the squared weights cannot overflow
+    weights = weights / weights.max()
     total = weights.sum()
     ess = float(total**2 / (weights**2).sum())
     metadata = {
@@ -410,7 +417,7 @@ def verify_constrained_density(
         "acceptance_rate": accepted / count,
         "effective_sample_size": ess,
         "ess_fraction": ess / accepted,
-        "max_weight_share": float(weights.max() / total),
+        "max_weight_share": float(1.0 / total),
         "n": n,
         "E_A": constraint.E_A,
         "E_B": constraint.E_B,
@@ -419,28 +426,7 @@ def verify_constrained_density(
     logger.info(
         "verify pipeline n=%d: %d/%d accepted (ESS %.0f)", n, accepted, count, ess
     )
-
-    if m == 2:
-        return _report_2d(values, weights, constraint, bins, metadata)
-    return _report_sum(values, weights, constraint, bins, metadata)
-
-
-def _report_sum(values, weights, constraint, bins, metadata) -> HistogramReport:
-    """Histogram, chi-square and KS of S = sum(nu) against its exact law."""
-    m = values.shape[1]
-    total = functools.reduce(np.add, values.T)
-    hi = max(float(total.max()), 2.0 * constraint.min_energy)
-    edges = np.linspace(m, hi, bins + 1)
-    counts, _ = np.histogram(total, edges)
-    whist, _ = np.histogram(total, edges, weights=weights)
-    density = whist / (weights.sum() * np.diff(edges))
-
-    cdf = _sum_marginal_cdf(m, constraint)
-    idx = np.clip(np.digitize(total, edges) - 1, 0, bins - 1)
-    chi2, dof, p = weighted_chi2(idx, weights, np.diff(cdf(edges)))
-    ks = weighted_ks_statistic(total, weights, cdf)
-    comparison = {"ks_statistic": ks, "chi2": chi2, "dof": dof, "p_value": p}
-    return HistogramReport([edges], counts, density, comparison, metadata)
+    return _report(values, weights, constraint, bins, metadata)
 
 
 def _expected_probs_2p2(edges, constraint, subgrid=8):
@@ -449,31 +435,41 @@ def _expected_probs_2p2(edges, constraint, subgrid=8):
     fine = np.linspace(edges[0], edges[-1], bins * subgrid + 1)
     mids = 0.5 * (fine[:-1] + fine[1:])
     X, Y = np.meshgrid(mids, mids, indexing="ij")
-    dens = density_2p2(X, Y, constraint)
-    cell = (np.diff(fine)[:, None]) * (np.diff(fine)[None, :])
-    mass = dens * cell
+    mass = density_2p2(X, Y, constraint) * _cell_volume([fine, fine])
     return mass.reshape(bins, subgrid, bins, subgrid).sum(axis=(1, 3))
 
 
-def _report_2d(values, weights, constraint, bins, metadata) -> HistogramReport:
-    top = 2.0 * constraint.min_energy
-    edges = np.linspace(1.0, top - 1.0, bins + 1)
-    counts, _, _ = np.histogram2d(values[:, 0], values[:, 1], bins=[edges, edges])
-    whist, _, _ = np.histogram2d(
-        values[:, 0], values[:, 1], bins=[edges, edges], weights=weights
-    )
-    cell = np.diff(edges)[:, None] * np.diff(edges)[None, :]
-    density = whist / (weights.sum() * cell)
+def _report(values, weights, constraint, bins, metadata) -> HistogramReport:
+    """Histogram, chi-square and KS of the accepted samples against the closed form.
 
-    expected_prob = _expected_probs_2p2(edges, constraint)
-    ix = np.clip(np.digitize(values[:, 0], edges) - 1, 0, bins - 1)
-    iy = np.clip(np.digitize(values[:, 1], edges) - 1, 0, bins - 1)
-    chi2, dof, p = weighted_chi2(ix * bins + iy, weights, expected_prob.ravel())
-    ks = weighted_ks_statistic(
-        values.sum(axis=1), weights, _sum_marginal_cdf(2, constraint)
+    At m = 2 the histogram is of (nu1, nu2) on [1, 2 min(E) - 1]^2, with bin
+    masses from the density; at every other m it is of S = sum(nu) on
+    [m, max(S.max(), 2 min(E))], with exact bin masses from the CDF of S.
+    Each coordinate is binned once (half-open bins, the last one closed, as
+    in np.histogram), and counts, masses and the chi-square share that flat
+    bin index.  The KS statistic is of S at every m.
+    """
+    m = values.shape[1]
+    S = functools.reduce(np.add, values.T)
+    cdf = _sum_marginal_cdf(m, constraint)
+    if m == 2:
+        edges = np.linspace(1.0, 2.0 * constraint.min_energy - 1.0, bins + 1)
+        coords, bin_edges = values.T, [edges, edges]
+        expected = _expected_probs_2p2(edges, constraint).ravel()
+    else:
+        edges = np.linspace(m, max(float(S.max()), 2.0 * constraint.min_energy), bins + 1)
+        coords, bin_edges = [S], [edges]
+        expected = np.diff(cdf(edges))
+    shape = (bins,) * len(bin_edges)
+    idx = np.ravel_multi_index(
+        [np.clip(np.digitize(x, e) - 1, 0, bins - 1) for x, e in zip(coords, bin_edges)],
+        shape,
     )
+    counts = np.bincount(idx, minlength=expected.size).reshape(shape)
+    mass = np.bincount(idx, weights=weights, minlength=expected.size).reshape(shape)
+    density = mass / (weights.sum() * _cell_volume(bin_edges))
+
+    chi2, dof, p = weighted_chi2(idx, weights, expected)
+    ks = weighted_ks_statistic(S, weights, cdf)
     comparison = {"ks_statistic": ks, "chi2": chi2, "dof": dof, "p_value": p}
-    return HistogramReport(
-        [edges, edges], counts.astype(int), density, comparison, metadata
-    )
-
+    return HistogramReport(bin_edges, counts, density, comparison, metadata)

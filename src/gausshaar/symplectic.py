@@ -26,25 +26,11 @@ class NotAGaussianPureStateError(ValueError):
     """Raised when a covariance matrix fails the pure-state invariants."""
 
 
-@dataclass(frozen=True)
-class SymplecticForm:
-    """The standard symplectic form Omega on n modes, built exactly."""
-
-    n_modes: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        if self.n_modes < 1:
-            raise ValueError("n_modes must be >= 1")
-
-
-def symplectic_form(n_modes: int) -> SymplecticForm:
-    """Block-diagonal Omega with 2x2 blocks [[0, 1], [-1, 0]] per mode."""
+def symplectic_form(n_modes: int) -> np.ndarray:
+    """Block-diagonal Omega (2n, 2n) with 2x2 blocks [[0, 1], [-1, 0]] per mode."""
     if n_modes < 1:
         raise ValueError("n_modes must be >= 1")
-    block = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    matrix = np.kron(np.eye(n_modes), block)
-    return SymplecticForm(n_modes=n_modes, matrix=matrix)
+    return np.kron(np.eye(n_modes), np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
 
 def validate_pure_covariance(cov: np.ndarray) -> None:
@@ -61,7 +47,7 @@ def validate_pure_covariance(cov: np.ndarray) -> None:
     cov_t = cov.swapaxes(-1, -2)
     if np.any(np.abs(cov - cov_t).max(axis=(-2, -1)) > SYMMETRY_TOL * scale):
         raise NotAGaussianPureStateError("covariance is not symmetric")
-    omega = symplectic_form(n).matrix
+    omega = symplectic_form(n)
     defect = np.abs(cov @ omega @ cov_t - omega).max(axis=(-2, -1))
     impure = defect > PURITY_TOL * scale**2
     if np.any(impure):
@@ -259,7 +245,7 @@ def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
     m = cov.shape[0] // 2
     if np.linalg.eigvalsh(cov).min() <= 0:
         raise ValueError("reduced covariance is not positive definite")
-    omega = symplectic_form(m).matrix
+    omega = symplectic_form(m)
     moduli = np.sort(np.abs(np.linalg.eigvals(1j * omega @ cov)))[::-1]
     paired = moduli.reshape(m, 2)
     mismatch = np.abs(paired[:, 0] - paired[:, 1])

@@ -336,19 +336,18 @@ class TestSeededReproducibility:
         assert outs[0] == outs[1]
 
 
-def _run_python(*args: str) -> str:
-    """Run a fresh interpreter that imports this checkout; returns its stdout.
+def _run_python(*args: str, check: bool = True) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports this checkout.
 
     The 60 s timeout turns a sampler that stalls into a failure, not a hang.
     """
     src = Path(gausshaar.__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    out = subprocess.run(
+    return subprocess.run(
         [sys.executable, *args],
-        env=env, capture_output=True, text=True, check=True, timeout=60,
+        env=env, capture_output=True, text=True, check=check, timeout=60,
     )
-    return out.stdout
 
 
 def test_cli_import_loads_no_scipy():
@@ -357,7 +356,7 @@ def test_cli_import_loads_no_scipy():
         "import sys, gausshaar.cli; "
         "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
     )
-    assert _run_python("-c", probe).strip() == "[]"
+    assert _run_python("-c", probe).stdout.strip() == "[]"
 
 
 def test_runtime_imports_are_declared_dependencies():
@@ -385,7 +384,7 @@ def test_runtime_imports_are_declared_dependencies():
 
 def test_haar_sample_six_modes_finishes():
     out = _run_python("-m", "gausshaar.cli", "haar-sample", "--n", "6", "--count", "20")
-    s = np.array([draw["s"] for draw in json.loads(out)["draws"]])
+    s = np.array([draw["s"] for draw in json.loads(out.stdout)["draws"]])
     assert s.shape == (20, 6)
     assert np.all(np.isfinite(s)) and np.all(s >= 0)
 
@@ -395,9 +394,30 @@ def test_submanifold_sample_eight_modes_finishes():
         "-m", "gausshaar.cli", "sample", "--kind", "submanifold-energy",
         "--n", "8", "--E", "4", "--count", "10",
     )
-    rows = np.array(json.loads(out)["samples"])
+    rows = np.array(json.loads(out.stdout)["samples"])
     assert rows.shape == (10, 4)
     assert np.allclose(rows.sum(axis=1), 8.0, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("E_A", ["11", "6"])
+def test_very_unequal_energies_give_finite_statistics(E_A, tmp_path):
+    # at E_B = 1e6 the raw importance weights pass 1e154, so their squares
+    # overflow, and at E_A = 6 the Beta-mixture weights of the law overflow
+    out = tmp_path / "report.json"
+    run = _run_python(
+        "-m", "gausshaar.cli", "verify", "--n", "20", "--EA", E_A,
+        "--EB", "1000000", "--count", "200", "--cutoff", "3000000",
+        "--output", str(out), check=False,
+    )
+    assert run.returncode in (0, 4), run.stderr
+    assert "Traceback" not in run.stderr and "overflow" not in run.stderr
+    doc = json.loads(out.read_text())
+    for value in (
+        doc["comparison"]["chi2"],
+        doc["comparison"]["p_value"],
+        doc["metadata"]["effective_sample_size"],
+    ):
+        assert isinstance(value, float) and math.isfinite(value)
 
 
 def test_readme_cli_examples_parse():

@@ -194,11 +194,11 @@ class TestDensityBalanced:
         # the normalized product Delta^2 [(2E_A - S)(2E_B - S)]^a / Z, with
         # Z = simplex constant x L^(m^2 + 2a) x summed Beta-mixture weights
         c = EnergyConstraint(m + 1.2, m + 1.9)
-        L, a, weights = balanced_sum_law(m, c)
+        L, a, _, log_total = balanced_sum_law(m, c)
         simplex = math.prod(
             math.factorial(j) * math.factorial(j + 1) for j in range(m)
         ) / math.factorial(m * m - 1)
-        norm = simplex * L ** (m * m + 2 * a) * weights.sum()
+        norm = simplex * L ** (m * m + 2 * a) * math.exp(log_total)
         rng = np.random.default_rng(m)
         nu = 1.0 + rng.dirichlet(np.ones(m), 50) * rng.uniform(0.0, L, (50, 1))
         total = nu.sum(axis=1)

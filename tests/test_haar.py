@@ -171,7 +171,7 @@ class TestEulerSymplectic:
 
     def test_symplectic_group_membership(self):
         rng = np.random.default_rng(12)
-        omega = symplectic_form(3).matrix
+        omega = symplectic_form(3)
         for _ in range(100):
             g = sample_homogeneous_gaussian_unitary(3, 6.0, rng)
             S = euler_to_symplectic(g)
@@ -192,7 +192,7 @@ class TestEulerSymplectic:
         rng = np.random.default_rng(14)
         U = sample_haar_unitary(3, rng)
         O = passive_symplectic(U)
-        omega = symplectic_form(3).matrix
+        omega = symplectic_form(3)
         assert np.abs(O @ O.T - np.eye(6)).max() < 1e-12
         assert np.abs(O @ omega @ O.T - omega).max() < 1e-12
 

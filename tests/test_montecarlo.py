@@ -404,6 +404,55 @@ class TestVerifyPipeline:
             verify_constrained_density(6, c, 20_000, cutoff=10.0, seed=0)
 
 
+class TestReport:
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_weight_scale_leaves_every_statistic_unchanged(self, n, monkeypatch):
+        # 1e200 times the weights would overflow their squares; every
+        # reported statistic is invariant to the scale of the weights
+        c = EnergyConstraint(2.5, 2.5)
+        base = verify_constrained_density(n, c, 5_000, seed=3)
+        block = montecarlo._pipeline_block
+
+        def scaled(*args):
+            values, weights = block(*args)
+            return values, weights * 1e200
+
+        monkeypatch.setattr(montecarlo, "_pipeline_block", scaled)
+        big = verify_constrained_density(n, c, 5_000, seed=3)
+        assert big.comparison["dof"] == base.comparison["dof"]
+        for key in ("chi2", "p_value", "ks_statistic"):
+            assert big.comparison[key] == pytest.approx(base.comparison[key], rel=1e-12)
+        for key in ("effective_sample_size", "ess_fraction", "max_weight_share"):
+            assert big.metadata[key] == pytest.approx(base.metadata[key], rel=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_binning_matches_numpy_histograms(self, n):
+        # the old construction as an independent reference: np.histogram of
+        # S, or np.histogram2d of (nu1, nu2) at n = 4
+        m = n // 2
+        c = EnergyConstraint(2.2, 2.9)
+        values, weights = montecarlo._pipeline_block(m, c, 20_000, np.random.default_rng(n))
+        bins = 20 if m == 1 else 10
+        rep = montecarlo._report(values, weights, c, bins, {"sample_count": len(values)})
+        if m == 2:
+            edges = np.linspace(1.0, 2.0 * c.min_energy - 1.0, bins + 1)
+            counts, _, _ = np.histogram2d(*values.T, bins=[edges, edges])
+            mass, _, _ = np.histogram2d(*values.T, bins=[edges, edges], weights=weights)
+            cell = np.outer(np.diff(edges), np.diff(edges))
+            want_edges = [edges, edges]
+        else:
+            S = values.sum(axis=1)
+            edges = np.linspace(m, max(S.max(), 2.0 * c.min_energy), bins + 1)
+            counts, _ = np.histogram(S, edges)
+            mass, _ = np.histogram(S, edges, weights=weights)
+            cell = np.diff(edges)
+            want_edges = [edges]
+        assert all(np.array_equal(a, b) for a, b in zip(rep.bin_edges, want_edges))
+        assert np.array_equal(rep.counts, counts)
+        density = mass / (weights.sum() * cell)
+        assert np.allclose(rep.normalized_density, density, rtol=1e-8, atol=0.0)
+
+
 class TestHistogramReport:
     def test_density_normalization_enforced(self):
         edges = np.linspace(0.0, 1.0, 5)

@@ -20,17 +20,17 @@ from gausshaar.symplectic import (
 
 class TestSymplecticForm:
     def test_single_mode_block(self):
-        omega = symplectic_form(1).matrix
+        omega = symplectic_form(1)
         assert np.array_equal(omega, [[0.0, 1.0], [-1.0, 0.0]])
 
     def test_two_modes_direct_sum(self):
-        omega = symplectic_form(2).matrix
+        omega = symplectic_form(2)
         assert np.array_equal(omega[:2, :2], [[0.0, 1.0], [-1.0, 0.0]])
         assert np.array_equal(omega[2:, 2:], [[0.0, 1.0], [-1.0, 0.0]])
         assert np.all(omega[:2, 2:] == 0) and np.all(omega[2:, :2] == 0)
 
     def test_squares_to_minus_identity(self):
-        omega = symplectic_form(2).matrix
+        omega = symplectic_form(2)
         assert np.array_equal(omega @ omega, -np.eye(4))
 
 
@@ -117,7 +117,7 @@ class TestTmsv:
 
     def test_purity_oracle(self):
         cov = tmsv_state(0.7).covariance
-        omega = symplectic_form(2).matrix
+        omega = symplectic_form(2)
         assert np.abs(cov @ omega @ cov.T - omega).max() < 1e-10
 
 
