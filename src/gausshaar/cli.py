@@ -3,9 +3,16 @@
 Configuration precedence is flags > environment > config file > defaults.
 The one environment override is GAUSSHAAR_SEED (seed).  ``verify`` passes
 when the chi-square p-value of its comparison exceeds ``--p-threshold``, for
-every n.  ``verify`` and ``haar-sample`` write JSON only.  Exit codes:
-0 success, 2 invalid configuration, 3 numerical failure, 4 statistical
-verification failure (the report is still written).
+every n.  A ``verify`` run whose effective sample size is below
+MIN_EXPECTED_PER_BIN (5) times its number of histogram bins of positive
+expected mass (275 at n = 4, where 55 of the 10 x 10 bins lie below
+nu1 + nu2 = 2 min(E); 100 at n = 2; at most 50 otherwise) is a degenerate
+estimate and gives no verdict: its report is still written, with
+``degenerate`` true in the metadata and ``verification_passed`` null.
+``verify`` and ``haar-sample`` write JSON only.  Exit codes: 0 success,
+2 invalid configuration, 3 numerical failure (including a degenerate
+``verify`` estimate), 4 statistical verification failure (the report is
+still written).
 """
 
 from __future__ import annotations
@@ -368,9 +375,19 @@ def _cmd_verify(config: RunConfig) -> int:
     )
     payload = report_to_json_dict(report)
     payload["metadata"] = {**payload["metadata"], **_metadata(config)}
+    meta = report.metadata
+    degenerate = meta.get("degenerate", False)
     passed = report.comparison["p_value"] > config.p_threshold
-    payload["verification_passed"] = bool(passed)
+    payload["verification_passed"] = None if degenerate else bool(passed)
     _emit(payload, config)
+    if degenerate:
+        _error_json(
+            EXIT_NUMERICAL,
+            f"degenerate estimate: effective sample size "
+            f"{meta['effective_sample_size']:.4g} is below {meta['ess_floor']:g}, "
+            "so there is no verdict; raise the count",
+        )
+        return EXIT_NUMERICAL
     return EXIT_OK if passed else EXIT_VERIFICATION
 
 

@@ -90,18 +90,35 @@ class LambdaVector:
 
 
 def sample_haar_unitary(n: int, rng: np.random.Generator, size: int | None = None):
-    """Haar-distributed unitary via QR of a complex Ginibre matrix.
+    """Haar-distributed unitary: the unitary factor Q of a complex Ginibre matrix.
 
-    The QR phase ambiguity is fixed so the triangular factor has positive
-    real diagonal.  With ``size`` given, returns a stack of shape (size, n, n).
+    Q is taken with the phases that make the triangular factor's diagonal
+    real and positive, which makes it Haar.  Gram-Schmidt produces exactly
+    that factor; here it is classical Gram-Schmidt with one
+    reorthogonalization (CGS2, "twice is enough"), whose columns are
+    orthonormal to round-off, vectorized over the stack: for stacks of small
+    matrices this is faster than batched LAPACK QR.  With ``size`` given,
+    returns a stack of shape (size, n, n).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     shape = (n, n) if size is None else (size, n, n)
-    z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (d / np.abs(d))[..., np.newaxis, :]
+    # the Ginibre scale does not change Q
+    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    # q[j] is column j, of shape (n, ...): every step is a sum over the short
+    # axis of arrays that run along the stack
+    q = np.moveaxis(z, (-1, -2), (0, 1)).copy()
+    for j in range(n):
+        v = q[j]
+        for _ in range(2 if j else 0):
+            basis = q[:j]
+            coef = np.einsum("kr...,r...->k...", basis, v.conj()).conj()
+            v -= np.einsum("kr...,k...->r...", basis, coef)
+        v /= np.sqrt(
+            np.einsum("r...,r...->...", v.real, v.real)
+            + np.einsum("r...,r...->...", v.imag, v.imag)
+        )
+    return np.moveaxis(q, (0, 1), (-1, -2))
 
 
 def vandermonde_repulsion(lam: np.ndarray) -> np.ndarray:

@@ -17,8 +17,14 @@ path serves every n; only the coordinates ((nu1, nu2) at n = 4, S = sum(nu)
 otherwise), the edges and the expected bin masses depend on n.
 
 One generator seeded with ``seed`` feeds every draw, in blocks of BLOCK
-proposals so that memory stays bounded; results are deterministic for a
-fixed seed.
+proposals; results are deterministic for a fixed seed.  Each block is
+reduced as it arrives to what the report reads: S = sum(nu), the weight and,
+at n = 4, the uint16 bin index of (nu1, nu2), whose edges the constraint
+fixes.  So a run keeps 16 bytes per accepted proposal (18 at n = 4) plus one
+block of temporaries, and the report's peak is the KS sort, about 40 bytes
+per accepted proposal.  The kernels run on 1-D columns, one per coordinate.
+An effective sample size below MIN_EXPECTED_PER_BIN per histogram bin of
+positive expected mass marks the estimate as degenerate.
 """
 
 from __future__ import annotations
@@ -208,14 +214,17 @@ def _constrained_lambda_weight(c, E, rng):
     {mu >= 0, sum mu = R}, which is R times normalized exponentials.  The
     returned weight is that product at one such draw: an unbiased estimate
     with no shell width and no lambda cutoff, zero exactly where R <= 0.
+    Every step is a 1-D column: sums and products over rows of length m are
+    about 15x slower, and so is broadcasting a (count, 1) factor over them.
     """
     count, m = c.shape
-    # column by column: sums over rows of length m are about 15x slower
-    R = 2.0 * E - functools.reduce(np.add, c.T)
+    columns = c.T
+    R = 2.0 * E - functools.reduce(np.add, columns)
     x = rng.standard_exponential((count, m))
-    mu = x * (R / functools.reduce(np.add, x.T))[:, None]
-    w = 2.0 / functools.reduce(np.multiply, c.T) * R ** (m - 1) / math.factorial(m - 1)
-    return np.where(R > 0, w * vandermonde_repulsion(1.0 + mu / c), 0.0)
+    scale = R / functools.reduce(np.add, x.T)
+    lam = np.array([1.0 + x[:, h] * scale / columns[h] for h in range(m)])
+    w = 2.0 / functools.reduce(np.multiply, columns) * R ** (m - 1) / math.factorial(m - 1)
+    return np.where(R > 0, w * vandermonde_repulsion(lam.T), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -223,14 +232,27 @@ def _constrained_lambda_weight(c, E, rng):
 
 
 def weighted_ks_statistic(values, weights, cdf) -> float:
-    """Kolmogorov-Smirnov statistic of a weighted sample against a CDF."""
+    """Kolmogorov-Smirnov statistic of a weighted sample against a CDF.
+
+    The CDF is taken of the unsorted values and gathered into sorted order
+    with the weights, and each temporary is freed as soon as it is used, so
+    no more than three arrays of the sample's length exist besides the inputs.
+    """
+    values = np.asarray(values)
+    target = cdf(values)
     order = np.argsort(values)
-    v = np.asarray(values)[order]
-    w = np.asarray(weights)[order]
-    cum = np.cumsum(w) / w.sum()
-    target = cdf(v)
-    lower = np.concatenate([[0.0], cum[:-1]])
-    return float(np.max(np.maximum(np.abs(cum - target), np.abs(lower - target))))
+    target = np.asarray(target)[order]
+    cum = np.asarray(weights)[order]
+    del order
+    total = cum.sum()
+    np.cumsum(cum, out=cum)
+    cum /= total
+    gap = cum - target
+    upper = np.abs(gap, out=gap).max()
+    # just below each sorted value the empirical CDF is 0, then cum[:-1]
+    np.subtract(cum[:-1], target[1:], out=gap[1:])
+    gap[0] = target[0]
+    return float(np.maximum(upper, np.abs(gap, out=gap).max()))
 
 
 def weighted_chi2(bin_index, weights, expected_prob) -> tuple[float, int, float]:
@@ -298,7 +320,8 @@ def _pipeline_block(m, constraint, count, rng):
     single-sample estimate of each subsystem's delta-constrained lambda
     integral from the mixing matrix |U|^2.  For m <= 2 the Haar |U|^2 is
     [[p, 1 - p], [1 - p, p]] with p uniform on (0, 1), so p is drawn directly
-    (at m = 1 the mixture is nu itself).
+    (at m = 1 the mixture is nu itself).  Each coordinate is a contiguous
+    1-D column, as in ``_constrained_lambda_weight``.
     """
     top = 2.0 * constraint.min_energy
     nu = sample_balanced(m, constraint, count, rng)
@@ -307,19 +330,25 @@ def _pipeline_block(m, constraint, count, rng):
     proposal = DEFENSIVE / (top - 1.0) ** m + (1.0 - DEFENSIVE) * density_balanced(
         nu, constraint
     )
-    sq = nu**2
-    # column by column: np.prod over rows of length m is about 20x slower
-    w = functools.reduce(np.multiply, sq.T) * vandermonde_repulsion(sq) ** 2 / proposal
+    columns = nu.T.copy()
+    sq = columns**2
+    w = functools.reduce(np.multiply, sq) * vandermonde_repulsion(sq.T) ** 2 / proposal
     for E in (constraint.E_A, constraint.E_B):
         if m <= 2:
-            p = rng.random((count, 1))
-            c = p * nu + (1.0 - p) * nu[:, ::-1]
+            p = rng.random(count)
+            c = p * columns + (1.0 - p) * columns[::-1]
         else:
-            U = sample_haar_unitary(m, rng, size=count)
-            c = np.einsum("ihk,ik->ih", np.abs(U) ** 2, nu)
-        w = w * _constrained_lambda_weight(c, E, rng)
+            P = np.abs(sample_haar_unitary(m, rng, size=count)) ** 2
+            c = np.array(
+                [
+                    functools.reduce(np.add, [P[:, h, k] * columns[k] for k in range(m)])
+                    for h in range(m)
+                ]
+            )
+        w = w * _constrained_lambda_weight(c.T, E, rng)
     keep = w > 0
-    return nu[keep], w[keep]
+    # compress, not a boolean index: 8x faster on the rows of nu
+    return np.compress(keep, nu, axis=0), w[keep]
 
 
 def _sum_marginal_cdf(m: int, constraint: EnergyConstraint):
@@ -331,7 +360,8 @@ def _sum_marginal_cdf(m: int, constraint: EnergyConstraint):
     components Beta(p, a + j + 1), x = (S - m)/L gives x^p times a polynomial
     in 1 - x with positive coefficients, so Horner's rule cancels nothing;
     the same CDF in powers of x has degree 34 at m = 4 and loses every digit
-    near x = 1.  Term r sums the components with a + j >= r.
+    near x = 1.  Term r sums the components with a + j >= r.  The CDF of an
+    array needs two temporaries of its size: Horner's rule runs in place.
     """
     L, a, weights, _ = balanced_sum_law(m, constraint)
     p = m * m
@@ -343,8 +373,17 @@ def _sum_marginal_cdf(m: int, constraint: EnergyConstraint):
     coef *= share
 
     def cdf(v):
-        x = np.clip((np.asarray(v, dtype=float) - m) / L, 0.0, 1.0)
-        return x**p * np.polynomial.polynomial.polyval(1.0 - x, coef)
+        x = np.subtract(v, m, dtype=float)
+        x /= L
+        np.clip(x, 0.0, 1.0, out=x)
+        y = 1.0 - x
+        horner = np.full_like(x, coef[-1])
+        for c in coef[-2::-1]:
+            horner *= y
+            horner += c
+        x **= p
+        x *= horner
+        return x
 
     return cdf
 
@@ -367,9 +406,10 @@ def verify_constrained_density(
     chi-square of (nu1, nu2) and a KS of nu1 + nu2, every other n with a
     histogram (20 bins at n = 2, 10 otherwise), a chi-square and a KS of
     S = sum(nu).  The proposals are drawn from one generator seeded with
-    ``seed``, BLOCK at a time.  In self-test mode the samples are drawn
-    directly from the closed form (unit weights), which exercises the
-    comparison statistics under the null.
+    ``seed``, BLOCK at a time, and each block is reduced as it arrives (see
+    ``_report``).  In self-test mode the samples are drawn directly from the
+    closed form (unit weights), which exercises the comparison statistics
+    under the null.
     """
     if n % 2 != 0 or n < 2:
         raise ValueError("n must be a positive even number of modes")
@@ -386,47 +426,22 @@ def verify_constrained_density(
         raise ValueError(
             f"cutoff {cutoff} too small for the energy constraint (needs {needed:.3g})"
         )
-    bins = 20 if m == 1 else 10
-
     rng = np.random.default_rng(seed)
-    pieces = []
-    for start in range(0, count, BLOCK):
-        size = min(BLOCK, count - start)
-        if self_test:
-            pieces.append((sample_balanced(m, constraint, size, rng), np.ones(size)))
-        else:
-            pieces.append(_pipeline_block(m, constraint, size, rng))
-
-    values, weights = map(np.concatenate, zip(*pieces))
-    del pieces  # kept through the report, the blocks would add to its peak memory
-    accepted = values.shape[0]
-    if accepted == 0:
-        raise RuntimeError(
-            f"zero accepted samples out of {count} proposals: none has sum(nu) "
-            f"below 2 min(E) = {2.0 * constraint.min_energy:.6g}; raise the count"
-        )
-    # scale-free: with a maximum of 1 the squared weights cannot overflow
-    weights = weights / weights.max()
-    total = weights.sum()
-    ess = float(total**2 / (weights**2).sum())
+    sizes = [min(BLOCK, count - start) for start in range(0, count, BLOCK)]
+    if self_test:
+        blocks = ((sample_balanced(m, constraint, size, rng), np.ones(size)) for size in sizes)
+    else:
+        blocks = (_pipeline_block(m, constraint, size, rng) for size in sizes)
     metadata = {
         "seed": seed,
         "proposal_count": count,
-        "sample_count": accepted,
         "cutoff": cutoff,
-        "acceptance_rate": accepted / count,
-        "effective_sample_size": ess,
-        "ess_fraction": ess / accepted,
-        "max_weight_share": float(1.0 / total),
         "n": n,
         "E_A": constraint.E_A,
         "E_B": constraint.E_B,
         "self_test": self_test,
     }
-    logger.info(
-        "verify pipeline n=%d: %d/%d accepted (ESS %.0f)", n, accepted, count, ess
-    )
-    return _report(values, weights, constraint, bins, metadata)
+    return _report(m, constraint, blocks, metadata)
 
 
 def _expected_probs_2p2(edges, constraint, subgrid=8):
@@ -439,37 +454,100 @@ def _expected_probs_2p2(edges, constraint, subgrid=8):
     return mass.reshape(bins, subgrid, bins, subgrid).sum(axis=(1, 3))
 
 
-def _report(values, weights, constraint, bins, metadata) -> HistogramReport:
+def _bin_index(x, edges) -> np.ndarray:
+    """np.digitize(x, edges) - 1 clipped to the bins, in place.
+
+    The bins are half-open, the last one closed, as in np.histogram.
+    """
+    idx = np.digitize(x, edges)
+    idx -= 1
+    return np.clip(idx, 0, edges.size - 2, out=idx)
+
+
+def _reduce_blocks(blocks, pair_edges=None):
+    """S = sum(nu), the weights and, given ``pair_edges`` (m = 2), the flat bin index.
+
+    Each (values, weights) block is reduced as it arrives, so a run keeps 16
+    bytes per accepted proposal, and 18 with the uint16 index of (nu1, nu2)
+    on ``pair_edges`` x ``pair_edges``; without ``pair_edges`` the index is
+    None.
+    """
+    sums, weights, flats = [], [], []
+    for values, w in blocks:
+        sums.append(functools.reduce(np.add, values.T))
+        weights.append(w)
+        if pair_edges is not None:
+            i, j = (_bin_index(x, pair_edges) for x in values.T)
+            i *= pair_edges.size - 1
+            i += j
+            flats.append(i.astype(np.uint16))
+    S = np.concatenate(sums)
+    del sums
+    weights = np.concatenate(weights)
+    return S, weights, np.concatenate(flats) if flats else None
+
+
+def _report(m, constraint, blocks, metadata) -> HistogramReport:
     """Histogram, chi-square and KS of the accepted samples against the closed form.
 
-    At m = 2 the histogram is of (nu1, nu2) on [1, 2 min(E) - 1]^2, with bin
-    masses from the density; at every other m it is of S = sum(nu) on
-    [m, max(S.max(), 2 min(E))], with exact bin masses from the CDF of S.
-    Each coordinate is binned once (half-open bins, the last one closed, as
-    in np.histogram), and counts, masses and the chi-square share that flat
-    bin index.  The KS statistic is of S at every m.
+    ``blocks`` yields the (values, weights) of each block of proposals, and
+    ``metadata``, which holds at least ``proposal_count``, is completed in
+    place.  At m = 2 the histogram is of (nu1, nu2) on [1, 2 min(E) - 1]^2,
+    edges fixed by the constraint, with bin masses from the density; at every
+    other m it is of S = sum(nu) on [m, max(S.max(), 2 min(E))], binned once
+    all blocks are in, with exact bin masses from the CDF of S.  Each
+    coordinate is binned once (half-open bins, the last one closed, as in
+    np.histogram), and counts, masses and the chi-square share that flat bin
+    index, which is freed before the KS statistic of S sorts the sample.  An
+    effective sample size below MIN_EXPECTED_PER_BIN per bin of positive
+    expected mass (the bins the chi-square can keep; at m = 2 those below
+    nu1 + nu2 = 2 min(E)) is a degenerate estimate: the metadata then has
+    ``degenerate`` true and the ``ess_floor`` it missed.
     """
-    m = values.shape[1]
-    S = functools.reduce(np.add, values.T)
+    bins = 20 if m == 1 else 10
+    top = 2.0 * constraint.min_energy
+    pair_edges = np.linspace(1.0, top - 1.0, bins + 1) if m == 2 else None
+    S, weights, flat = _reduce_blocks(blocks, pair_edges)
+    accepted = S.size
+    count = metadata["proposal_count"]
+    if accepted == 0:
+        raise RuntimeError(
+            f"zero accepted samples out of {count} proposals: none has sum(nu) "
+            f"below 2 min(E) = {top:.6g}; raise the count"
+        )
+    # scale-free: with a maximum of 1 the squared weights cannot overflow
+    weights /= weights.max()
+    total = weights.sum()
+    ess = float(total**2 / (weights**2).sum())
+    metadata.update(
+        sample_count=accepted,
+        acceptance_rate=accepted / count,
+        effective_sample_size=ess,
+        ess_fraction=ess / accepted,
+        max_weight_share=float(1.0 / total),
+    )
+    logger.info(
+        "verify pipeline n=%d: %d/%d accepted (ESS %.0f)", 2 * m, accepted, count, ess
+    )
+
     cdf = _sum_marginal_cdf(m, constraint)
     if m == 2:
-        edges = np.linspace(1.0, 2.0 * constraint.min_energy - 1.0, bins + 1)
-        coords, bin_edges = values.T, [edges, edges]
-        expected = _expected_probs_2p2(edges, constraint).ravel()
+        bin_edges = [pair_edges, pair_edges]
+        expected = _expected_probs_2p2(pair_edges, constraint).ravel()
     else:
-        edges = np.linspace(m, max(float(S.max()), 2.0 * constraint.min_energy), bins + 1)
-        coords, bin_edges = [S], [edges]
+        edges = np.linspace(m, max(float(S.max()), top), bins + 1)
+        bin_edges = [edges]
+        flat = _bin_index(S, edges)
         expected = np.diff(cdf(edges))
+    floor = MIN_EXPECTED_PER_BIN * np.count_nonzero(expected > 0)
+    if ess < floor:
+        metadata.update(degenerate=True, ess_floor=floor)
     shape = (bins,) * len(bin_edges)
-    idx = np.ravel_multi_index(
-        [np.clip(np.digitize(x, e) - 1, 0, bins - 1) for x, e in zip(coords, bin_edges)],
-        shape,
-    )
-    counts = np.bincount(idx, minlength=expected.size).reshape(shape)
-    mass = np.bincount(idx, weights=weights, minlength=expected.size).reshape(shape)
+    counts = np.bincount(flat, minlength=expected.size).reshape(shape)
+    mass = np.bincount(flat, weights=weights, minlength=expected.size).reshape(shape)
     density = mass / (weights.sum() * _cell_volume(bin_edges))
-
-    chi2, dof, p = weighted_chi2(idx, weights, expected)
+    chi2, dof, p = weighted_chi2(flat, weights, expected)
+    del flat
     ks = weighted_ks_statistic(S, weights, cdf)
     comparison = {"ks_statistic": ks, "chi2": chi2, "dof": dof, "p_value": p}
     return HistogramReport(bin_edges, counts, density, comparison, metadata)

@@ -187,8 +187,13 @@ class TestVerifyCommand:
                 "--count", "2000", "--cutoff", "20", "--output", str(out),
             ]
         )
-        assert code in (0, 4)
-        assert math.isfinite(json.loads(out.read_text())["comparison"]["p_value"])
+        # the ESS of this run (about 32) is below the floor of 50, and does
+        # not grow with the count, so it may exit 3 with no verdict
+        assert code in (0, 3, 4)
+        doc = json.loads(out.read_text())
+        assert math.isfinite(doc["comparison"]["p_value"])
+        assert (code == 3) == doc["metadata"].get("degenerate", False)
+        assert (code == 3) == (doc["verification_passed"] is None)
 
     @pytest.mark.parametrize(
         "argv, sampler",
@@ -402,16 +407,23 @@ def test_submanifold_sample_eight_modes_finishes():
 @pytest.mark.parametrize("E_A", ["11", "6"])
 def test_very_unequal_energies_give_finite_statistics(E_A, tmp_path):
     # at E_B = 1e6 the raw importance weights pass 1e154, so their squares
-    # overflow, and at E_A = 6 the Beta-mixture weights of the law overflow
+    # overflow, and at E_A = 6 the Beta-mixture weights of the law overflow;
+    # with an ESS of about 5 the estimate is degenerate, so the report is
+    # written with no verdict and the exit code is 3; the floor is at most
+    # 5 x 10 bins, fewer where a bin of S has no mass to round-off
     out = tmp_path / "report.json"
     run = _run_python(
         "-m", "gausshaar.cli", "verify", "--n", "20", "--EA", E_A,
         "--EB", "1000000", "--count", "200", "--cutoff", "3000000",
         "--output", str(out), check=False,
     )
-    assert run.returncode in (0, 4), run.stderr
+    assert run.returncode == 3, run.stderr
     assert "Traceback" not in run.stderr and "overflow" not in run.stderr
+    assert "degenerate" in json.loads(run.stderr)["error"]
     doc = json.loads(out.read_text())
+    assert doc["verification_passed"] is None
+    assert doc["metadata"]["degenerate"] is True
+    assert doc["metadata"]["effective_sample_size"] < doc["metadata"]["ess_floor"] <= 50
     for value in (
         doc["comparison"]["chi2"],
         doc["comparison"]["p_value"],

@@ -53,6 +53,23 @@ class TestHaarUnitary:
         ks = stats.kstest(t, "uniform").statistic
         assert ks < 0.01
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("size", [None, 2_000], ids=["single", "stack"])
+    def test_matches_qr_with_positive_diagonal(self, n, size):
+        # the reference: LAPACK QR of the same Ginibre draw, with the phases
+        # that make the diagonal of R real and positive
+        shape = (n, n) if size is None else (size, n, n)
+        rng = np.random.default_rng(10 + n)
+        z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        q, r = np.linalg.qr(z)
+        d = np.diagonal(r, axis1=-2, axis2=-1)
+        want = q * (d / np.abs(d))[..., np.newaxis, :]
+        U = sample_haar_unitary(n, np.random.default_rng(10 + n), size=size)
+        assert isinstance(U, np.ndarray) and U.shape == shape
+        assert np.abs(U - want).max() < 1e-12
+        eye = np.eye(n)
+        assert np.abs(U.conj().swapaxes(-1, -2) @ U - eye).max() < 1e-13
+
     def test_left_invariance_smoke(self):
         rng = np.random.default_rng(4)
         fixed = sample_haar_unitary(2, np.random.default_rng(99))

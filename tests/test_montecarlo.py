@@ -1,14 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from gausshaar.densities import EnergyConstraint, g_2p2
+from gausshaar.densities import EnergyConstraint, balanced_sum_law, g_2p2
 from gausshaar import montecarlo
 from gausshaar.haar import sample_haar_unitary, vandermonde_repulsion
 from gausshaar.montecarlo import (
     BLOCK,
+    MIN_EXPECTED_PER_BIN,
     HistogramReport,
     _constrained_lambda_weight,
     _sum_marginal_cdf,
@@ -433,7 +435,7 @@ class TestReport:
         c = EnergyConstraint(2.2, 2.9)
         values, weights = montecarlo._pipeline_block(m, c, 20_000, np.random.default_rng(n))
         bins = 20 if m == 1 else 10
-        rep = montecarlo._report(values, weights, c, bins, {"sample_count": len(values)})
+        rep = montecarlo._report(m, c, [(values, weights)], {"proposal_count": len(values)})
         if m == 2:
             edges = np.linspace(1.0, 2.0 * c.min_energy - 1.0, bins + 1)
             counts, _, _ = np.histogram2d(*values.T, bins=[edges, edges])
@@ -451,6 +453,103 @@ class TestReport:
         assert np.array_equal(rep.counts, counts)
         density = mass / (weights.sum() * cell)
         assert np.allclose(rep.normalized_density, density, rtol=1e-8, atol=0.0)
+
+
+def _previous_report(m, c, values, weights):
+    """The report as np.digitize, a polyval CDF and a concatenated KS build it.
+
+    Returns (counts, density, chi2, dof, ks) from the joined accepted samples,
+    an independent reference for the block-wise reduction of ``_report``.
+    """
+    weights = weights / weights.max()
+    S = values.sum(axis=1)
+    L, a, law, _ = balanced_sum_law(m, c)
+    p = m * m
+    share = np.concatenate([np.ones(a), np.cumsum(law[::-1])[::-1]])
+    coef = share * [math.comb(p + r - 1, r) for r in range(2 * a + 1)]
+
+    def cdf(v):
+        x = np.clip((v - m) / L, 0.0, 1.0)
+        return x**p * np.polynomial.polynomial.polyval(1.0 - x, coef)
+
+    bins = 20 if m == 1 else 10
+    if m == 2:
+        edges = np.linspace(1.0, 2.0 * c.min_energy - 1.0, bins + 1)
+        coords, bin_edges = values.T, [edges, edges]
+        expected = montecarlo._expected_probs_2p2(edges, c).ravel()
+    else:
+        edges = np.linspace(m, max(S.max(), 2.0 * c.min_energy), bins + 1)
+        coords, bin_edges = [S], [edges]
+        expected = np.diff(cdf(edges))
+    shape = (bins,) * len(bin_edges)
+    idx = np.ravel_multi_index(
+        [np.clip(np.digitize(x, e) - 1, 0, bins - 1) for x, e in zip(coords, bin_edges)],
+        shape,
+    )
+    counts = np.bincount(idx, minlength=expected.size).reshape(shape)
+    mass = np.bincount(idx, weights=weights, minlength=expected.size).reshape(shape)
+    density = mass / (weights.sum() * montecarlo._cell_volume(bin_edges))
+    chi2, dof, _ = weighted_chi2(idx, weights, expected)
+    order = np.argsort(S)
+    w = weights[order]
+    cum = np.cumsum(w) / w.sum()
+    target = cdf(S[order])
+    lower = np.concatenate([[0.0], cum[:-1]])
+    ks = np.max(np.maximum(np.abs(cum - target), np.abs(lower - target)))
+    return counts, density, chi2, dof, ks
+
+
+class TestBlockwiseReport:
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_report_matches_the_previous_construction(self, n, monkeypatch):
+        c = EnergyConstraint(2.2, 2.9)
+        blocks = []
+        block = montecarlo._pipeline_block
+
+        def captured(*args):
+            blocks.append(block(*args))
+            return blocks[-1]
+
+        monkeypatch.setattr(montecarlo, "_pipeline_block", captured)
+        rep = verify_constrained_density(n, c, 2 * BLOCK + 7, seed=11)
+        assert len(blocks) == 3
+        values, weights = map(np.concatenate, zip(*blocks))
+        counts, density, chi2, dof, ks = _previous_report(n // 2, c, values, weights)
+        assert np.array_equal(rep.counts, counts)
+        assert rep.comparison["dof"] == dof
+        assert rep.comparison["chi2"] == pytest.approx(chi2, rel=1e-12)
+        assert rep.comparison["ks_statistic"] == pytest.approx(ks, rel=1e-12)
+        assert np.allclose(rep.normalized_density, density, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("n, bins", [(2, 20), (4, 55), (6, 10)])
+    def test_effective_sample_size_floor(self, n, bins):
+        # self-test weights are 1, so the ESS is the proposal count exactly;
+        # the floor counts the bins of positive expected mass: at n = 4 the
+        # 55 of the 10 x 10 grid below nu1 + nu2 = 2 min(E)
+        floor = MIN_EXPECTED_PER_BIN * bins
+        c = EnergyConstraint(2.5, 2.5)
+        low = verify_constrained_density(n, c, int(floor) - 1, seed=1, self_test=True)
+        assert low.metadata["degenerate"] is True
+        assert low.metadata["ess_floor"] == floor
+        assert math.isfinite(low.comparison["chi2"])
+        at = verify_constrained_density(n, c, int(floor), seed=1, self_test=True)
+        assert "degenerate" not in at.metadata and "ess_floor" not in at.metadata
+
+    def test_traced_peak_memory_per_proposal(self):
+        # S, the weight and the uint16 index are kept: 18 bytes per accepted
+        # proposal at n = 4; the peak is the KS sort, 40 bytes per accepted
+        # proposal (37 per proposal here).  Joining whole (nu1, nu2) blocks
+        # and building the KS from full-length copies took 111.
+        c = EnergyConstraint(2.5, 2.5)
+        count = 300_000
+        verify_constrained_density(4, c, 1_000, seed=1)
+        tracemalloc.start()
+        try:
+            verify_constrained_density(4, c, count, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / count < 46.0
 
 
 class TestHistogramReport:
