@@ -203,7 +203,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Merge defaults < config file < environment < flags into a RunConfig."""
+    """Merge defaults < config file < environment < flags into a RunConfig.
+
+    Raises ConfigError (exit 2) on a malformed value, including a seed or
+    count that is not an integer.
+    """
     merged = dict(DEFAULTS)
     ns = vars(args).copy()
     config_path = ns.pop("config", None)
@@ -217,9 +221,15 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError("config file must hold a JSON object")
         merged.update(file_conf)
     if "GAUSSHAAR_SEED" in os.environ:
-        merged["seed"] = int(os.environ["GAUSSHAAR_SEED"])
+        try:
+            merged["seed"] = int(os.environ["GAUSSHAAR_SEED"])
+        except ValueError:
+            raise ConfigError("GAUSSHAAR_SEED must be an integer")
     merged.update({k: v for k, v in ns.items() if v is not None})
-    if merged.get("count", 1) < 1:
+    for name in ("seed", "count"):
+        if type(merged[name]) is not int:
+            raise ConfigError(f"{name} must be an integer, got {merged[name]!r}")
+    if merged["count"] < 1:
         raise ConfigError("count must be positive")
     # the seed is echoed in JSON, whose encoder takes 64-bit integers
     if not 0 <= merged["seed"] < 2**64:
@@ -252,7 +262,8 @@ def _emit(
         return
     data = dump_output(payload, config.output_path)
     if not config.output_path:
-        sys.stdout.write(data.decode())
+        sys.stdout.flush()
+        sys.stdout.buffer.write(data)
 
 
 def _cmd_williamson(config: RunConfig) -> int:
@@ -260,8 +271,8 @@ def _cmd_williamson(config: RunConfig) -> int:
     state = read_state(config.input_path)
     spectrum = williamson_spectrum(state, Bipartition(config.n_A, config.n_B))
     payload = {
-        "nu": spectrum.nu.tolist(),
-        "r": spectrum.r.tolist(),
+        "nu": spectrum.nu,
+        "r": spectrum.r,
         "metadata": _metadata(config),
     }
 
@@ -280,7 +291,7 @@ def _cmd_entropy(config: RunConfig) -> int:
     entropy = entanglement_entropy(spectrum)
     payload = {
         "entropy_nats": entropy,
-        "nu": spectrum.nu.tolist(),
+        "nu": spectrum.nu,
         "metadata": _metadata(config),
     }
     _emit(payload, config, lambda: f"entropy_nats\n{entropy:.17g}\n")
@@ -333,7 +344,7 @@ def _cmd_density(config: RunConfig) -> int:
             raise ConfigError("csv density grids require --output")
         write_density_grid_csv(grid, config.output_path)
         return EXIT_OK
-    payload = {name: np.asarray(col).ravel().tolist() for name, col in grid.items()}
+    payload = {name: np.asarray(col).ravel() for name, col in grid.items()}
     payload["metadata"] = _metadata(config)
     _emit(payload, config)
     return EXIT_OK
@@ -355,7 +366,7 @@ def _cmd_sample(config: RunConfig) -> int:
         samples = sample_lambda(config.n, config.cutoff, rng, size=config.count)
         energies = (float("nan"), float("nan"))
     payload = {
-        "samples": np.asarray(samples).tolist(),
+        "samples": np.asarray(samples),
         "metadata": _metadata(config),
     }
     _emit(payload, config, lambda: samples_csv_text(samples, energies))
@@ -396,24 +407,26 @@ def _cmd_haar_sample(config: RunConfig) -> int:
     rng = np.random.default_rng(config.seed)
     if config.unitary_only:
         U = sample_haar_unitary(config.n, rng, size=config.count)
-        keys = ("U_re", "U_im")
-        columns = (U.real.tolist(), U.imag.tolist())
+        stacks = {"U_re": U.real, "U_im": U.imag}
     else:
         g = sample_homogeneous_gaussian_unitary(
             config.n, config.cutoff, rng, size=config.count
         )
         state = apply_to_vacuum(euler_to_symplectic(g))
-        keys = ("theta", "U_re", "U_im", "s", "U_prime_re", "U_prime_im", "state")
-        columns = (
-            g.theta.tolist(),
-            g.U.real.tolist(),
-            g.U.imag.tolist(),
-            g.s.tolist(),
-            g.U_prime.real.tolist(),
-            g.U_prime.imag.tolist(),
-            state_to_json_dict(state),
-        )
-    draws = [dict(zip(keys, row)) for row in zip(*columns)]
+        stacks = {
+            "theta": g.theta,
+            "U_re": g.U.real,
+            "U_im": g.U.imag,
+            "s": g.s,
+            "U_prime_re": g.U_prime.real,
+            "U_prime_im": g.U_prime.imag,
+        }
+    # each draw holds row views of C-contiguous stacks, which dump_output
+    # encodes without a Python float per number
+    columns = {key: np.ascontiguousarray(a) for key, a in stacks.items()}
+    if not config.unitary_only:
+        columns["state"] = state_to_json_dict(state)
+    draws = [dict(zip(columns, row)) for row in zip(*columns.values())]
     payload = {"draws": draws, "metadata": _metadata(config)}
     _emit(payload, config)
     return EXIT_OK

@@ -51,15 +51,21 @@ def read_covariance_csv(path) -> GaussianPureState:
 
 
 def state_to_json_dict(state: GaussianPureState) -> dict | list[dict]:
-    """{"n_modes", "covariance", "displacement"}; a list of them for a stack of states."""
-    covariance = state.covariance.tolist()
-    displacement = state.displacement.tolist()
+    """{"n_modes", "covariance", "displacement"}; a list of them for a stack of states.
+
+    A single state holds nested lists, so any JSON encoder (the stdlib's
+    included) takes the dict.  A stack holds row views of C-contiguous
+    stacks, which :func:`dump_output` encodes straight from numpy: a
+    1000-state list would otherwise keep a Python float for every number.
+    """
     if state.covariance.ndim == 2:
         return {
             "n_modes": state.n_modes,
-            "covariance": covariance,
-            "displacement": displacement,
+            "covariance": state.covariance.tolist(),
+            "displacement": state.displacement.tolist(),
         }
+    covariance = np.ascontiguousarray(state.covariance)
+    displacement = np.ascontiguousarray(state.displacement)
     return [
         {"n_modes": state.n_modes, "covariance": cov, "displacement": disp}
         for cov, disp in zip(covariance, displacement)
@@ -105,6 +111,14 @@ def write_density_grid_csv(grid_columns: dict, path) -> None:
             writer.writerow(_format_row(row))
 
 
+def _contiguous(obj):
+    """orjson ``default``: a non-contiguous array, such as a transposed or
+    ``.real`` view, as a C-contiguous copy, which orjson encodes natively."""
+    if isinstance(obj, np.ndarray) and not obj.flags.c_contiguous:
+        return np.ascontiguousarray(obj)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def dump_output(payload: dict, path: str | None, timestamp: bool = True) -> bytes:
     """Encode a result payload as one line of UTF-8 JSON; write it to ``path`` if given.
 
@@ -114,9 +128,12 @@ def dump_output(payload: dict, path: str | None, timestamp: bool = True) -> byte
     orjson writes sorted keys, no spaces and the shortest round-trip digits
     of every float; non-finite floats become ``null`` (RFC 8259 has no
     token for them).  The stdlib encoder took most of a 1000-draw
-    ``haar-sample`` run formatting floats.  The timestamp is attached under
-    metadata only, so stripping it recovers a byte-identical document for
-    identical (config, seed).
+    ``haar-sample`` run formatting floats.  float64 and int64 numpy arrays
+    are encoded as they stand, in the same bytes as their ``tolist()``, so
+    bulk payloads pass arrays and no Python float is made per number;
+    non-contiguous arrays are copied to C order first.  The timestamp is
+    attached under metadata only, so stripping it recovers a byte-identical
+    document for identical (config, seed).
     """
     if timestamp:
         payload = dict(payload)
@@ -125,6 +142,7 @@ def dump_output(payload: dict, path: str | None, timestamp: bool = True) -> byte
         payload["metadata"] = meta
     data = orjson.dumps(
         payload,
+        default=_contiguous,
         option=orjson.OPT_SORT_KEYS
         | orjson.OPT_APPEND_NEWLINE
         | orjson.OPT_SERIALIZE_NUMPY,

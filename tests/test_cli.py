@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,14 @@ import pytest
 import gausshaar
 from gausshaar import cli
 from gausshaar.cli import build_parser, main
+from gausshaar.densities import EnergyConstraint
+from gausshaar.haar import (
+    apply_to_vacuum,
+    euler_to_symplectic,
+    sample_haar_unitary,
+    sample_homogeneous_gaussian_unitary,
+)
+from gausshaar.montecarlo import sample_density_2p2
 from gausshaar.serialization import state_from_json_dict, write_covariance_csv
 from gausshaar.symplectic import Bipartition, canonical_state
 
@@ -144,6 +153,18 @@ class TestSampleCommand:
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["samples"]) == 10
 
+    def test_2p2_samples_equal_library_draws(self, capsys):
+        code = main(
+            [
+                "sample", "--kind", "2p2", "--EA", "2.5", "--EB", "3",
+                "--count", "50", "--seed", "6",
+            ]
+        )
+        assert code == 0
+        rng = np.random.default_rng(6)
+        rows = sample_density_2p2(EnergyConstraint(2.5, 3.0), 50, rng)
+        assert json.loads(capsys.readouterr().out)["samples"] == rows.tolist()
+
 
 class TestVerifyCommand:
     def test_self_test_passes(self, tmp_path):
@@ -245,6 +266,54 @@ class TestHaarSampleCommand:
         U = np.array(doc["draws"][0]["U_re"]) + 1j * np.array(doc["draws"][0]["U_im"])
         assert np.abs(U.conj().T @ U - np.eye(3)).max() < 1e-12
 
+    def test_draws_equal_library_draws(self, capsys):
+        assert main(["haar-sample", "--n", "3", "--count", "5", "--seed", "12"]) == 0
+        rng = np.random.default_rng(12)
+        g = sample_homogeneous_gaussian_unitary(3, 10.0, rng, size=5)
+        state = apply_to_vacuum(euler_to_symplectic(g))
+        stacks = {
+            "theta": g.theta,
+            "U_re": g.U.real,
+            "U_im": g.U.imag,
+            "s": g.s,
+            "U_prime_re": g.U_prime.real,
+            "U_prime_im": g.U_prime.imag,
+        }
+        expected = [
+            {
+                **{k: v[i].tolist() for k, v in stacks.items()},
+                "state": {
+                    "n_modes": 3,
+                    "covariance": state.covariance[i].tolist(),
+                    "displacement": state.displacement[i].tolist(),
+                },
+            }
+            for i in range(5)
+        ]
+        assert json.loads(capsys.readouterr().out)["draws"] == expected
+
+    def test_unitary_draws_equal_library_draws(self, capsys):
+        argv = ["haar-sample", "--n", "3", "--count", "5", "--seed", "12", "--unitary-only"]
+        assert main(argv) == 0
+        U = sample_haar_unitary(3, np.random.default_rng(12), size=5)
+        expected = [{"U_re": u.real.tolist(), "U_im": u.imag.tolist()} for u in U]
+        assert json.loads(capsys.readouterr().out)["draws"] == expected
+
+    def test_traced_peak_memory_per_draw(self, tmp_path):
+        # the rows are encoded straight from C-contiguous numpy stacks: about
+        # 7.2 kB per draw, of which 2.8 kB is the encoded document; nested
+        # Python-float lists of every draw took 12.3 kB
+        out = str(tmp_path / "draws.json")
+        count = 2_000
+        main(["haar-sample", "--n", "4", "--count", "20", "--output", out])
+        tracemalloc.start()
+        try:
+            assert main(["haar-sample", "--n", "4", "--count", str(count), "--output", out]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / count < 9_500
+
     def test_byte_identical_excluding_timestamp(self, capsys):
         args = ["haar-sample", "--n", "2", "--count", "1", "--seed", "11"]
         main(args)
@@ -311,6 +380,24 @@ class TestConfigPrecedence:
     def test_invalid_count_rejected(self, capsys):
         code = main(["sample", "--kind", "lambda", "--n", "1", "--count", "0"])
         assert code == 2
+
+    def test_non_integer_seed_in_environment_rejected(self, capsys, monkeypatch):
+        monkeypatch.setenv("GAUSSHAAR_SEED", "abc")
+        code = main(["sample", "--kind", "lambda", "--n", "1", "--count", "2"])
+        assert code == 2
+        assert "GAUSSHAAR_SEED" in json.loads(capsys.readouterr().err)["error"]
+
+    @pytest.mark.parametrize(
+        "conf",
+        [{"count": "abc"}, {"count": 2.5}, {"seed": 1.5}],
+        ids=["count-string", "count-float", "seed-float"],
+    )
+    def test_non_integer_config_value_rejected(self, conf, tmp_path, capsys):
+        path = tmp_path / "conf.json"
+        path.write_text(json.dumps(conf))
+        code = main(["sample", "--kind", "lambda", "--n", "1", "--config", str(path)])
+        assert code == 2
+        assert next(iter(conf)) in json.loads(capsys.readouterr().err)["error"]
 
     def test_seed_beyond_64_bits_rejected(self, capsys):
         code = main(

@@ -16,7 +16,12 @@ from gausshaar.serialization import (
     write_covariance_csv,
     write_density_grid_csv,
 )
-from gausshaar.symplectic import Bipartition, canonical_state, tmsv_state
+from gausshaar.symplectic import (
+    Bipartition,
+    GaussianPureState,
+    canonical_state,
+    tmsv_state,
+)
 
 
 class TestCovarianceCsv:
@@ -102,6 +107,55 @@ class TestDumpOutput:
             assert got.dtype == np.float64
             assert np.array_equal(sent.view(np.int64), got.view(np.int64))
         assert back == json.loads(json.dumps(payload, sort_keys=True))
+
+    def test_arrays_encode_as_their_lists(self):
+        rng = np.random.default_rng(41)
+        wide = rng.standard_normal((50, 4, 4)) * 10.0 ** rng.uniform(-300, 300, (50, 4, 4))
+        special = np.array(
+            [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16, 0.1, 1.7976931348623157e308]
+        )
+        arrays = {
+            "stack": wide,
+            "special": special,
+            "special_grid": np.tile(special, (3, 1)),
+            "ints": np.arange(-2**62, 2**62, 2**59, dtype=np.int64),
+            "empty": np.zeros((2, 0)),
+            "transposed": wide.swapaxes(-1, -2),
+            "strided": special[::3],
+        }
+        payload = {**arrays, "rows": list(wide), "metadata": {"seed": 41}}
+        twin = {k: v.tolist() for k, v in arrays.items()}
+        twin.update(rows=[row.tolist() for row in wide], metadata={"seed": 41})
+        assert dump_output(payload, None, timestamp=False) == dump_output(
+            twin, None, timestamp=False
+        )
+
+    @pytest.mark.parametrize("view", ["transposed", "real", "imag"])
+    def test_non_contiguous_view_encodes_as_its_list(self, view):
+        rng = np.random.default_rng(42)
+        z = rng.standard_normal((20, 3, 3)) + 1j * rng.standard_normal((20, 3, 3))
+        a = {
+            "transposed": z.real.copy().swapaxes(-1, -2),
+            "real": z.real,
+            "imag": z.imag,
+        }[view]
+        assert not a.flags.c_contiguous
+        assert dump_output({"a": a}, None, timestamp=False) == dump_output(
+            {"a": a.tolist()}, None, timestamp=False
+        )
+
+    def test_unencodable_array_raises_type_error(self):
+        with pytest.raises(TypeError):
+            dump_output({"z": np.ones(3, dtype=complex)}, None, timestamp=False)
+
+    def test_state_stack_encodes_as_its_lists(self):
+        states = [tmsv_state(r) for r in (0.1, 0.5, 0.9)]
+        stack = GaussianPureState(2, np.stack([s.covariance for s in states]))
+        rows = state_to_json_dict(stack)
+        assert all(isinstance(row["covariance"], np.ndarray) for row in rows)
+        assert dump_output({"s": rows}, None, timestamp=False) == dump_output(
+            {"s": [state_to_json_dict(s) for s in states]}, None, timestamp=False
+        )
 
 
 class TestSampleAndGridCsv:
