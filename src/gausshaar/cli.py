@@ -1,11 +1,26 @@
 """Command-line front-end: reproducible runs with config files and JSON output.
 
-Configuration precedence is flags > environment > config file > defaults.
-The one environment override is GAUSSHAAR_SEED (seed).  ``verify`` passes
-when the chi-square p-value of its comparison exceeds ``--p-threshold``, for
-every n.  A ``verify`` run whose effective sample size is below
-MIN_EXPECTED_PER_BIN (5) times its number of histogram bins of positive
-expected mass (275 at n = 4, where 55 of the 10 x 10 bins lie below
+Every setting of a command is one of its argparse options, which states the
+setting's default, type and choices.  Configuration precedence is flags >
+environment > config file > defaults.  A ``--config`` file holds a JSON
+object of ``{dest: value}`` pairs of the command's own options, such as
+``{"p_threshold": 0.05}`` for ``--p-threshold 0.05``.  Its pairs become flags
+just after the command, followed by ``--seed`` from GAUSSHAAR_SEED (the one
+environment override) and then the flags as given, so argparse's last-wins
+rule gives the precedence and checks every value's type and choices.  A file
+value must also have its option's JSON type: an integer (not a boolean) for
+an int option, a number for a float option, a string for a path or a
+choice, and a boolean for ``--self-test`` and ``--unitary-only``.  A key the
+command has no option for is rejected.  A flag the command requires must be
+on the command line, since the file is read once the flags have parsed.  Every invalid setting, from a flag,
+the file or the environment, exits 2 with a JSON error on stderr; so do
+argparse's usage errors, such as a missing required flag.
+
+``verify`` imposes the energy constraint exactly and takes no cutoff.  It
+passes when the chi-square p-value of its comparison exceeds
+``--p-threshold``, for every n.  A ``verify`` run whose effective sample size
+is below MIN_EXPECTED_PER_BIN (5) times its number of histogram bins of
+positive expected mass (275 at n = 4, where 55 of the 10 x 10 bins lie below
 nu1 + nu2 = 2 min(E); 100 at n = 2; at most 50 otherwise) is a degenerate
 estimate and gives no verdict: its report is still written, with
 ``degenerate`` true in the metadata and ``verification_passed`` null.
@@ -21,8 +36,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, asdict
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -48,12 +62,12 @@ from .montecarlo import (
     verify_constrained_density,
 )
 from .serialization import (
+    density_grid_csv_text,
     dump_output,
     read_state,
     report_to_json_dict,
     samples_csv_text,
     state_to_json_dict,
-    write_density_grid_csv,
 )
 from .symplectic import Bipartition, entanglement_entropy, williamson_spectrum
 
@@ -65,13 +79,13 @@ EXIT_VERIFICATION = 4
 # commands whose output has no CSV form
 JSON_ONLY = ("verify", "haar-sample")
 
-DEFAULTS = {
-    "cutoff": 10.0,
-    "count": 100_000,
-    "format": "json",
-    "seed": 0,
-    "grid": 100,
-    "p_threshold": 0.01,
+# the JSON type a config-file value must have, by the type of its option
+# (bool for the store_true flags)
+JSON_TYPES = {
+    int: (int, "an integer"),
+    float: ((int, float), "a number"),
+    None: (str, "a string"),
+    bool: (bool, "a boolean"),
 }
 
 
@@ -79,51 +93,37 @@ class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
 
 
-@dataclass
-class RunConfig:
-    """Fully resolved parameters of one CLI invocation."""
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise ConfigError.
 
-    command: str
-    n_A: Optional[int] = None
-    n_B: Optional[int] = None
-    E_A: Optional[float] = None
-    E_B: Optional[float] = None
-    E: Optional[float] = None
-    n: Optional[int] = None
-    kind: Optional[str] = None
-    cutoff: float = DEFAULTS["cutoff"]
-    count: int = DEFAULTS["count"]
-    seed: int = DEFAULTS["seed"]
-    grid: int = DEFAULTS["grid"]
-    input_path: Optional[str] = None
-    output_path: Optional[str] = None
-    format: str = DEFAULTS["format"]
-    self_test: bool = False
-    unitary_only: bool = False
-    p_threshold: float = DEFAULTS["p_threshold"]
+    ``settable`` maps the dest of each option a config file may set to its
+    Action; ``commands`` maps each command to its subparser.
+    """
 
-    def require(self, *names):
-        missing = [x for x in names if getattr(self, x) is None]
-        if missing:
-            raise ConfigError(
-                f"command {self.command!r} requires: {', '.join(missing)}"
-            )
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.settable: dict[str, argparse.Action] = {}
+        self.commands: dict[str, _Parser] = {}
 
-    def echo(self) -> dict:
-        return {k: v for k, v in asdict(self).items() if v is not None}
+    def option(self, *flags, **kwargs) -> argparse.Action:
+        """``add_argument`` for a setting that a config file may also give."""
+        action = self.add_argument(*flags, **kwargs)
+        self.settable[action.dest] = action
+        return action
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--config", help="JSON config file (overridden by flags)")
-    p.add_argument("--output", dest="output_path", default=argparse.SUPPRESS)
-    p.add_argument(
-        "--format", choices=["csv", "json"], default=argparse.SUPPRESS
-    )
-    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+def _add_common(p: _Parser):
+    p.add_argument("--config", help="JSON config file of {dest: value} settings")
+    p.option("--output", dest="output_path", help="output file (default: stdout)")
+    p.option("--format", choices=["csv", "json"], default="json")
+    p.option("--seed", type=int, default=0)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def build_parser() -> _Parser:
+    parser = _Parser(
         prog="gausshaar",
         description="Invariant measures on Gaussian pure states: "
         "decomposition, densities, sampling and Monte Carlo verification.",
@@ -131,131 +131,143 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("williamson", help="symplectic spectrum of a covariance file")
-    p.add_argument("--input", dest="input_path", required=True)
-    p.add_argument("--nA", dest="n_A", type=int, required=True)
-    p.add_argument("--nB", dest="n_B", type=int, required=True)
-    _add_common(p)
+    def command(name: str, help: str) -> _Parser:
+        p = parser.commands[name] = sub.add_parser(name, help=help)
+        return p
 
-    p = sub.add_parser("entropy", help="entanglement entropy of a covariance file")
-    p.add_argument("--input", dest="input_path", required=True)
-    p.add_argument("--nA", dest="n_A", type=int, required=True)
-    p.add_argument("--nB", dest="n_B", type=int, required=True)
-    _add_common(p)
+    for name, what in (
+        ("williamson", "symplectic spectrum"),
+        ("entropy", "entanglement entropy"),
+    ):
+        p = command(name, f"{what} of a covariance file")
+        p.option("--input", dest="input_path", required=True)
+        p.option("--nA", dest="n_A", type=int, required=True)
+        p.option("--nB", dest="n_B", type=int, required=True)
+        _add_common(p)
 
-    p = sub.add_parser("density", help="evaluate an analytic density on a grid")
-    p.add_argument(
+    p = command("density", "evaluate an analytic density on a grid")
+    p.option(
         "--kind",
         required=True,
         choices=["unconstrained", "1p1", "2p2", "submanifold", "submanifold-energy"],
     )
-    p.add_argument("--nA", dest="n_A", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--nB", dest="n_B", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--EA", dest="E_A", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--EB", dest="E_B", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--E", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--n", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--grid", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--numax", dest="cutoff", type=float, default=argparse.SUPPRESS)
+    p.option("--nA", dest="n_A", type=int)
+    p.option("--nB", dest="n_B", type=int)
+    p.option("--EA", dest="E_A", type=float)
+    p.option("--EB", dest="E_B", type=float)
+    p.option("--E", type=float)
+    p.option("--n", type=int)
+    p.option("--grid", type=int, default=100)
+    p.option("--numax", type=float, default=10.0,
+             help="upper end of the nu axes of the unconstrained and submanifold grids")
     _add_common(p)
 
-    p = sub.add_parser("sample", help="draw from a closed-form density")
-    p.add_argument(
-        "--kind", required=True, choices=["2p2", "submanifold-energy", "lambda"]
-    )
-    p.add_argument("--EA", dest="E_A", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--EB", dest="E_B", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--E", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--n", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--count", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--cutoff", type=float, default=argparse.SUPPRESS)
+    p = command("sample", "draw from a closed-form density")
+    p.option("--kind", required=True, choices=["2p2", "submanifold-energy", "lambda"])
+    p.option("--EA", dest="E_A", type=float)
+    p.option("--EB", dest="E_B", type=float)
+    p.option("--E", type=float)
+    p.option("--n", type=int)
+    p.option("--count", type=int, default=100_000)
+    p.option("--cutoff", type=float, default=10.0)
     _add_common(p)
 
-    p = sub.add_parser(
-        "verify", help="Monte Carlo verification of a constrained density"
-    )
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--EA", dest="E_A", type=float, required=True)
-    p.add_argument("--EB", dest="E_B", type=float, required=True)
-    p.add_argument("--count", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--cutoff", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--self-test", dest="self_test", action="store_true",
-                   default=argparse.SUPPRESS)
-    p.add_argument("--p-threshold", dest="p_threshold", type=float,
-                   default=argparse.SUPPRESS)
+    p = command("verify", "Monte Carlo verification of a constrained density")
+    p.option("--n", type=int, required=True)
+    p.option("--EA", dest="E_A", type=float, required=True)
+    p.option("--EB", dest="E_B", type=float, required=True)
+    p.option("--count", type=int, default=100_000)
+    p.option("--self-test", dest="self_test", action="store_true")
+    p.option("--p-threshold", dest="p_threshold", type=float, default=0.01)
     _add_common(p)
 
-    p = sub.add_parser(
-        "haar-sample", help="sample Haar unitaries or Gaussian unitaries"
-    )
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--count", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--cutoff", type=float, default=argparse.SUPPRESS)
-    p.add_argument(
+    p = command("haar-sample", "sample Haar unitaries or Gaussian unitaries")
+    p.option("--n", type=int, required=True)
+    p.option("--count", type=int, default=100_000)
+    p.option("--cutoff", type=float, default=10.0)
+    p.option(
         "--unitary-only",
         dest="unitary_only",
         action="store_true",
-        default=argparse.SUPPRESS,
         help="emit plain Haar unitaries instead of full Gaussian unitaries",
     )
     _add_common(p)
     return parser
 
 
-def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Merge defaults < config file < environment < flags into a RunConfig.
+def _file_flags(command: _Parser, path: str) -> list[str]:
+    """The flags of ``command`` that the settings in the JSON file ``path`` stand for."""
+    try:
+        with open(path) as fh:
+            settings = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}")
+    if not isinstance(settings, dict):
+        raise ConfigError("config file must hold a JSON object")
+    flags = []
+    for dest, value in settings.items():
+        action = command.settable.get(dest)
+        if action is None:
+            raise ConfigError(f"unknown configuration key {dest!r} for {command.prog!r}")
+        flag = action.option_strings[0]
+        kind, name = JSON_TYPES[bool if action.nargs == 0 else action.type]
+        # a JSON true is a Python int too
+        if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
+            raise ConfigError(f"configuration key {dest!r} must be {name}, got {value!r}")
+        if kind is not bool:
+            flags.append(f"{flag}={value}")
+        elif value:
+            flags.append(flag)
+    return flags
 
-    Raises ConfigError (exit 2) on a malformed value, including a seed or
-    count that is not an integer.
+
+def parse_config(argv=None) -> argparse.Namespace:
+    """The run configuration of ``argv``: flags > GAUSSHAAR_SEED > config file > defaults.
+
+    Raises ConfigError (exit 2) on any invalid setting.
     """
-    merged = dict(DEFAULTS)
-    ns = vars(args).copy()
-    config_path = ns.pop("config", None)
-    if config_path:
-        try:
-            with open(config_path) as fh:
-                file_conf = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config file {config_path}: {exc}")
-        if not isinstance(file_conf, dict):
-            raise ConfigError("config file must hold a JSON object")
-        merged.update(file_conf)
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(argv)
+    flags = _file_flags(parser.commands[args.command], args.config) if args.config else []
     if "GAUSSHAAR_SEED" in os.environ:
         try:
-            merged["seed"] = int(os.environ["GAUSSHAAR_SEED"])
+            flags.append(f"--seed={int(os.environ['GAUSSHAAR_SEED'])}")
         except ValueError:
-            raise ConfigError("GAUSSHAAR_SEED must be an integer")
-    merged.update({k: v for k, v in ns.items() if v is not None})
-    for name in ("seed", "count"):
-        if type(merged[name]) is not int:
-            raise ConfigError(f"{name} must be an integer, got {merged[name]!r}")
-    if merged["count"] < 1:
+            raise ConfigError("GAUSSHAAR_SEED must be an integer") from None
+    if flags:
+        # argv[0] is the command: no top-level option takes a value
+        args = parser.parse_args([argv[0], *flags, *argv[1:]])
+    del args.config
+    if "count" in args and args.count < 1:
         raise ConfigError("count must be positive")
     # the seed is echoed in JSON, whose encoder takes 64-bit integers
-    if not 0 <= merged["seed"] < 2**64:
+    if not 0 <= args.seed < 2**64:
         raise ConfigError("seed must be in [0, 2**64)")
-    allowed = set(RunConfig.__dataclass_fields__)
-    unknown = set(merged) - allowed
-    if unknown:
-        raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
-    try:
-        return RunConfig(**merged)
-    except TypeError as exc:
-        raise ConfigError(str(exc))
+    if args.format == "csv" and args.command in JSON_ONLY:
+        raise ConfigError(f"command {args.command!r} writes JSON only, not csv")
+    return args
 
 
-def _metadata(config: RunConfig) -> dict:
-    return {"tool_version": __version__, "config": config.echo(), "seed": config.seed}
+def _require(config: argparse.Namespace, *names):
+    missing = [name for name in names if getattr(config, name) is None]
+    if missing:
+        raise ConfigError(f"command {config.command!r} requires: {', '.join(missing)}")
+
+
+def _metadata(config: argparse.Namespace) -> dict:
+    settings = {k: v for k, v in vars(config).items() if v is not None}
+    return {"tool_version": __version__, "config": settings, "seed": config.seed}
 
 
 def _emit(
-    payload: dict, config: RunConfig, csv_text: Callable[[], str] | None = None
+    payload: dict, config: argparse.Namespace, csv_text: Callable[[], str] | None = None
 ) -> None:
     """Write the JSON payload, or in CSV mode the text ``csv_text()`` builds."""
     if config.format == "csv":
         text = csv_text()
         if config.output_path:
-            with open(config.output_path, "w") as fh:
+            with open(config.output_path, "w", newline="") as fh:
                 fh.write(text)
         else:
             sys.stdout.write(text)
@@ -266,8 +278,7 @@ def _emit(
         sys.stdout.buffer.write(data)
 
 
-def _cmd_williamson(config: RunConfig) -> int:
-    config.require("input_path", "n_A", "n_B")
+def _cmd_williamson(config: argparse.Namespace) -> int:
     state = read_state(config.input_path)
     spectrum = williamson_spectrum(state, Bipartition(config.n_A, config.n_B))
     payload = {
@@ -284,8 +295,7 @@ def _cmd_williamson(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_entropy(config: RunConfig) -> int:
-    config.require("input_path", "n_A", "n_B")
+def _cmd_entropy(config: argparse.Namespace) -> int:
     state = read_state(config.input_path)
     spectrum = williamson_spectrum(state, Bipartition(config.n_A, config.n_B))
     entropy = entanglement_entropy(spectrum)
@@ -298,71 +308,62 @@ def _cmd_entropy(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _density_grid(config: RunConfig) -> dict:
+def _density_grid(config: argparse.Namespace) -> dict:
     kind = config.kind
     if kind == "1p1":
-        config.require("E_A", "E_B")
+        _require(config, "E_A", "E_B")
         constraint = EnergyConstraint(config.E_A, config.E_B)
         nu = np.linspace(1.0, 2.0 * constraint.min_energy, config.grid)
         return {"nu": nu, "density": density_1p1(nu, constraint)}
     if kind == "2p2":
-        config.require("E_A", "E_B")
+        _require(config, "E_A", "E_B")
         constraint = EnergyConstraint(config.E_A, config.E_B)
         axis = np.linspace(1.0, 2.0 * constraint.min_energy - 1.0, config.grid)
         X, Y = np.meshgrid(axis, axis, indexing="ij")
         return {"nu_1": X, "nu_2": Y, "density": density_2p2(X, Y, constraint)}
     if kind == "submanifold-energy":
-        config.require("E", "n")
+        _require(config, "E", "n")
         if config.n != 4:
             raise ConfigError("grid output is implemented for --n 4")
         nu1 = np.linspace(1.0, 2.0 * config.E - 1.0, config.grid)
         nu2 = 2.0 * config.E - nu1
-        dens = np.array(
-            [density_submanifold_energy([a, b], config.E, 4) for a, b in zip(nu1, nu2)]
-        )
+        dens = density_submanifold_energy(np.stack([nu1, nu2], axis=-1), config.E, 4)
         return {"nu_1": nu1, "nu_2": nu2, "density": dens}
     # unnormalized log densities over [1, numax]^{n_A}
-    config.require("n_A", "n_B")
+    _require(config, "n_A", "n_B")
     fn = log_density_unconstrained if kind == "unconstrained" else log_density_submanifold
     if config.n_A == 1:
-        nu = np.linspace(1.0, config.cutoff, config.grid)
+        nu = np.linspace(1.0, config.numax, config.grid)
         return {"nu": nu, "log_density": fn(nu[:, np.newaxis], config.n_A, config.n_B)}
     if config.n_A == 2:
-        axis = np.linspace(1.0, config.cutoff, config.grid)
+        axis = np.linspace(1.0, config.numax, config.grid)
         X, Y = np.meshgrid(axis, axis, indexing="ij")
         vals = fn(np.stack([X, Y], axis=-1), config.n_A, config.n_B)
         return {"nu_1": X, "nu_2": Y, "log_density": vals}
     raise ConfigError("grid output is implemented for n_A in {1, 2}")
 
 
-def _cmd_density(config: RunConfig) -> int:
+def _cmd_density(config: argparse.Namespace) -> int:
     grid = _density_grid(config)
-    if config.format == "csv" or (
-        config.output_path and str(config.output_path).endswith(".csv")
-    ):
-        if not config.output_path:
-            raise ConfigError("csv density grids require --output")
-        write_density_grid_csv(grid, config.output_path)
-        return EXIT_OK
     payload = {name: np.asarray(col).ravel() for name, col in grid.items()}
     payload["metadata"] = _metadata(config)
-    _emit(payload, config)
+    _emit(payload, config, lambda: density_grid_csv_text(grid))
     return EXIT_OK
 
 
-def _cmd_sample(config: RunConfig) -> int:
+def _cmd_sample(config: argparse.Namespace) -> int:
     rng = np.random.default_rng(config.seed)
     if config.kind == "2p2":
-        config.require("E_A", "E_B")
+        _require(config, "E_A", "E_B")
         constraint = EnergyConstraint(config.E_A, config.E_B)
         samples = sample_density_2p2(constraint, config.count, rng)
         energies = (config.E_A, config.E_B)
     elif config.kind == "submanifold-energy":
-        config.require("E", "n")
+        _require(config, "E", "n")
         samples = sample_submanifold_energy(config.n, config.E, config.count, rng)
         energies = (config.E, config.E)
     else:  # lambda
-        config.require("n")
+        _require(config, "n")
         samples = sample_lambda(config.n, config.cutoff, rng, size=config.count)
         energies = (float("nan"), float("nan"))
     payload = {
@@ -373,14 +374,12 @@ def _cmd_sample(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(config: RunConfig) -> int:
-    config.require("n", "E_A", "E_B")
+def _cmd_verify(config: argparse.Namespace) -> int:
     constraint = EnergyConstraint(config.E_A, config.E_B)
     report = verify_constrained_density(
         config.n,
         constraint,
         config.count,
-        cutoff=config.cutoff,
         seed=config.seed,
         self_test=config.self_test,
     )
@@ -402,8 +401,7 @@ def _cmd_verify(config: RunConfig) -> int:
     return EXIT_OK if passed else EXIT_VERIFICATION
 
 
-def _cmd_haar_sample(config: RunConfig) -> int:
-    config.require("n")
+def _cmd_haar_sample(config: argparse.Namespace) -> int:
     rng = np.random.default_rng(config.seed)
     if config.unitary_only:
         U = sample_haar_unitary(config.n, rng, size=config.count)
@@ -432,19 +430,14 @@ def _cmd_haar_sample(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def run(config: RunConfig) -> int:
-    """Dispatch a resolved configuration; returns the process exit code."""
-    if config.format == "csv" and config.command in JSON_ONLY:
-        raise ConfigError(f"command {config.command!r} writes JSON only, not csv")
-    handlers = {
-        "williamson": _cmd_williamson,
-        "entropy": _cmd_entropy,
-        "density": _cmd_density,
-        "sample": _cmd_sample,
-        "verify": _cmd_verify,
-        "haar-sample": _cmd_haar_sample,
-    }
-    return handlers[config.command](config)
+COMMANDS = {
+    "williamson": _cmd_williamson,
+    "entropy": _cmd_entropy,
+    "density": _cmd_density,
+    "sample": _cmd_sample,
+    "verify": _cmd_verify,
+    "haar-sample": _cmd_haar_sample,
+}
 
 
 def _error_json(code: int, message: str) -> None:
@@ -452,22 +445,13 @@ def _error_json(code: int, message: str) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        config = resolve_config(args)
-    except ConfigError as exc:
-        _error_json(EXIT_CONFIG, str(exc))
-        return EXIT_CONFIG
-    try:
-        return run(config)
-    except ConfigError as exc:
-        _error_json(EXIT_CONFIG, str(exc))
-        return EXIT_CONFIG
+        config = parse_config(argv)
+        return COMMANDS[config.command](config)
     except (np.linalg.LinAlgError, RuntimeError) as exc:
         _error_json(EXIT_NUMERICAL, str(exc))
         return EXIT_NUMERICAL
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ConfigError included
         _error_json(EXIT_CONFIG, str(exc))
         return EXIT_CONFIG
 

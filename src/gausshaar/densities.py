@@ -255,6 +255,8 @@ def density_submanifold_energy(nu, E: float, n: int):
     to prod (nu_h - nu_k)^2 on {nu_j >= 1, sum nu_j = 2E}, normalized with
     respect to Lebesgue measure in the first m - 1 coordinates.  For m = 1
     the simplex is a point and the density is the constant 1 at nu = 2E.
+    nu has shape (..., m); returns the stack (...) of values, or a float for
+    a single vector.  Every point must lie on the simplex.
     """
     if n % 2 != 0 or n < 2:
         raise ValueError("n must be a positive even number of modes")
@@ -262,13 +264,15 @@ def density_submanifold_energy(nu, E: float, n: int):
     if 2.0 * E < m:
         raise ValueError("2E < n/2: the energy simplex is empty")
     nu = np.atleast_1d(np.asarray(nu, dtype=float))
-    if nu.size != m:
-        raise ValueError(f"need {m} eigenvalues, got {nu.size}")
+    if nu.shape[-1] != m:
+        raise ValueError(f"need {m} eigenvalues, got {nu.shape[-1]}")
     _check_nu(nu)
-    if abs(nu.sum() - 2.0 * E) > SIMPLEX_SLACK * max(1.0, 2.0 * E):
+    if np.any(np.abs(nu.sum(axis=-1) - 2.0 * E) > SIMPLEX_SLACK * max(1.0, 2.0 * E)):
         raise ValueError("nu does not lie on the simplex sum(nu) = 2E")
     if m == 1:
-        return 1.0
-    if 2.0 * E == m:
+        val = np.ones(nu.shape[:-1])
+    elif 2.0 * E == m:
         raise ValueError("2E = n/2: the energy simplex is the single point nu = 1")
-    return float(vandermonde_repulsion(nu) ** 2) / _norm_submanifold_energy(m, E)
+    else:
+        val = vandermonde_repulsion(nu) ** 2 / _norm_submanifold_energy(m, E)
+    return float(val) if val.ndim == 0 else val

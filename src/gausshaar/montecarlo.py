@@ -399,9 +399,9 @@ def verify_constrained_density(
     """End-to-end reconstruction of P(nu | E_A, E_B) under the exact constraint.
 
     The Dirac energy constraint of each subsystem is imposed exactly; the
-    constraint's ``shell_width`` is not read.  ``cutoff`` bounds the
-    squeezing weights: it must reach 1 + 2 max(E) - n/2, the largest lambda
-    the constraint allows, so that the law is not truncated.  Every even n
+    constraint's ``shell_width`` is not read, and neither is ``cutoff``: the
+    squeezing weights are integrated over the whole constrained simplex, with
+    no lambda box.  Both stay accepted for existing callers.  Every even n
     is compared with the closed-form balanced law: n = 4 with a 2D
     chi-square of (nu1, nu2) and a KS of nu1 + nu2, every other n with a
     histogram (20 bins at n = 2, 10 otherwise), a chi-square and a KS of
@@ -420,12 +420,6 @@ def verify_constrained_density(
             f"2 min(E_A, E_B) = {2.0 * constraint.min_energy:.6g} must exceed "
             f"n/2 = {m} (empty support)"
         )
-    # lambda_h = 1 + mu_h / c_h with mu_h <= 2E - sum(nu) and c_h >= 1
-    needed = 1.0 + 2.0 * max(constraint.E_A, constraint.E_B) - m
-    if not self_test and cutoff < needed:
-        raise ValueError(
-            f"cutoff {cutoff} too small for the energy constraint (needs {needed:.3g})"
-        )
     rng = np.random.default_rng(seed)
     sizes = [min(BLOCK, count - start) for start in range(0, count, BLOCK)]
     if self_test:
@@ -435,7 +429,6 @@ def verify_constrained_density(
     metadata = {
         "seed": seed,
         "proposal_count": count,
-        "cutoff": cutoff,
         "n": n,
         "E_A": constraint.E_A,
         "E_B": constraint.E_B,

@@ -100,17 +100,6 @@ def report_to_json_dict(report: HistogramReport) -> dict:
     }
 
 
-def write_density_grid_csv(grid_columns: dict, path) -> None:
-    """Plot-ready CSV of density evaluations: nu columns then a density column."""
-    names = list(grid_columns)
-    columns = [np.asarray(grid_columns[name]).ravel() for name in names]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        for row in zip(*columns):
-            writer.writerow(_format_row(row))
-
-
 def _contiguous(obj):
     """orjson ``default``: a non-contiguous array, such as a transposed or
     ``.real`` view, as a C-contiguous copy, which orjson encodes natively."""
@@ -161,3 +150,14 @@ def samples_csv_text(samples: np.ndarray, energies) -> str:
     row = ",".join([FLOAT_FMT] * m)
     tail = "," + ",".join(_format_row(energies)) + "\r\n"
     return header + "\r\n" + "".join(row % tuple(r) + tail for r in samples.tolist())
+
+
+def density_grid_csv_text(grid_columns: dict) -> str:
+    """Plot-ready CSV of density evaluations: nu columns then a density column.
+
+    One grid point per row, with CRLF line ends, as csv writes.
+    """
+    names = list(grid_columns)
+    columns = [np.asarray(grid_columns[name]).ravel().tolist() for name in names]
+    row = ",".join([FLOAT_FMT] * len(names)) + "\r\n"
+    return ",".join(names) + "\r\n" + "".join(row % r for r in zip(*columns))

@@ -125,6 +125,16 @@ class TestDensityCommand:
         assert len(nulls) == 144
         assert nulls == diagonal
 
+    def test_csv_to_stdout_equals_csv_file(self, tmp_path, capsys):
+        argv = ["density", "--kind", "submanifold-energy", "--n", "4", "--E", "2.5",
+                "--grid", "7", "--format", "csv"]
+        out = tmp_path / "grid.csv"
+        assert main([*argv, "--output", str(out)]) == 0
+        assert main(argv) == 0
+        text = capsys.readouterr().out
+        assert text.startswith("nu_1,nu_2,density\r\n")
+        assert out.read_bytes() == text.encode()
+
     def test_missing_energy_is_config_error(self, capsys):
         code = main(["density", "--kind", "2p2", "--EA", "2.5"])
         assert code == 2
@@ -205,7 +215,7 @@ class TestVerifyCommand:
         code = main(
             [
                 "verify", "--n", "12", "--EA", "7", "--EB", "7",
-                "--count", "2000", "--cutoff", "20", "--output", str(out),
+                "--count", "2000", "--output", str(out),
             ]
         )
         # the ESS of this run (about 32) is below the floor of 50, and does
@@ -399,6 +409,71 @@ class TestConfigPrecedence:
         assert code == 2
         assert next(iter(conf)) in json.loads(capsys.readouterr().err)["error"]
 
+    @pytest.mark.parametrize(
+        "argv, conf, sampler",
+        [
+            (["sample", "--kind", "lambda", "--n", "1"], {"cutoff": "abc"}, "sample_lambda"),
+            (["sample", "--kind", "lambda", "--n", "1"], {"format": "xml"}, "sample_lambda"),
+            (["sample", "--kind", "lambda", "--n", "1"], {"count": "7"}, "sample_lambda"),
+            (["sample", "--kind", "lambda", "--n", "1"], {"count": True}, "sample_lambda"),
+            (["verify", "--n", "4", "--EA", "2.5", "--EB", "2.5", "--count", "20000"],
+             {"self_test": "no"}, "verify_constrained_density"),
+            (["verify", "--n", "4", "--EA", "2.5", "--EB", "2.5"],
+             {"p_threshold": "0.5"}, "verify_constrained_density"),
+            (["verify", "--n", "4", "--EA", "2.5", "--EB", "2.5"],
+             {"grid": 5}, "verify_constrained_density"),
+            (["density", "--kind", "1p1", "--EA", "2", "--EB", "3"],
+             {"grid": "abc"}, "density_1p1"),
+        ],
+        ids=["cutoff-string", "format-choice", "count-string", "count-boolean",
+             "self-test-string", "p-threshold-string", "key-of-another-command",
+             "grid-string"],
+    )
+    def test_invalid_config_value_rejected_before_sampling(
+        self, argv, conf, sampler, tmp_path, monkeypatch, capsys
+    ):
+        def fail(*args, **kwargs):
+            raise AssertionError("sampled with an invalid configuration")
+
+        monkeypatch.setattr(cli, sampler, fail)
+        path = tmp_path / "conf.json"
+        path.write_text(json.dumps(conf))
+        out = tmp_path / "out.json"
+        code = main([*argv, "--config", str(path), "--output", str(out)])
+        assert code == 2
+        assert not out.exists()
+        error = json.loads(capsys.readouterr().err)
+        assert error["exit_code"] == 2
+        assert next(iter(conf)) in error["error"]
+
+    def test_flag_overrides_config_file_float(self, tmp_path, capsys):
+        # the cutoff bounds the squeezing weights, so s = arccosh(lambda) / 4
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"cutoff": 1.5}))
+        argv = ["haar-sample", "--n", "3", "--count", "50", "--config", str(conf)]
+        assert main(argv) == 0
+        from_file = json.loads(capsys.readouterr().out)
+        assert main([*argv, "--cutoff", "200"]) == 0
+        from_flag = json.loads(capsys.readouterr().out)
+        assert from_file["metadata"]["config"]["cutoff"] == 1.5
+        assert from_flag["metadata"]["config"]["cutoff"] == 200.0
+        s_file = np.array([draw["s"] for draw in from_file["draws"]])
+        s_flag = np.array([draw["s"] for draw in from_flag["draws"]])
+        assert s_file.max() <= np.arccosh(1.5) / 4
+        assert s_flag.max() > np.arccosh(1.5) / 4
+
+    def test_config_file_sets_boolean_flag(self, tmp_path, capsys):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"unitary_only": True, "count": 2}))
+        assert main(["haar-sample", "--n", "2", "--config", str(conf)]) == 0
+        draws = json.loads(capsys.readouterr().out)["draws"]
+        assert [sorted(draw) for draw in draws] == [["U_im", "U_re"]] * 2
+
+    def test_usage_error_is_json(self, capsys):
+        code = main(["verify", "--n", "4", "--EA", "2.5"])
+        assert code == 2
+        assert "--EB" in json.loads(capsys.readouterr().err)["error"]
+
     def test_seed_beyond_64_bits_rejected(self, capsys):
         code = main(
             ["sample", "--kind", "lambda", "--n", "1", "--seed", str(2**64)]
@@ -501,8 +576,7 @@ def test_very_unequal_energies_give_finite_statistics(E_A, tmp_path):
     out = tmp_path / "report.json"
     run = _run_python(
         "-m", "gausshaar.cli", "verify", "--n", "20", "--EA", E_A,
-        "--EB", "1000000", "--count", "200", "--cutoff", "3000000",
-        "--output", str(out), check=False,
+        "--EB", "1000000", "--count", "200", "--output", str(out), check=False,
     )
     assert run.returncode == 3, run.stderr
     assert "Traceback" not in run.stderr and "overflow" not in run.stderr

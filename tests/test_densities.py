@@ -329,11 +329,22 @@ class TestSubmanifoldDensities:
         width = 2.0 * E - m
         points = 1.0 + width * rng.dirichlet(np.ones(m), size=20_000)
         points[:, -1] = 2.0 * E - points[:, :-1].sum(axis=1)
-        vals = np.array([density_submanifold_energy(p, E, 2 * m) for p in points])
+        vals = density_submanifold_energy(points, E, 2 * m)
         assert vals.min() >= 0.0
         volume = width ** (m - 1) / math.factorial(m - 1)
         mean, stderr = vals.mean(), vals.std(ddof=1) / np.sqrt(vals.size)
         assert abs(volume * mean - 1.0) < 4 * volume * stderr
+
+    @pytest.mark.parametrize("m, E", [(1, 2.0), (2, 2.0), (3, 3.0)])
+    def test_fixed_energy_stack_equals_single_vectors(self, m, E):
+        rng = np.random.default_rng(60 + m)
+        points = 1.0 + (2.0 * E - m) * rng.dirichlet(np.ones(m), size=50)
+        points[:, -1] = 2.0 * E - points[:, :-1].sum(axis=1)
+        stack = density_submanifold_energy(points.reshape(5, 10, m), E, 2 * m)
+        singles = [density_submanifold_energy(p, E, 2 * m) for p in points]
+        assert stack.shape == (5, 10)
+        assert all(type(v) is float for v in singles)
+        assert np.array_equal(stack.ravel(), singles)
 
     def test_fixed_energy_positive_at_n6(self):
         assert density_submanifold_energy([3.0, 2.0, 1.0], 3.0, 6) > 0.0

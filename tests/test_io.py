@@ -6,6 +6,7 @@ import pytest
 from gausshaar.densities import EnergyConstraint
 from gausshaar.montecarlo import verify_constrained_density
 from gausshaar.serialization import (
+    density_grid_csv_text,
     dump_output,
     read_covariance_csv,
     read_state,
@@ -14,7 +15,6 @@ from gausshaar.serialization import (
     state_from_json_dict,
     state_to_json_dict,
     write_covariance_csv,
-    write_density_grid_csv,
 )
 from gausshaar.symplectic import (
     Bipartition,
@@ -166,11 +166,11 @@ class TestSampleAndGridCsv:
         assert len(lines) == 3
         assert [float(x) for x in lines[1].split(",")] == [1.5, 2.5, 2.5, 2.5]
 
-    def test_grid_csv_round_trip_precision(self, tmp_path):
-        path = tmp_path / "grid.csv"
+    def test_grid_csv_round_trip_precision(self):
         nu = np.array([1.0 + 1e-16 + 0.1, 2.0 / 3.0])
-        write_density_grid_csv({"nu": nu, "density": nu**2}, path)
-        lines = path.read_text().splitlines()
+        text = density_grid_csv_text({"nu": nu, "density": nu**2})
+        assert text.count("\r\n") == 3
+        lines = text.splitlines()
         assert lines[0] == "nu,density"
         parsed = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
         assert np.array_equal(parsed[:, 0], nu)

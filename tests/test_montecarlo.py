@@ -372,11 +372,6 @@ class TestVerifyPipeline:
         )
         assert 0.0 < meta["max_weight_share"] < 1e-3
 
-    def test_cutoff_too_small_rejected(self):
-        c = EnergyConstraint(3.0, 3.0)
-        with pytest.raises(ValueError):
-            verify_constrained_density(2, c, 1000, cutoff=4.0, seed=0)
-
     def test_generic_n_matches_closed_form(self):
         # n = 6 is compared through S = sum(nu) against the balanced law
         c = EnergyConstraint(2.0, 2.0, 0.4)
