@@ -22,7 +22,6 @@ from .symplectic import (
 )
 from .haar import (
     EulerGaussianUnitary,
-    LambdaVector,
     apply_to_vacuum,
     euler_to_symplectic,
     passive_symplectic,
@@ -34,7 +33,6 @@ from .haar import (
 from .densities import (
     EnergyConstraint,
     balanced_sum_law,
-    density_1p1,
     density_2p2,
     density_balanced,
     density_submanifold_energy,
@@ -67,7 +65,6 @@ __all__ = [
     "tmsv_state",
     "williamson_spectrum",
     "EulerGaussianUnitary",
-    "LambdaVector",
     "apply_to_vacuum",
     "euler_to_symplectic",
     "passive_symplectic",
@@ -77,7 +74,6 @@ __all__ = [
     "squeeze_symplectic",
     "EnergyConstraint",
     "balanced_sum_law",
-    "density_1p1",
     "density_2p2",
     "density_balanced",
     "density_submanifold_energy",

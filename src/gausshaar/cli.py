@@ -11,10 +11,11 @@ rule gives the precedence and checks every value's type and choices.  A file
 value must also have its option's JSON type: an integer (not a boolean) for
 an int option, a number for a float option, a string for a path or a
 choice, and a boolean for ``--self-test`` and ``--unitary-only``.  A key the
-command has no option for is rejected.  A flag the command requires must be
-on the command line, since the file is read once the flags have parsed.  Every invalid setting, from a flag,
-the file or the environment, exits 2 with a JSON error on stderr; so do
-argparse's usage errors, such as a missing required flag.
+command has no option for is rejected.  The file is read before the flags
+parse, so it may also set a flag the command requires, such as ``{"n": 4}``
+for ``verify``.  Every invalid setting, from a flag, the file or the
+environment, exits 2 with a JSON error on stderr; so do argparse's usage
+errors, such as a missing required flag.
 
 ``verify`` imposes the energy constraint exactly and takes no cutoff.  It
 passes when the chi-square p-value of its comparison exceeds
@@ -24,10 +25,10 @@ positive expected mass (275 at n = 4, where 55 of the 10 x 10 bins lie below
 nu1 + nu2 = 2 min(E); 100 at n = 2; at most 50 otherwise) is a degenerate
 estimate and gives no verdict: its report is still written, with
 ``degenerate`` true in the metadata and ``verification_passed`` null.
-``verify`` and ``haar-sample`` write JSON only.  Exit codes: 0 success,
-2 invalid configuration, 3 numerical failure (including a degenerate
-``verify`` estimate), 4 statistical verification failure (the report is
-still written).
+``verify`` and ``haar-sample`` write JSON only and take no ``--format``.
+Exit codes: 0 success, 2 invalid configuration, 3 numerical failure
+(including a degenerate ``verify`` estimate), 4 statistical verification
+failure (the report is still written).
 """
 
 from __future__ import annotations
@@ -43,8 +44,7 @@ import numpy as np
 from . import __version__
 from .densities import (
     EnergyConstraint,
-    density_1p1,
-    density_2p2,
+    density_balanced,
     density_submanifold_energy,
     log_density_submanifold,
     log_density_unconstrained,
@@ -56,11 +56,7 @@ from .haar import (
     sample_homogeneous_gaussian_unitary,
     sample_lambda,
 )
-from .montecarlo import (
-    sample_density_2p2,
-    sample_submanifold_energy,
-    verify_constrained_density,
-)
+from .montecarlo import sample_balanced, sample_submanifold_energy, verify_constrained_density
 from .serialization import (
     density_grid_csv_text,
     dump_output,
@@ -75,9 +71,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_VERIFICATION = 4
-
-# commands whose output has no CSV form
-JSON_ONLY = ("verify", "haar-sample")
 
 # the JSON type a config-file value must have, by the type of its option
 # (bool for the store_true flags)
@@ -115,10 +108,13 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_common(p: _Parser):
+def _add_common(p: _Parser, csv: bool = True):
     p.add_argument("--config", help="JSON config file of {dest: value} settings")
     p.option("--output", dest="output_path", help="output file (default: stdout)")
-    p.option("--format", choices=["csv", "json"], default="json")
+    if csv:
+        p.option("--format", choices=["csv", "json"], default="json")
+    else:
+        p.set_defaults(format="json")
     p.option("--seed", type=int, default=0)
 
 
@@ -179,7 +175,7 @@ def build_parser() -> _Parser:
     p.option("--count", type=int, default=100_000)
     p.option("--self-test", dest="self_test", action="store_true")
     p.option("--p-threshold", dest="p_threshold", type=float, default=0.01)
-    _add_common(p)
+    _add_common(p, csv=False)
 
     p = command("haar-sample", "sample Haar unitaries or Gaussian unitaries")
     p.option("--n", type=int, required=True)
@@ -191,7 +187,7 @@ def build_parser() -> _Parser:
         action="store_true",
         help="emit plain Haar unitaries instead of full Gaussian unitaries",
     )
-    _add_common(p)
+    _add_common(p, csv=False)
     return parser
 
 
@@ -228,24 +224,27 @@ def parse_config(argv=None) -> argparse.Namespace:
     """
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = parser.parse_args(argv)
-    flags = _file_flags(parser.commands[args.command], args.config) if args.config else []
-    if "GAUSSHAAR_SEED" in os.environ:
-        try:
-            flags.append(f"--seed={int(os.environ['GAUSSHAAR_SEED'])}")
-        except ValueError:
-            raise ConfigError("GAUSSHAAR_SEED must be an integer") from None
-    if flags:
-        # argv[0] is the command: no top-level option takes a value
-        args = parser.parse_args([argv[0], *flags, *argv[1:]])
+    flags = []
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        # the file is read before the one parse, so it can set a required flag
+        pre = _Parser(add_help=False)
+        pre.add_argument("--config")
+        path = pre.parse_known_args(argv[1:])[0].config
+        flags = _file_flags(command, path) if path else []
+        if "GAUSSHAAR_SEED" in os.environ:
+            try:
+                flags.append(f"--seed={int(os.environ['GAUSSHAAR_SEED'])}")
+            except ValueError:
+                raise ConfigError("GAUSSHAAR_SEED must be an integer") from None
+    # flags go just after the command: no top-level option takes a value
+    args = parser.parse_args([*argv[:1], *flags, *argv[1:]])
     del args.config
     if "count" in args and args.count < 1:
         raise ConfigError("count must be positive")
     # the seed is echoed in JSON, whose encoder takes 64-bit integers
     if not 0 <= args.seed < 2**64:
         raise ConfigError("seed must be in [0, 2**64)")
-    if args.format == "csv" and args.command in JSON_ONLY:
-        raise ConfigError(f"command {args.command!r} writes JSON only, not csv")
     return args
 
 
@@ -308,19 +307,22 @@ def _cmd_entropy(config: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _grid_axes(hi: float, points: int, m: int) -> tuple[dict, np.ndarray]:
+    """The grid [1, hi]^m: its named coordinate columns and its stack (..., m) of nu."""
+    axes = np.meshgrid(*[np.linspace(1.0, hi, points)] * m, indexing="ij")
+    names = ["nu"] if m == 1 else [f"nu_{k + 1}" for k in range(m)]
+    return dict(zip(names, axes)), np.stack(axes, axis=-1)
+
+
 def _density_grid(config: argparse.Namespace) -> dict:
     kind = config.kind
-    if kind == "1p1":
+    if kind in ("1p1", "2p2"):
         _require(config, "E_A", "E_B")
         constraint = EnergyConstraint(config.E_A, config.E_B)
-        nu = np.linspace(1.0, 2.0 * constraint.min_energy, config.grid)
-        return {"nu": nu, "density": density_1p1(nu, constraint)}
-    if kind == "2p2":
-        _require(config, "E_A", "E_B")
-        constraint = EnergyConstraint(config.E_A, config.E_B)
-        axis = np.linspace(1.0, 2.0 * constraint.min_energy - 1.0, config.grid)
-        X, Y = np.meshgrid(axis, axis, indexing="ij")
-        return {"nu_1": X, "nu_2": Y, "density": density_2p2(X, Y, constraint)}
+        m = 1 if kind == "1p1" else 2
+        # the balanced law's support reaches nu_k = 2 min(E) - (m - 1)
+        grid, nu = _grid_axes(2.0 * constraint.min_energy - (m - 1), config.grid, m)
+        return {**grid, "density": density_balanced(nu, constraint)}
     if kind == "submanifold-energy":
         _require(config, "E", "n")
         if config.n != 4:
@@ -331,16 +333,11 @@ def _density_grid(config: argparse.Namespace) -> dict:
         return {"nu_1": nu1, "nu_2": nu2, "density": dens}
     # unnormalized log densities over [1, numax]^{n_A}
     _require(config, "n_A", "n_B")
+    if config.n_A not in (1, 2):
+        raise ConfigError("grid output is implemented for n_A in {1, 2}")
     fn = log_density_unconstrained if kind == "unconstrained" else log_density_submanifold
-    if config.n_A == 1:
-        nu = np.linspace(1.0, config.numax, config.grid)
-        return {"nu": nu, "log_density": fn(nu[:, np.newaxis], config.n_A, config.n_B)}
-    if config.n_A == 2:
-        axis = np.linspace(1.0, config.numax, config.grid)
-        X, Y = np.meshgrid(axis, axis, indexing="ij")
-        vals = fn(np.stack([X, Y], axis=-1), config.n_A, config.n_B)
-        return {"nu_1": X, "nu_2": Y, "log_density": vals}
-    raise ConfigError("grid output is implemented for n_A in {1, 2}")
+    grid, nu = _grid_axes(config.numax, config.grid, config.n_A)
+    return {**grid, "log_density": fn(nu, config.n_A, config.n_B)}
 
 
 def _cmd_density(config: argparse.Namespace) -> int:
@@ -356,7 +353,7 @@ def _cmd_sample(config: argparse.Namespace) -> int:
     if config.kind == "2p2":
         _require(config, "E_A", "E_B")
         constraint = EnergyConstraint(config.E_A, config.E_B)
-        samples = sample_density_2p2(constraint, config.count, rng)
+        samples = sample_balanced(2, constraint, config.count, rng)
         energies = (config.E_A, config.E_B)
     elif config.kind == "submanifold-energy":
         _require(config, "E", "n")

@@ -82,6 +82,13 @@ def log_density_submanifold(nu, n_A: int, n_B: int) -> float | np.ndarray:
     return float(total) if total.ndim == 0 else total
 
 
+def balanced_half(n: int) -> int:
+    """m = n / 2, the modes of each subsystem of a balanced split of n modes."""
+    if n % 2 != 0 or n < 2:
+        raise ValueError("n must be a positive even number of modes")
+    return n // 2
+
+
 def _check_split(nu, n_A: int, n_B: int) -> np.ndarray:
     nu = np.atleast_1d(np.asarray(nu, dtype=float))
     if nu.shape[-1] != n_A or n_A > n_B:
@@ -98,7 +105,7 @@ def mean_energy(U: np.ndarray, lam, nu) -> float | np.ndarray:
     lambda (..., m) and nu (..., m); returns a float for a single draw.
     """
     U = np.asarray(U, dtype=complex)
-    lam = np.atleast_1d(np.asarray(getattr(lam, "values", lam), dtype=float))
+    lam = np.atleast_1d(np.asarray(lam, dtype=float))
     nu = np.atleast_1d(np.asarray(nu, dtype=float))
     m = nu.shape[-1]
     if lam.shape[-1] != m or U.shape[-2:] != (m, m):
@@ -224,11 +231,6 @@ def density_balanced(nu, constraint: EnergyConstraint):
     return float(val) if val.ndim == 0 else val
 
 
-def density_1p1(nu, constraint: EnergyConstraint):
-    """``density_balanced`` at m = 1: uniform on [1, 2 min(E_A, E_B)], zero outside."""
-    return density_balanced(np.asarray(nu, dtype=float)[..., np.newaxis], constraint)
-
-
 def density_2p2(nu1, nu2, constraint: EnergyConstraint):
     """``density_balanced`` at m = 2, on separate nu1 and nu2; raises below nu = 1."""
     nu = np.stack(np.broadcast_arrays(*map(np.asarray, (nu1, nu2))), -1)
@@ -258,9 +260,7 @@ def density_submanifold_energy(nu, E: float, n: int):
     nu has shape (..., m); returns the stack (...) of values, or a float for
     a single vector.  Every point must lie on the simplex.
     """
-    if n % 2 != 0 or n < 2:
-        raise ValueError("n must be a positive even number of modes")
-    m = n // 2
+    m = balanced_half(n)
     if 2.0 * E < m:
         raise ValueError("2E < n/2: the energy simplex is empty")
     nu = np.atleast_1d(np.asarray(nu, dtype=float))

@@ -67,28 +67,6 @@ class EulerGaussianUnitary:
         return self.s.shape[-1]
 
 
-@dataclass(frozen=True)
-class LambdaVector:
-    """Squeezing weights lambda_k = cosh(4 s_k) >= 1.
-
-    With the squeezer diag(e^{-2 s_k}, e^{2 s_k}) of ``squeeze_symplectic``,
-    lambda_k = tr(S_k S_k^T) / 2, the coordinate that Haar measure on
-    SL(2, R) makes uniform.
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.atleast_1d(np.asarray(self.values, dtype=float))
-        if np.any(values < 1.0):
-            raise ValueError("lambda values must be >= 1")
-        object.__setattr__(self, "values", values)
-
-    @property
-    def s(self) -> np.ndarray:
-        return np.arccosh(self.values) / 4
-
-
 def sample_haar_unitary(n: int, rng: np.random.Generator, size: int | None = None):
     """Haar-distributed unitary: the unitary factor Q of a complex Ginibre matrix.
 
@@ -161,16 +139,12 @@ def sample_lambda(
 ):
     """Sample squeezing weights on [1, cutoff]^n with density prod |l_h - l_k|.
 
-    Returns a LambdaVector, or an array of shape (size, n) when ``size`` is
-    given.
+    Returns an array of shape (n,), or (size, n) when ``size`` is given.
     """
     if cutoff <= 1.0:
         raise ValueError("cutoff must be > 1")
-    count = 1 if size is None else size
-    samples, _ = sample_repulsive(n, 1.0, cutoff, count, rng)
-    if size is None:
-        return LambdaVector(values=samples[0])
-    return samples
+    samples, _ = sample_repulsive(n, 1.0, cutoff, 1 if size is None else size, rng)
+    return samples[0] if size is None else samples
 
 
 def sample_homogeneous_gaussian_unitary(
@@ -190,9 +164,7 @@ def sample_homogeneous_gaussian_unitary(
     U_prime = sample_haar_unitary(n, rng, size=count)
     if size is None:
         theta, U, lam, U_prime = float(theta[0]), U[0], lam[0], U_prime[0]
-    return EulerGaussianUnitary(
-        theta=theta, U=U, s=LambdaVector(values=lam).s, U_prime=U_prime
-    )
+    return EulerGaussianUnitary(theta=theta, U=U, s=np.arccosh(lam) / 4, U_prime=U_prime)
 
 
 def passive_symplectic(U: np.ndarray) -> np.ndarray:

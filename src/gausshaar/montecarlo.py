@@ -39,6 +39,7 @@ import numpy as np
 
 from .densities import (
     EnergyConstraint,
+    balanced_half,
     balanced_sum_law,
     density_2p2,
     density_balanced,
@@ -140,9 +141,7 @@ def sample_submanifold_energy(
     simplex law of ``_unit_simplex_delta2``, scaled by 2E - m and shifted by
     1, which is exact.  Every sample satisfies sum(nu) = 2E to round-off.
     """
-    if n % 2 != 0 or n < 2:
-        raise ValueError("n must be a positive even number of modes")
-    m = n // 2
+    m = balanced_half(n)
     width = 2.0 * E - m
     if width < 0:
         raise ValueError("2E < n/2: the energy simplex is empty")
@@ -167,9 +166,7 @@ def g_constraint_mc(
     normalization that is shared across nu at fixed (E, cutoff, w), so only
     ratios are meaningful.  Returns (estimate, standard_error).
     """
-    if n % 2 != 0 or n < 2:
-        raise ValueError("n must be a positive even number of modes")
-    m = n // 2
+    m = balanced_half(n)
     nu = np.atleast_1d(np.asarray(nu, dtype=float))
     if nu.size != m:
         raise ValueError(f"need {m} eigenvalues, got {nu.size}")
@@ -411,9 +408,7 @@ def verify_constrained_density(
     closed form (unit weights), which exercises the comparison statistics
     under the null.
     """
-    if n % 2 != 0 or n < 2:
-        raise ValueError("n must be a positive even number of modes")
-    m = n // 2
+    m = balanced_half(n)
     # each subsystem energy is at least sum(nu)/2 and each nu >= 1
     if 2.0 * constraint.min_energy <= m:
         raise ValueError(

@@ -238,16 +238,17 @@ class TestVerifyCommand:
     def test_csv_format_rejected_before_sampling(
         self, argv, sampler, tmp_path, monkeypatch, capsys
     ):
+        # these commands write JSON only, so they take no --format at all
         def fail(*args, **kwargs):
-            raise AssertionError("sampled before rejecting --format csv")
+            raise AssertionError("sampled before rejecting --format")
 
         monkeypatch.setattr(cli, sampler, fail)
         out = tmp_path / "out.csv"
-        code = main([*argv, "--format", "csv", "--output", str(out)])
-        assert code == 2
-        assert not out.exists()
-        error = json.loads(capsys.readouterr().err)
-        assert argv[0] in error["error"] and "csv" in error["error"]
+        for fmt in ("csv", "json"):
+            code = main([*argv, "--format", fmt, "--output", str(out)])
+            assert code == 2
+            assert not out.exists()
+            assert "--format" in json.loads(capsys.readouterr().err)["error"]
 
 
 class TestHaarSampleCommand:
@@ -423,11 +424,15 @@ class TestConfigPrecedence:
             (["verify", "--n", "4", "--EA", "2.5", "--EB", "2.5"],
              {"grid": 5}, "verify_constrained_density"),
             (["density", "--kind", "1p1", "--EA", "2", "--EB", "3"],
-             {"grid": "abc"}, "density_1p1"),
+             {"grid": "abc"}, "density_balanced"),
+            (["verify", "--n", "4", "--EA", "2.5", "--EB", "2.5"],
+             {"format": "json"}, "verify_constrained_density"),
+            (["haar-sample", "--n", "4"],
+             {"format": "json"}, "sample_homogeneous_gaussian_unitary"),
         ],
         ids=["cutoff-string", "format-choice", "count-string", "count-boolean",
              "self-test-string", "p-threshold-string", "key-of-another-command",
-             "grid-string"],
+             "grid-string", "format-of-verify", "format-of-haar-sample"],
     )
     def test_invalid_config_value_rejected_before_sampling(
         self, argv, conf, sampler, tmp_path, monkeypatch, capsys
@@ -461,6 +466,27 @@ class TestConfigPrecedence:
         s_flag = np.array([draw["s"] for draw in from_flag["draws"]])
         assert s_file.max() <= np.arccosh(1.5) / 4
         assert s_flag.max() > np.arccosh(1.5) / 4
+
+    def test_config_file_sets_required_flag(self, tmp_path, capsys):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"n": 4, "count": 5000}))
+        argv = ["verify", "--EA", "2.5", "--EB", "2.5", "--self-test", "--config", str(conf)]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["metadata"]["config"]["n"] == 4
+
+    def test_flag_overrides_config_file_required_flag(self, tmp_path, capsys):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"n": 4, "count": 5000}))
+        argv = ["verify", "--EA", "2.5", "--EB", "2.5", "--self-test",
+                "--config", str(conf), "--n", "2"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["metadata"]["config"]["n"] == 2
+
+    def test_config_without_value_rejected(self, capsys):
+        code = main(["verify", "--n", "4", "--EA", "2.5", "--EB", "2.5", "--config"])
+        assert code == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["exit_code"] == 2 and "--config" in error["error"]
 
     def test_config_file_sets_boolean_flag(self, tmp_path, capsys):
         conf = tmp_path / "conf.json"

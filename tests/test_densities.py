@@ -8,7 +8,6 @@ from scipy import integrate
 from gausshaar.densities import (
     EnergyConstraint,
     balanced_sum_law,
-    density_1p1,
     density_2p2,
     density_balanced,
     density_submanifold_energy,
@@ -162,24 +161,24 @@ class TestDensity1p1:
     def test_value_inside_support(self):
         # uniform on [1, 2 min(E)] = [1, 4]: 1 / (4 - 1)
         c = EnergyConstraint(2.0, 3.0)
-        assert density_1p1(1.5, c) == pytest.approx(1.0 / 3.0)
+        assert density_balanced([1.5], c) == pytest.approx(1.0 / 3.0)
 
     def test_outside_support(self):
         c = EnergyConstraint(2.0, 3.0)
-        assert density_1p1(4.5, c) == 0.0
-        assert density_1p1(0.5, c) == 0.0
+        assert density_balanced([4.5], c) == 0.0
+        assert density_balanced([0.5], c) == 0.0
 
     def test_normalization(self):
         c = EnergyConstraint(2.0, 3.0)
         val, _ = integrate.quad(
-            lambda x: density_1p1(x, c), 0.5, 5.0, points=[1.0, 4.0]
+            lambda x: density_balanced([x], c), 0.5, 5.0, points=[1.0, 4.0]
         )
         assert val == pytest.approx(1.0, abs=1e-12)
 
     def test_degenerate_constraint(self):
         # 2 min(E) <= 1 leaves no room above nu = 1
         with pytest.raises(ValueError):
-            density_1p1(1.0, EnergyConstraint(0.5, 3.0))
+            density_balanced([1.0], EnergyConstraint(0.5, 3.0))
 
 
 class TestDensityBalanced:

@@ -6,7 +6,6 @@ from scipy import stats
 
 from gausshaar.haar import (
     EulerGaussianUnitary,
-    LambdaVector,
     apply_to_vacuum,
     euler_to_symplectic,
     passive_symplectic,
@@ -297,6 +296,10 @@ class TestSmallLimits:
         assert vandermonde_repulsion(np.array([2.0, 5.0])) == pytest.approx(3.0)
         assert vandermonde_repulsion(np.array([1.0, 2.0, 4.0])) == pytest.approx(6.0)
 
-    def test_lambda_vector_squeezings(self):
-        lv = LambdaVector(values=np.array([np.cosh(0.8)]))
-        assert lv.s[0] == pytest.approx(0.2, abs=1e-12)
+    def test_squeezings_are_arccosh_of_lambda(self):
+        # the stream starts with lambda, so the same seed gives the same weights
+        for size in (5, None):
+            lam = sample_lambda(3, 4.0, np.random.default_rng(2), size=size)
+            g = sample_homogeneous_gaussian_unitary(3, 4.0, np.random.default_rng(2), size=size)
+            np.testing.assert_array_equal(g.s, np.arccosh(lam) / 4)
+        assert lam.shape == (3,) and np.all(lam >= 1.0)
