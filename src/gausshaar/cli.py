@@ -15,7 +15,8 @@ command has no option for is rejected.  The file is read before the flags
 parse, so it may also set a flag the command requires, such as ``{"n": 4}``
 for ``verify``.  Every invalid setting, from a flag, the file or the
 environment, exits 2 with a JSON error on stderr; so do argparse's usage
-errors, such as a missing required flag.
+errors, such as a missing required flag or an abbreviated one.  An option
+that a ``--kind`` does not read (KIND_OPTIONS) must keep its default.
 
 ``verify`` imposes the energy constraint exactly and takes no cutoff.  It
 passes when the chi-square p-value of its comparison exceeds
@@ -72,6 +73,18 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_VERIFICATION = 4
 
+# what each (command, --kind) reads besides --kind/--output/--format/--seed
+KIND_OPTIONS = {
+    ("density", "unconstrained"): ("n_A", "n_B", "grid", "numax"),
+    ("density", "submanifold"): ("n_A", "n_B", "grid", "numax"),
+    ("density", "1p1"): ("E_A", "E_B", "grid"),
+    ("density", "2p2"): ("E_A", "E_B", "grid"),
+    ("density", "submanifold-energy"): ("E", "n", "grid"),
+    ("sample", "2p2"): ("E_A", "E_B", "count"),
+    ("sample", "submanifold-energy"): ("E", "n", "count"),
+    ("sample", "lambda"): ("n", "count", "cutoff"),
+}
+
 # the JSON type a config-file value must have, by the type of its option
 # (bool for the store_true flags)
 JSON_TYPES = {
@@ -87,14 +100,14 @@ class ConfigError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser whose usage errors raise ConfigError.
+    """An ArgumentParser whose usage errors raise ConfigError; it reads no abbreviation.
 
     ``settable`` maps the dest of each option a config file may set to its
     Action; ``commands`` maps each command to its subparser.
     """
 
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+        super().__init__(*args, allow_abbrev=False, **kwargs)
         self.settable: dict[str, argparse.Action] = {}
         self.commands: dict[str, _Parser] = {}
 
@@ -240,6 +253,8 @@ def parse_config(argv=None) -> argparse.Namespace:
     # flags go just after the command: no top-level option takes a value
     args = parser.parse_args([*argv[:1], *flags, *argv[1:]])
     del args.config
+    if "kind" in args:
+        _check_kind_options(parser.commands[args.command], args)
     if "count" in args and args.count < 1:
         raise ConfigError("count must be positive")
     # the seed is echoed in JSON, whose encoder takes 64-bit integers
@@ -248,10 +263,21 @@ def parse_config(argv=None) -> argparse.Namespace:
     return args
 
 
-def _require(config: argparse.Namespace, *names):
-    missing = [name for name in names if getattr(config, name) is None]
+def _check_kind_options(command: _Parser, args: argparse.Namespace) -> None:
+    """Require what ``args.kind`` reads; reject the rest unless at its default, and drop it."""
+    kind = f"{args.command} --kind {args.kind}"
+    reads = KIND_OPTIONS[args.command, args.kind]
+    common = ("kind", "output_path", "format", "seed")
+    unread = [a for a in command.settable.values() if a.dest not in (*reads, *common)]
+    given = [f"{a.option_strings[0]} ({a.dest})" for a in unread
+             if getattr(args, a.dest) != a.default]
+    if given:
+        raise ConfigError(f"{kind} does not read {', '.join(given)}")
+    missing = [dest for dest in reads if getattr(args, dest) is None]
     if missing:
-        raise ConfigError(f"command {config.command!r} requires: {', '.join(missing)}")
+        raise ConfigError(f"{kind} requires: {', '.join(missing)}")
+    for action in unread:
+        delattr(args, action.dest)
 
 
 def _metadata(config: argparse.Namespace) -> dict:
@@ -277,33 +303,18 @@ def _emit(
         sys.stdout.buffer.write(data)
 
 
-def _cmd_williamson(config: argparse.Namespace) -> int:
+def _cmd_spectrum(config: argparse.Namespace) -> int:
+    """``williamson`` (nu and r) or ``entropy`` (its value, and nu) of a covariance file."""
     state = read_state(config.input_path)
     spectrum = williamson_spectrum(state, Bipartition(config.n_A, config.n_B))
-    payload = {
-        "nu": spectrum.nu,
-        "r": spectrum.r,
-        "metadata": _metadata(config),
-    }
-
-    def csv_text() -> str:
-        rows = zip(spectrum.nu, spectrum.r)
-        return "nu,r\n" + "".join(f"{nu:.17g},{r:.17g}\n" for nu, r in rows)
-
-    _emit(payload, config, csv_text)
-    return EXIT_OK
-
-
-def _cmd_entropy(config: argparse.Namespace) -> int:
-    state = read_state(config.input_path)
-    spectrum = williamson_spectrum(state, Bipartition(config.n_A, config.n_B))
-    entropy = entanglement_entropy(spectrum)
-    payload = {
-        "entropy_nats": entropy,
-        "nu": spectrum.nu,
-        "metadata": _metadata(config),
-    }
-    _emit(payload, config, lambda: f"entropy_nats\n{entropy:.17g}\n")
+    if config.command == "entropy":
+        entropy = entanglement_entropy(spectrum)
+        payload = {"entropy_nats": entropy, "nu": spectrum.nu}
+        columns = {"entropy_nats": [entropy]}
+    else:
+        payload = columns = {"nu": spectrum.nu, "r": spectrum.r}
+    payload = {**payload, "metadata": _metadata(config)}
+    _emit(payload, config, lambda: density_grid_csv_text(columns))
     return EXIT_OK
 
 
@@ -317,14 +328,12 @@ def _grid_axes(hi: float, points: int, m: int) -> tuple[dict, np.ndarray]:
 def _density_grid(config: argparse.Namespace) -> dict:
     kind = config.kind
     if kind in ("1p1", "2p2"):
-        _require(config, "E_A", "E_B")
         constraint = EnergyConstraint(config.E_A, config.E_B)
         m = 1 if kind == "1p1" else 2
         # the balanced law's support reaches nu_k = 2 min(E) - (m - 1)
         grid, nu = _grid_axes(2.0 * constraint.min_energy - (m - 1), config.grid, m)
         return {**grid, "density": density_balanced(nu, constraint)}
     if kind == "submanifold-energy":
-        _require(config, "E", "n")
         if config.n != 4:
             raise ConfigError("grid output is implemented for --n 4")
         nu1 = np.linspace(1.0, 2.0 * config.E - 1.0, config.grid)
@@ -332,7 +341,6 @@ def _density_grid(config: argparse.Namespace) -> dict:
         dens = density_submanifold_energy(np.stack([nu1, nu2], axis=-1), config.E, 4)
         return {"nu_1": nu1, "nu_2": nu2, "density": dens}
     # unnormalized log densities over [1, numax]^{n_A}
-    _require(config, "n_A", "n_B")
     if config.n_A not in (1, 2):
         raise ConfigError("grid output is implemented for n_A in {1, 2}")
     fn = log_density_unconstrained if kind == "unconstrained" else log_density_submanifold
@@ -351,16 +359,13 @@ def _cmd_density(config: argparse.Namespace) -> int:
 def _cmd_sample(config: argparse.Namespace) -> int:
     rng = np.random.default_rng(config.seed)
     if config.kind == "2p2":
-        _require(config, "E_A", "E_B")
         constraint = EnergyConstraint(config.E_A, config.E_B)
         samples = sample_balanced(2, constraint, config.count, rng)
         energies = (config.E_A, config.E_B)
     elif config.kind == "submanifold-energy":
-        _require(config, "E", "n")
         samples = sample_submanifold_energy(config.n, config.E, config.count, rng)
         energies = (config.E, config.E)
     else:  # lambda
-        _require(config, "n")
         samples = sample_lambda(config.n, config.cutoff, rng, size=config.count)
         energies = (float("nan"), float("nan"))
     payload = {
@@ -428,8 +433,8 @@ def _cmd_haar_sample(config: argparse.Namespace) -> int:
 
 
 COMMANDS = {
-    "williamson": _cmd_williamson,
-    "entropy": _cmd_entropy,
+    "williamson": _cmd_spectrum,
+    "entropy": _cmd_spectrum,
     "density": _cmd_density,
     "sample": _cmd_sample,
     "verify": _cmd_verify,

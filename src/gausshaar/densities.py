@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .haar import EulerGaussianUnitary, vandermonde_repulsion
+from .haar import EulerGaussianUnitary, log_vandermonde
 from .symplectic import Bipartition, GaussianPureState, reduced_covariance
 
 SIMPLEX_SLACK = 1e-9
@@ -54,17 +54,14 @@ def log_density_unconstrained(nu, n_A: int, n_B: int) -> float | np.ndarray:
     """Unnormalized log of the invariant nu-density for an n_A + n_B split.
 
     log of prod_{h>k} (nu_h^2 - nu_k^2)^2 * prod_j nu_j^2 (nu_j^2-1)^(n_B-n_A);
-    -inf on coincident eigenvalues, and at nu = 1 when n_B > n_A.  Takes a
-    stack nu (..., n_A) and returns the stack (...) of values, or a float for
-    a single vector.
+    -inf on coincident eigenvalues, and at nu = 1 when n_B > n_A: the
+    submanifold density of nu^2 times prod_j nu_j^2.  Takes a stack nu
+    (..., n_A) and returns the stack (...) of values, or a float for a single
+    vector.
     """
     nu = _check_split(nu, n_A, n_B)
-    sq = nu**2
-    with np.errstate(divide="ignore"):
-        total = 2 * np.log(vandermonde_repulsion(sq)) + 2 * np.sum(np.log(nu), axis=-1)
-        if n_B > n_A:
-            total = total + (n_B - n_A) * np.sum(np.log(sq - 1.0), axis=-1)
-    return float(total) if total.ndim == 0 else total
+    total = log_density_submanifold(nu**2, n_A, n_B) + 2 * _log_sum(nu)
+    return float(total) if np.ndim(total) == 0 else total
 
 
 def log_density_submanifold(nu, n_A: int, n_B: int) -> float | np.ndarray:
@@ -75,11 +72,16 @@ def log_density_submanifold(nu, n_A: int, n_B: int) -> float | np.ndarray:
     ``log_density_unconstrained``.
     """
     nu = _check_split(nu, n_A, n_B)
-    with np.errstate(divide="ignore"):
-        total = 2 * np.log(vandermonde_repulsion(nu))
-        if n_B > n_A:
-            total = total + (n_B - n_A) * np.sum(np.log(nu - 1.0), axis=-1)
+    total = 2 * log_vandermonde(nu)
+    if n_B > n_A:
+        total = total + (n_B - n_A) * _log_sum(nu - 1.0)
     return float(total) if total.ndim == 0 else total
+
+
+def _log_sum(x: np.ndarray) -> np.ndarray:
+    """sum_j log x_j along the last axis, column by column; -inf where an x_j is 0."""
+    with np.errstate(divide="ignore"):
+        return functools.reduce(np.add, np.log(np.moveaxis(x, -1, 0)))
 
 
 def balanced_half(n: int) -> int:
@@ -92,7 +94,7 @@ def balanced_half(n: int) -> int:
 def _check_split(nu, n_A: int, n_B: int) -> np.ndarray:
     nu = np.atleast_1d(np.asarray(nu, dtype=float))
     if nu.shape[-1] != n_A or n_A > n_B:
-        raise ValueError("need len(nu) = n_A <= n_B")
+        raise ValueError(f"need n_A = {n_A} <= n_B = {n_B} eigenvalues, got {nu.shape[-1]}")
     _check_nu(nu)
     return nu
 
@@ -224,7 +226,7 @@ def density_balanced(nu, constraint: EnergyConstraint):
     # log(0) = -inf gives a zero density, and outside the support the log may
     # be nan; at m = 1, a = 0 and the bracket factor is 1 even where it is 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_val = 2.0 * np.log(vandermonde_repulsion(nu)) - log_norm
+        log_val = 2.0 * log_vandermonde(nu) - log_norm
         if a:
             log_val = log_val + a * np.log(bracket)
         val = np.where(support, np.exp(log_val), 0.0)
@@ -238,18 +240,6 @@ def density_2p2(nu1, nu2, constraint: EnergyConstraint):
     return density_balanced(nu, constraint)
 
 
-def _norm_submanifold_energy(m: int, E: float) -> float:
-    """Integral of prod (nu_h - nu_k)^2 over {nu >= 1, sum nu = 2E}.
-
-    Taken with respect to Lebesgue measure in the first m - 1 coordinates
-    (the last one is eliminated by the energy constraint).  With
-    nu = 1 + (2E - m) x and x on the unit simplex, homogeneity of the squared
-    Vandermonde gives (2E - m)^(m^2 - 1) times its unit-simplex integral, and
-    the Laguerre Selberg integral gives that as prod_{j<m} j! (j+1)! / Gamma(m^2).
-    """
-    return math.exp((m * m - 1) * math.log(2.0 * E - m) + _log_simplex_constant(m))
-
-
 def density_submanifold_energy(nu, E: float, n: int):
     """Eigenvalue density on the fixed-energy simplex of the submanifold.
 
@@ -258,21 +248,19 @@ def density_submanifold_energy(nu, E: float, n: int):
     respect to Lebesgue measure in the first m - 1 coordinates.  For m = 1
     the simplex is a point and the density is the constant 1 at nu = 2E.
     nu has shape (..., m); returns the stack (...) of values, or a float for
-    a single vector.  Every point must lie on the simplex.
+    a single vector.  Every point must lie on the simplex.  The value and the
+    normalizer, (2E - m)^(m^2 - 1) times the unit-simplex integral of Delta^2
+    by homogeneity, are formed in logs.
     """
     m = balanced_half(n)
     if 2.0 * E < m:
         raise ValueError("2E < n/2: the energy simplex is empty")
-    nu = np.atleast_1d(np.asarray(nu, dtype=float))
-    if nu.shape[-1] != m:
-        raise ValueError(f"need {m} eigenvalues, got {nu.shape[-1]}")
-    _check_nu(nu)
+    nu = _check_split(nu, m, m)
     if np.any(np.abs(nu.sum(axis=-1) - 2.0 * E) > SIMPLEX_SLACK * max(1.0, 2.0 * E)):
         raise ValueError("nu does not lie on the simplex sum(nu) = 2E")
-    if m == 1:
-        val = np.ones(nu.shape[:-1])
-    elif 2.0 * E == m:
+    if m > 1 and 2.0 * E == m:
         raise ValueError("2E = n/2: the energy simplex is the single point nu = 1")
-    else:
-        val = vandermonde_repulsion(nu) ** 2 / _norm_submanifold_energy(m, E)
+    # at m = 1 the normalizer is 1, also at 2E = 1
+    log_norm = (m * m - 1) * math.log(2.0 * E - m) + _log_simplex_constant(m) if m > 1 else 0.0
+    val = np.exp(2.0 * log_vandermonde(nu) - log_norm)
     return float(val) if val.ndim == 0 else val

@@ -20,6 +20,7 @@ on its own, with the tolerance and scale of a single matrix.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,14 +100,16 @@ def sample_haar_unitary(n: int, rng: np.random.Generator, size: int | None = Non
     return np.moveaxis(q, (0, 1), (-1, -2))
 
 
-def vandermonde_repulsion(lam: np.ndarray) -> np.ndarray:
-    """Unnormalized density prod_{h<k} |lam_h - lam_k| along the last axis."""
-    lam = np.asarray(lam, dtype=float)
-    n = lam.shape[-1]
-    out = np.ones(lam.shape[:-1])
-    for h in range(n):
-        for k in range(h + 1, n):
-            out = out * np.abs(lam[..., h] - lam[..., k])
+def log_vandermonde(x) -> np.ndarray:
+    """sum_{h<k} log |x_h - x_k| along the last axis; -inf where two coincide.
+
+    Column by column: a reduction over rows of length m is about 20x slower.
+    """
+    columns = np.moveaxis(np.asarray(x, dtype=float), -1, 0)
+    out = np.zeros(columns.shape[1:])
+    with np.errstate(divide="ignore"):
+        for h, k in itertools.combinations(range(len(columns)), 2):
+            out += np.log(np.abs(columns[h] - columns[k]))
     return out
 
 

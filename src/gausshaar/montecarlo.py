@@ -10,16 +10,16 @@ subsystem exactly.  At fixed mixing the
 constrained squeezing weights form a scaled simplex, so the integral is its
 volume times the mean repulsion at one uniform point of it: no shell width,
 no lambda cutoff, and no zero weight inside the support.
-Accepted samples carry the residual importance weights, divided by their
-maximum before any statistic: every reported value is invariant to their
-scale, and with a maximum of 1 their squares cannot overflow.  One binning
+Accepted samples carry log-weights, sums of logs that no product overflows,
+exponentiated against their maximum before any statistic: every reported
+value is invariant to their scale, and no square overflows.  One binning
 path serves every n; only the coordinates ((nu1, nu2) at n = 4, S = sum(nu)
 otherwise), the edges and the expected bin masses depend on n.
 
 One generator seeded with ``seed`` feeds every draw, in blocks of BLOCK
 proposals; results are deterministic for a fixed seed.  Each block is
-reduced as it arrives to what the report reads: S = sum(nu), the weight and,
-at n = 4, the uint16 bin index of (nu1, nu2), whose edges the constraint
+reduced as it arrives to what the report reads: S = sum(nu), the log-weight
+and, at n = 4, the uint16 bin index of (nu1, nu2), whose edges the constraint
 fixes.  So a run keeps 16 bytes per accepted proposal (18 at n = 4) plus one
 block of temporaries, and the report's peak is the KS sort, about 40 bytes
 per accepted proposal.  The kernels run on 1-D columns, one per coordinate.
@@ -43,9 +43,10 @@ from .densities import (
     balanced_sum_law,
     density_2p2,
     density_balanced,
+    log_density_unconstrained,
     mean_energy,
 )
-from .haar import sample_haar_unitary, sample_repulsive, vandermonde_repulsion
+from .haar import log_vandermonde, sample_haar_unitary, sample_repulsive
 
 logger = logging.getLogger(__name__)
 
@@ -199,7 +200,7 @@ def g_constraint_mc(
 
 
 def _constrained_lambda_weight(c, E, rng):
-    """Single-sample estimate of the delta-constrained lambda integral.
+    """Log of a single-sample estimate of the delta-constrained lambda integral.
 
     Given per-draw mixing coefficients c (shape (count, m)), the subsystem
     energy is sum_h lambda_h c_h / 2.  With mu_h = c_h (lambda_h - 1) the
@@ -209,8 +210,9 @@ def _constrained_lambda_weight(c, E, rng):
     lambda_k| is therefore 2 / prod(c) times the simplex volume
     R^(m-1) / (m-1)! times the mean repulsion at mu uniform on the simplex
     {mu >= 0, sum mu = R}, which is R times normalized exponentials.  The
-    returned weight is that product at one such draw: an unbiased estimate
-    with no shell width and no lambda cutoff, zero exactly where R <= 0.
+    weight is that product at one such draw, returned as the sum of the logs
+    of its factors: an unbiased estimate with no shell width and no lambda
+    cutoff, and -inf exactly where R <= 0.
     Every step is a 1-D column: sums and products over rows of length m are
     about 15x slower, and so is broadcasting a (count, 1) factor over them.
     """
@@ -220,8 +222,11 @@ def _constrained_lambda_weight(c, E, rng):
     x = rng.standard_exponential((count, m))
     scale = R / functools.reduce(np.add, x.T)
     lam = np.array([1.0 + x[:, h] * scale / columns[h] for h in range(m)])
-    w = 2.0 / functools.reduce(np.multiply, columns) * R ** (m - 1) / math.factorial(m - 1)
-    return np.where(R > 0, w * vandermonde_repulsion(lam.T), 0.0)
+    # log R is nan or -inf where R <= 0, which the mask drops
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_w = (m - 1) * np.log(R) - functools.reduce(np.add, np.log(columns))
+    log_w += log_vandermonde(lam.T) + math.log(2.0 / math.factorial(m - 1))
+    return np.where(R > 0, log_w, -np.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -305,16 +310,16 @@ def chi2_sf(x: float, dof: int) -> float:
 
 
 def _pipeline_block(m, constraint, count, rng):
-    """One block of the pipeline, m eigenvalues a side; returns (values, weights).
+    """One block of the pipeline, m eigenvalues a side; returns (values, log-weights).
 
     nu is proposed from the closed-form balanced law, except for a share
     DEFENSIVE drawn uniformly on the box [1, 2 min(E)]^m, the support set by
     each subsystem energy being at least sum(nu)/2.  Any support-covering
     proposal is valid: the weights are flat only if the closed form matches
     the pipeline law, and the uniform share lets them show mass the closed
-    form misses.  The weight is the invariant factor
-    prod nu_j^2 prod (nu_h^2 - nu_k^2)^2 over the proposal density, times a
-    single-sample estimate of each subsystem's delta-constrained lambda
+    form misses.  The log-weight is the log of the invariant factor
+    prod nu_j^2 prod (nu_h^2 - nu_k^2)^2 over the proposal density, plus that
+    of a single-sample estimate of each subsystem's delta-constrained lambda
     integral from the mixing matrix |U|^2.  For m <= 2 the Haar |U|^2 is
     [[p, 1 - p], [1 - p, p]] with p uniform on (0, 1), so p is drawn directly
     (at m = 1 the mixture is nu itself).  Each coordinate is a contiguous
@@ -327,9 +332,8 @@ def _pipeline_block(m, constraint, count, rng):
     proposal = DEFENSIVE / (top - 1.0) ** m + (1.0 - DEFENSIVE) * density_balanced(
         nu, constraint
     )
+    log_w = log_density_unconstrained(nu, m, m) - np.log(proposal)
     columns = nu.T.copy()
-    sq = columns**2
-    w = functools.reduce(np.multiply, sq) * vandermonde_repulsion(sq.T) ** 2 / proposal
     for E in (constraint.E_A, constraint.E_B):
         if m <= 2:
             p = rng.random(count)
@@ -342,10 +346,10 @@ def _pipeline_block(m, constraint, count, rng):
                     for h in range(m)
                 ]
             )
-        w = w * _constrained_lambda_weight(c.T, E, rng)
-    keep = w > 0
+        log_w += _constrained_lambda_weight(c.T, E, rng)
+    keep = log_w > -np.inf
     # compress, not a boolean index: 8x faster on the rows of nu
-    return np.compress(keep, nu, axis=0), w[keep]
+    return np.compress(keep, nu, axis=0), log_w[keep]
 
 
 def _sum_marginal_cdf(m: int, constraint: EnergyConstraint):
@@ -418,7 +422,7 @@ def verify_constrained_density(
     rng = np.random.default_rng(seed)
     sizes = [min(BLOCK, count - start) for start in range(0, count, BLOCK)]
     if self_test:
-        blocks = ((sample_balanced(m, constraint, size, rng), np.ones(size)) for size in sizes)
+        blocks = ((sample_balanced(m, constraint, k, rng), np.zeros(k)) for k in sizes)
     else:
         blocks = (_pipeline_block(m, constraint, size, rng) for size in sizes)
     metadata = {
@@ -453,9 +457,9 @@ def _bin_index(x, edges) -> np.ndarray:
 
 
 def _reduce_blocks(blocks, pair_edges=None):
-    """S = sum(nu), the weights and, given ``pair_edges`` (m = 2), the flat bin index.
+    """S = sum(nu), the log-weights and, given ``pair_edges`` (m = 2), the flat bin index.
 
-    Each (values, weights) block is reduced as it arrives, so a run keeps 16
+    Each (values, log-weights) block is reduced as it arrives, so a run keeps 16
     bytes per accepted proposal, and 18 with the uint16 index of (nu1, nu2)
     on ``pair_edges`` x ``pair_edges``; without ``pair_edges`` the index is
     None.
@@ -478,7 +482,7 @@ def _reduce_blocks(blocks, pair_edges=None):
 def _report(m, constraint, blocks, metadata) -> HistogramReport:
     """Histogram, chi-square and KS of the accepted samples against the closed form.
 
-    ``blocks`` yields the (values, weights) of each block of proposals, and
+    ``blocks`` yields the (values, log-weights) of each block of proposals, and
     ``metadata``, which holds at least ``proposal_count``, is completed in
     place.  At m = 2 the histogram is of (nu1, nu2) on [1, 2 min(E) - 1]^2,
     edges fixed by the constraint, with bin masses from the density; at every
@@ -503,8 +507,10 @@ def _report(m, constraint, blocks, metadata) -> HistogramReport:
             f"zero accepted samples out of {count} proposals: none has sum(nu) "
             f"below 2 min(E) = {top:.6g}; raise the count"
         )
-    # scale-free: with a maximum of 1 the squared weights cannot overflow
-    weights /= weights.max()
+    # exponentiated against their maximum, in place: every statistic is
+    # invariant to the scale, and with a maximum of 1 no square overflows
+    weights -= weights.max()
+    np.exp(weights, out=weights)
     total = weights.sum()
     ess = float(total**2 / (weights**2).sum())
     metadata.update(

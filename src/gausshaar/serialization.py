@@ -21,17 +21,13 @@ from .symplectic import GaussianPureState
 FLOAT_FMT = "%.17g"
 
 
-def _format_row(row) -> list[str]:
-    return [FLOAT_FMT % x for x in row]
-
-
 def write_covariance_csv(state: GaussianPureState, path) -> None:
     """Row-major covariance CSV with a self-describing header line."""
     with open(path, "w", newline="") as fh:
         fh.write(f"# n_modes={state.n_modes} ordering=interleaved\n")
         writer = csv.writer(fh)
         for row in state.covariance:
-            writer.writerow(_format_row(row))
+            writer.writerow([FLOAT_FMT % x for x in row])
 
 
 def read_covariance_csv(path) -> GaussianPureState:
@@ -143,21 +139,21 @@ def dump_output(payload: dict, path: str | None, timestamp: bool = True) -> byte
 
 
 def samples_csv_text(samples: np.ndarray, energies) -> str:
-    """One sample per row: nu_1 ... nu_m, E_A, E_B; CRLF line ends, as csv writes."""
+    """One sample per row: nu_1 ... nu_m, E_A, E_B, as ``density_grid_csv_text`` writes it."""
     samples = np.atleast_2d(samples)
-    m = samples.shape[1]
-    header = ",".join([f"nu_{k + 1}" for k in range(m)] + ["E_A", "E_B"])
-    row = ",".join([FLOAT_FMT] * m)
-    tail = "," + ",".join(_format_row(energies)) + "\r\n"
-    return header + "\r\n" + "".join(row % tuple(r) + tail for r in samples.tolist())
+    columns = {f"nu_{k + 1}": samples[:, k] for k in range(samples.shape[1])}
+    for name, energy in zip(("E_A", "E_B"), energies):
+        columns[name] = np.full(len(samples), energy)
+    return density_grid_csv_text(columns)
 
 
-def density_grid_csv_text(grid_columns: dict) -> str:
-    """Plot-ready CSV of density evaluations: nu columns then a density column.
+def density_grid_csv_text(columns: dict) -> str:
+    """CSV of named columns of equal size, such as the nu axes and the density of a grid.
 
-    One grid point per row, with CRLF line ends, as csv writes.
+    One row per entry, each number with 17 significant digits, and CRLF line
+    ends, as csv writes; every ``--format csv`` output is built here.
     """
-    names = list(grid_columns)
-    columns = [np.asarray(grid_columns[name]).ravel().tolist() for name in names]
+    names = list(columns)
+    values = [np.asarray(columns[name]).ravel().tolist() for name in names]
     row = ",".join([FLOAT_FMT] * len(names)) + "\r\n"
-    return ",".join(names) + "\r\n" + "".join(row % r for r in zip(*columns))
+    return ",".join(names) + "\r\n" + "".join(row % r for r in zip(*values))

@@ -508,6 +508,84 @@ class TestConfigPrecedence:
         assert "seed" in json.loads(capsys.readouterr().err)["error"]
 
 
+    @pytest.mark.parametrize("flag", [["--c", "5"], ["--conf", "x.json"]], ids=["c", "conf"])
+    def test_abbreviated_flag_rejected(self, flag, capsys):
+        # --c could be --count, --cutoff or --config, and --conf --config:
+        # no parser reads an abbreviation, so neither is taken as a file
+        code = main(["sample", "--kind", "lambda", "--n", "2", *flag])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err)["error"]
+        assert error.startswith("unrecognized arguments") and flag[0] in error
+
+
+class TestKindOptions:
+    @pytest.mark.parametrize(
+        "argv, flags",
+        [
+            (["density", "--kind", "2p2", "--EA", "2.5", "--EB", "2.5", "--numax", "50",
+              "--nA", "3"], ["--numax (numax)", "--nA (n_A)"]),
+            (["sample", "--kind", "2p2", "--EA", "2.5", "--EB", "2.5", "--cutoff", "3",
+              "--n", "9"], ["--cutoff (cutoff)", "--n (n)"]),
+            (["sample", "--kind", "lambda", "--n", "2", "--EA", "2.5"], ["--EA (E_A)"]),
+        ],
+        ids=["density-2p2", "sample-2p2", "sample-lambda"],
+    )
+    def test_option_the_kind_does_not_read_rejected(self, argv, flags, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        code = main([*argv, "--output", str(out)])
+        assert code == 2
+        assert not out.exists()
+        error = json.loads(capsys.readouterr().err)
+        assert error["exit_code"] == 2
+        assert "does not read" in error["error"]
+        assert all(flag in error["error"] for flag in flags)
+
+    def test_config_key_the_kind_does_not_read_rejected(self, tmp_path, capsys):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"n_A": 3}))
+        code = main(["density", "--kind", "1p1", "--EA", "2", "--EB", "3",
+                     "--config", str(conf)])
+        assert code == 2
+        assert "n_A" in json.loads(capsys.readouterr().err)["error"]
+
+    def test_unread_options_left_out_of_the_echoed_config(self, capsys):
+        # an unread option given at its default is accepted and not echoed
+        assert main(["density", "--kind", "2p2", "--EA", "2.5", "--EB", "2.5",
+                     "--grid", "3", "--numax", "10"]) == 0
+        config = json.loads(capsys.readouterr().out)["metadata"]["config"]
+        assert sorted(config) == ["E_A", "E_B", "command", "format", "grid", "kind", "seed"]
+        assert main(["sample", "--kind", "2p2", "--EA", "2.5", "--EB", "2.5",
+                     "--count", "5", "--format", "json"]) == 0
+        config = json.loads(capsys.readouterr().out)["metadata"]["config"]
+        assert sorted(config) == ["E_A", "E_B", "command", "count", "format", "kind", "seed"]
+        assert main(["sample", "--kind", "lambda", "--n", "2", "--count", "5"]) == 0
+        config = json.loads(capsys.readouterr().out)["metadata"]["config"]
+        assert config["cutoff"] == 10.0 and "E_A" not in config
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["williamson", "--input", "{cov}", "--nA", "2", "--nB", "2"],
+        ["entropy", "--input", "{cov}", "--nA", "2", "--nB", "2"],
+        ["density", "--kind", "2p2", "--EA", "2.5", "--EB", "2.9", "--grid", "4"],
+        ["sample", "--kind", "2p2", "--EA", "2.5", "--EB", "2.9", "--count", "4"],
+    ],
+    ids=["williamson", "entropy", "density", "sample"],
+)
+def test_csv_outputs_end_lines_in_crlf(argv, canonical_csv, capsys):
+    argv = [arg.format(cov=canonical_csv) for arg in argv]
+    assert main([*argv, "--format", "csv"]) == 0
+    text = capsys.readouterr().out
+    lines = text.split("\r\n")
+    assert lines[-1] == "" and all("\n" not in line for line in lines)
+    for line in lines[1:-1]:
+        for field in line.split(","):
+            assert "%.17g" % float(field) == field
+
+
 class TestSeededReproducibility:
     def test_verify_outputs_identical_for_same_seed(self, tmp_path):
         outs = []

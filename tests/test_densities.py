@@ -1,3 +1,4 @@
+import itertools
 import math
 import threading
 
@@ -22,14 +23,21 @@ from gausshaar.haar import (
     euler_to_symplectic,
     sample_haar_unitary,
     sample_homogeneous_gaussian_unitary,
-    vandermonde_repulsion,
 )
+from gausshaar.montecarlo import sample_balanced, sample_submanifold_energy
 from gausshaar.symplectic import (
     Bipartition,
     GaussianPureState,
     canonical_state,
     tmsv_state,
 )
+
+
+def _vandermonde(x):
+    """prod_{h<k} |x_h - x_k| along the last axis, as a plain product."""
+    x = np.asarray(x, dtype=float)
+    pairs = itertools.combinations(range(x.shape[-1]), 2)
+    return np.prod([np.abs(x[..., h] - x[..., k]) for h, k in pairs], axis=0)
 
 
 class TestUnconstrainedLogDensity:
@@ -202,7 +210,7 @@ class TestDensityBalanced:
         nu = 1.0 + rng.dirichlet(np.ones(m), 50) * rng.uniform(0.0, L, (50, 1))
         total = nu.sum(axis=1)
         bracket = (2 * c.E_A - total) * (2 * c.E_B - total)
-        direct = vandermonde_repulsion(nu) ** 2 * bracket**a / norm
+        direct = _vandermonde(nu) ** 2 * bracket**a / norm
         assert np.all(direct > 0.0)
         assert np.allclose(density_balanced(nu, c), direct, rtol=1e-12, atol=0.0)
 
@@ -254,7 +262,7 @@ class TestDensity2p2:
             simplex = math.prod(
                 math.factorial(j) * math.factorial(j + 1) for j in range(m)
             ) / math.factorial(m * m - 1)
-            scale = simplex / vandermonde_repulsion(x0) ** 2
+            scale = simplex / _vandermonde(x0) ** 2
             val, _ = integrate.quad(
                 lambda u: density_balanced(1.0 + u * x0, c) * u ** (m - 1) * scale,
                 0.0, top - m, epsabs=1e-13, epsrel=1e-11,
@@ -360,3 +368,81 @@ class TestSubmanifoldDensities:
         # 2E = n/2 leaves only nu = (1, 1), which has no density on a line
         with pytest.raises(ValueError, match="single point"):
             density_submanifold_energy([1.0, 1.0], 1.0, 4)
+
+
+def _log_vandermonde_ref(x) -> float:
+    """sum_{h<k} log |x_h - x_k| of one vector, in Python floats with math.fsum."""
+    return math.fsum(math.log(abs(a - b)) for a, b in itertools.combinations(x, 2))
+
+
+def _log_simplex_constant_ref(m: int) -> float:
+    """log of the unit-simplex integral of Delta^2, prod_{j<m} j! (j+1)! / Gamma(m^2)."""
+    return math.fsum(
+        [math.lgamma(j + 1) + math.lgamma(j + 2) for j in range(m)] + [-math.lgamma(m * m)]
+    )
+
+
+class TestManyModes:
+    """Every law at n up to 80, where the products of its factors leave the float range.
+
+    Each value is compared with a scalar evaluation in logs: math.fsum over
+    the factors of one vector, and math.lgamma for the normalizers.
+    """
+
+    cases = pytest.mark.parametrize(
+        "n, E", [(36, 180.0), (40, 100.0), (56, 280.0), (80, 1000.0)]
+    )
+
+    @staticmethod
+    def draws(n, E):
+        rng = np.random.default_rng(n)
+        balanced = sample_balanced(n // 2, EnergyConstraint(E, E), 12, rng)
+        simplex = sample_submanifold_energy(n, E, 12, rng)
+        return balanced, simplex
+
+    @cases
+    def test_density_balanced(self, n, E):
+        # at E_A = E_B the sum S has the marginal (S - m)^(m^2 - 1) (2E - S)^(2a)
+        # on [m, 2E], whose integral is L^(m^2 + 2a) B(m^2, 2a + 1)
+        m = n // 2
+        a = (m - 1) * (m + 2) // 2
+        L = 2.0 * E - m
+        log_norm = math.fsum([
+            _log_simplex_constant_ref(m),
+            (m * m + 2 * a) * math.log(L),
+            math.lgamma(m * m) + math.lgamma(2 * a + 1) - math.lgamma(m * m + 2 * a + 1),
+        ])
+        nu, _ = self.draws(n, E)
+        got = density_balanced(nu, EnergyConstraint(E, E))
+        for value, row in zip(got, nu.tolist()):
+            bracket = 2.0 * E - math.fsum(row)
+            want = math.exp(
+                2.0 * _log_vandermonde_ref(row) + 2 * a * math.log(bracket) - log_norm
+            )
+            assert 0.0 < value < math.inf
+            assert value == pytest.approx(want, rel=1e-10)
+
+    @cases
+    def test_density_submanifold_energy(self, n, E):
+        m = n // 2
+        log_norm = (m * m - 1) * math.log(2.0 * E - m) + _log_simplex_constant_ref(m)
+        _, nu = self.draws(n, E)
+        got = density_submanifold_energy(nu, E, n)
+        for value, row in zip(got, nu.tolist()):
+            want = math.exp(2.0 * _log_vandermonde_ref(row) - log_norm)
+            assert 0.0 < value < math.inf
+            assert value == pytest.approx(want, rel=1e-10)
+
+    @cases
+    def test_log_densities(self, n, E):
+        m = n // 2
+        for nu in self.draws(n, E):
+            unconstrained = log_density_unconstrained(nu, m, m)
+            submanifold = log_density_submanifold(nu, m, m)
+            assert np.all(np.isfinite(unconstrained)) and np.all(np.isfinite(submanifold))
+            for u, s, row in zip(unconstrained, submanifold, nu.tolist()):
+                squares = [x * x for x in row]
+                log_row = math.fsum(map(math.log, row))
+                want = 2.0 * _log_vandermonde_ref(squares) + 2.0 * log_row
+                assert u == pytest.approx(want, rel=1e-10)
+                assert s == pytest.approx(2.0 * _log_vandermonde_ref(row), rel=1e-10)

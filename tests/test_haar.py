@@ -8,13 +8,13 @@ from gausshaar.haar import (
     EulerGaussianUnitary,
     apply_to_vacuum,
     euler_to_symplectic,
+    log_vandermonde,
     passive_symplectic,
     sample_haar_unitary,
     sample_homogeneous_gaussian_unitary,
     sample_lambda,
     sample_repulsive,
     squeeze_symplectic,
-    vandermonde_repulsion,
 )
 from gausshaar.symplectic import (
     Bipartition,
@@ -143,7 +143,7 @@ class TestLambdaSampler:
 
         x, rate = sample_repulsive(m, 0.0, 1.0, 100_000, np.random.default_rng(seed))
         assert rate == 1.0 and x.min() >= 0.0 and x.max() <= 1.0
-        v = vandermonde_repulsion(x)
+        v = np.exp(log_vandermonde(x))
         stderr = v.std(ddof=1) / np.sqrt(v.size)
         assert abs(v.mean() - selberg(1.0) / selberg(0.5)) < 4 * stderr
 
@@ -292,9 +292,25 @@ class TestSmallLimits:
         stderr = (np.abs(U) ** 2).std(axis=0, ddof=1) / np.sqrt(U.shape[0])
         assert np.all(np.abs(m - 1.0 / n) < 4 * stderr)
 
-    def test_vandermonde_repulsion_values(self):
-        assert vandermonde_repulsion(np.array([2.0, 5.0])) == pytest.approx(3.0)
-        assert vandermonde_repulsion(np.array([1.0, 2.0, 4.0])) == pytest.approx(6.0)
+    def test_log_vandermonde_values(self):
+        assert log_vandermonde(np.array([2.0, 5.0])) == pytest.approx(math.log(3.0))
+        assert log_vandermonde(np.array([1.0, 2.0, 4.0])) == pytest.approx(math.log(6.0))
+        assert log_vandermonde(np.array([3.0])) == 0.0
+        assert log_vandermonde(np.array([1.0, 2.0, 1.0])) == -np.inf
+        # a stack (..., m) gives the stack (...), each row on its own
+        rows = np.array([[[2.0, 5.0, 1.0], [4.0, 4.0, 0.0]]])
+        got = log_vandermonde(rows)
+        assert got.shape == (1, 2)
+        assert got[0, 0] == pytest.approx(math.log(3.0 * 1.0 * 4.0)) and got[0, 1] == -np.inf
+
+    def test_log_vandermonde_past_the_float_range(self):
+        # 60 points spaced 1e3 apart: the product prod_{h<k} |x_h - x_k| is
+        # about 10^5900, far past the largest double; its log is a sum
+        x = 1e3 * np.arange(60.0)
+        want = math.fsum(
+            math.log(abs(x[h] - x[k])) for h in range(60) for k in range(h + 1, 60)
+        )
+        assert log_vandermonde(x) == pytest.approx(want, rel=1e-13)
 
     def test_squeezings_are_arccosh_of_lambda(self):
         # the stream starts with lambda, so the same seed gives the same weights

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -5,9 +6,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from gausshaar.densities import EnergyConstraint, balanced_sum_law, g_2p2
+from gausshaar.densities import EnergyConstraint, balanced_sum_law, density_balanced, g_2p2
 from gausshaar import montecarlo
-from gausshaar.haar import sample_haar_unitary, vandermonde_repulsion
+from gausshaar.haar import sample_haar_unitary
 from gausshaar.montecarlo import (
     BLOCK,
     MIN_EXPECTED_PER_BIN,
@@ -23,6 +24,13 @@ from gausshaar.montecarlo import (
     weighted_chi2,
     weighted_ks_statistic,
 )
+
+
+def _vandermonde(x):
+    """prod_{h<k} |x_h - x_k| along the last axis, as a plain product."""
+    x = np.asarray(x, dtype=float)
+    pairs = itertools.combinations(range(x.shape[-1]), 2)
+    return np.prod([np.abs(x[..., h] - x[..., k]) for h, k in pairs], axis=0)
 
 
 def _sum_cdf_by_polynomial(m, c):
@@ -163,7 +171,7 @@ class TestSampleSubmanifoldEnergy:
         E = 3.5
         nu = sample_submanifold_energy(2 * m, E, 100_000, np.random.default_rng(seed))
         assert nu.min() >= 1.0
-        v = vandermonde_repulsion((nu - 1.0) / (2.0 * E - m)) ** 2
+        v = _vandermonde((nu - 1.0) / (2.0 * E - m)) ** 2
         stderr = v.std(ddof=1) / np.sqrt(v.size)
         assert abs(v.mean() - simplex_integral(2.0) / simplex_integral(1.0)) < 4 * stderr
 
@@ -233,7 +241,7 @@ def _mean_constrained_weight(nu, E, count, rng):
     """Mean and standard error of the exact-constraint weight over Haar |U|^2."""
     nu = np.asarray(nu, dtype=float)
     U = sample_haar_unitary(nu.size, rng, size=count)
-    w = _constrained_lambda_weight(np.abs(U) ** 2 @ nu, E, rng)
+    w = np.exp(_constrained_lambda_weight(np.abs(U) ** 2 @ nu, E, rng))
     return w.mean(), w.std(ddof=1) / np.sqrt(count)
 
 
@@ -249,9 +257,9 @@ class TestConstrainedLambdaWeight:
         rng = np.random.default_rng(3)
         nu = rng.uniform(1.0, 7.0, size=(10_000, 1))
         E = 3.0
-        got = _constrained_lambda_weight(nu, E, rng)
+        got = np.exp(_constrained_lambda_weight(nu, E, rng))
         want = np.where(2.0 * E - nu[:, 0] > 0, 2.0 / nu[:, 0], 0.0)
-        assert np.array_equal(got, want)
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
         assert np.any(want == 0.0) and np.any(want > 0.0)
 
     def test_two_modes_proportional_to_g_2p2(self):
@@ -411,8 +419,8 @@ class TestReport:
         block = montecarlo._pipeline_block
 
         def scaled(*args):
-            values, weights = block(*args)
-            return values, weights * 1e200
+            values, log_weights = block(*args)
+            return values, log_weights + math.log(1e200)
 
         monkeypatch.setattr(montecarlo, "_pipeline_block", scaled)
         big = verify_constrained_density(n, c, 5_000, seed=3)
@@ -428,9 +436,10 @@ class TestReport:
         # S, or np.histogram2d of (nu1, nu2) at n = 4
         m = n // 2
         c = EnergyConstraint(2.2, 2.9)
-        values, weights = montecarlo._pipeline_block(m, c, 20_000, np.random.default_rng(n))
+        values, log_weights = montecarlo._pipeline_block(m, c, 20_000, np.random.default_rng(n))
         bins = 20 if m == 1 else 10
-        rep = montecarlo._report(m, c, [(values, weights)], {"proposal_count": len(values)})
+        rep = montecarlo._report(m, c, [(values, log_weights)], {"proposal_count": len(values)})
+        weights = np.exp(log_weights)
         if m == 2:
             edges = np.linspace(1.0, 2.0 * c.min_energy - 1.0, bins + 1)
             counts, _, _ = np.histogram2d(*values.T, bins=[edges, edges])
@@ -450,13 +459,13 @@ class TestReport:
         assert np.allclose(rep.normalized_density, density, rtol=1e-8, atol=0.0)
 
 
-def _previous_report(m, c, values, weights):
+def _previous_report(m, c, values, log_weights):
     """The report as np.digitize, a polyval CDF and a concatenated KS build it.
 
     Returns (counts, density, chi2, dof, ks) from the joined accepted samples,
     an independent reference for the block-wise reduction of ``_report``.
     """
-    weights = weights / weights.max()
+    weights = np.exp(log_weights - log_weights.max())
     S = values.sum(axis=1)
     L, a, law, _ = balanced_sum_law(m, c)
     p = m * m
@@ -494,7 +503,45 @@ def _previous_report(m, c, values, weights):
     return counts, density, chi2, dof, ks
 
 
+def _linear_pipeline_block(m, constraint, count, rng):
+    """``_pipeline_block`` with its weight formed as a plain product of its factors.
+
+    The same draws in the same order; the reference for the log-weights.
+    """
+    top = 2.0 * constraint.min_energy
+    nu = sample_balanced(m, constraint, count, rng)
+    box = rng.random(count) < montecarlo.DEFENSIVE
+    nu[box] = rng.uniform(1.0, top, (int(box.sum()), m))
+    proposal = montecarlo.DEFENSIVE / (top - 1.0) ** m + (
+        1.0 - montecarlo.DEFENSIVE
+    ) * density_balanced(nu, constraint)
+    w = np.prod(nu**2, axis=1) * _vandermonde(nu**2) ** 2 / proposal
+    for E in (constraint.E_A, constraint.E_B):
+        if m <= 2:
+            p = rng.random((count, 1))
+            c = p * nu + (1.0 - p) * nu[:, ::-1]
+        else:
+            P = np.abs(sample_haar_unitary(m, rng, size=count)) ** 2
+            c = np.einsum("chk,ck->ch", P, nu)
+        R = 2.0 * E - c.sum(axis=1)
+        x = rng.standard_exponential((count, m))
+        lam = 1.0 + x * (R / x.sum(axis=1))[:, None] / c
+        volume = 2.0 / np.prod(c, axis=1) * R ** (m - 1) / math.factorial(m - 1)
+        w = w * np.where(R > 0, volume * _vandermonde(lam), 0.0)
+    keep = w > 0
+    return nu[keep], w[keep]
+
+
 class TestBlockwiseReport:
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_log_weights_are_the_log_of_the_product(self, n):
+        c = EnergyConstraint(2.2, 2.9)
+        m = n // 2
+        values, log_weights = montecarlo._pipeline_block(m, c, 5_000, np.random.default_rng(9))
+        want_values, weights = _linear_pipeline_block(m, c, 5_000, np.random.default_rng(9))
+        assert np.array_equal(values, want_values)
+        np.testing.assert_allclose(log_weights, np.log(weights), rtol=0.0, atol=1e-12)
+
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_report_matches_the_previous_construction(self, n, monkeypatch):
         c = EnergyConstraint(2.2, 2.9)
@@ -508,8 +555,8 @@ class TestBlockwiseReport:
         monkeypatch.setattr(montecarlo, "_pipeline_block", captured)
         rep = verify_constrained_density(n, c, 2 * BLOCK + 7, seed=11)
         assert len(blocks) == 3
-        values, weights = map(np.concatenate, zip(*blocks))
-        counts, density, chi2, dof, ks = _previous_report(n // 2, c, values, weights)
+        values, log_weights = map(np.concatenate, zip(*blocks))
+        counts, density, chi2, dof, ks = _previous_report(n // 2, c, values, log_weights)
         assert np.array_equal(rep.counts, counts)
         assert rep.comparison["dof"] == dof
         assert rep.comparison["chi2"] == pytest.approx(chi2, rel=1e-12)
