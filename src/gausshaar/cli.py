@@ -11,10 +11,11 @@ rule gives the precedence and checks every value's type and choices.  A file
 value must also have its option's JSON type: an integer (not a boolean) for
 an int option, a number for a float option, a string for a path or a
 choice, and a boolean for ``--self-test`` and ``--unitary-only``.  A key the
-command has no option for is rejected.  The file is read before the flags
-parse, so it may also set a flag the command requires, such as ``{"n": 4}``
-for ``verify``.  Every invalid setting, from a flag, the file or the
-environment, exits 2 with a JSON error on stderr; so do argparse's usage
+command has no option for is rejected.  Every float setting must be
+finite, and ``--count`` and ``--grid`` at least 1.  The file is read before
+the flags parse, so it may also set a flag the command requires, such as
+``{"n": 4}`` for ``verify``.  Every invalid setting, from a flag, the file
+or the environment, exits 2 with a JSON error on stderr; so do argparse's usage
 errors, such as a missing required flag or an abbreviated one.  An option
 that a ``--kind`` does not read (KIND_OPTIONS) must keep its default.
 
@@ -23,7 +24,8 @@ passes when the chi-square p-value of its comparison exceeds
 ``--p-threshold``, for every n.  A ``verify`` run whose effective sample size
 is below MIN_EXPECTED_PER_BIN (5) times its number of histogram bins of
 positive expected mass (275 at n = 4, where 55 of the 10 x 10 bins lie below
-nu1 + nu2 = 2 min(E); 100 at n = 2; at most 50 otherwise) is a degenerate
+nu1 + nu2 = 2 min(E); 100 at n = 2; 50 otherwise, less any bin whose expected
+mass rounds to zero, as the top one does at n = 12, E = 7) is a degenerate
 estimate and gives no verdict: its report is still written, with
 ``degenerate`` true in the metadata and ``verification_passed`` null.
 ``verify`` and ``haar-sample`` write JSON only and take no ``--format``.
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Callable
@@ -253,10 +256,16 @@ def parse_config(argv=None) -> argparse.Namespace:
     # flags go just after the command: no top-level option takes a value
     args = parser.parse_args([*argv[:1], *flags, *argv[1:]])
     del args.config
+    command = parser.commands[args.command]
+    for action in command.settable.values():
+        value = getattr(args, action.dest)
+        if action.type is float and value is not None and not math.isfinite(value):
+            raise ConfigError(f"{action.option_strings[0]} ({action.dest}) must be finite")
     if "kind" in args:
-        _check_kind_options(parser.commands[args.command], args)
-    if "count" in args and args.count < 1:
-        raise ConfigError("count must be positive")
+        _check_kind_options(command, args)
+    for dest in ("count", "grid"):
+        if dest in args and getattr(args, dest) < 1:
+            raise ConfigError(f"{dest} must be positive")
     # the seed is echoed in JSON, whose encoder takes 64-bit integers
     if not 0 <= args.seed < 2**64:
         raise ConfigError("seed must be in [0, 2**64)")

@@ -180,7 +180,10 @@ def balanced_sum_law(m: int, constraint: EnergyConstraint):
     """
     L = 2.0 * constraint.min_energy - m
     if L <= 0:
-        raise ValueError(f"2 min(E_A, E_B) must exceed m = {m} (empty support)")
+        raise ValueError(
+            f"2 min(E_A, E_B) = {2.0 * constraint.min_energy:.6g} must exceed "
+            f"n/2 = {m} (empty support)"
+        )
     a = (m - 1) * (m + 2) // 2
     b = 2.0 * abs(constraint.E_A - constraint.E_B) / L
     p = m * m

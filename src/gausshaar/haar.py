@@ -63,10 +63,6 @@ class EulerGaussianUnitary:
         object.__setattr__(self, "U_prime", Up)
         object.__setattr__(self, "s", s)
 
-    @property
-    def n_modes(self) -> int:
-        return self.s.shape[-1]
-
 
 def sample_haar_unitary(n: int, rng: np.random.Generator, size: int | None = None):
     """Haar-distributed unitary: the unitary factor Q of a complex Ginibre matrix.
@@ -127,6 +123,8 @@ def sample_repulsive(
     vectors.  Returns (samples, acceptance_rate); nothing is rejected, so
     the rate is 1.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if hi <= lo:
         raise ValueError("need hi > lo")
     q = np.linalg.qr(rng.standard_normal((count, 2 * n + 2, n)))[0][:, : n + 1, :]

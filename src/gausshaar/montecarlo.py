@@ -19,10 +19,10 @@ otherwise), the edges and the expected bin masses depend on n.
 One generator seeded with ``seed`` feeds every draw, in blocks of BLOCK
 proposals; results are deterministic for a fixed seed.  Each block is
 reduced as it arrives to what the report reads: S = sum(nu), the log-weight
-and, at n = 4, the uint16 bin index of (nu1, nu2), whose edges the constraint
-fixes.  So a run keeps 16 bytes per accepted proposal (18 at n = 4) plus one
-block of temporaries, and the report's peak is the KS sort, about 40 bytes
-per accepted proposal.  The kernels run on 1-D columns, one per coordinate.
+and the uint16 bin index of its coordinates, on edges the constraint fixes.
+So a run keeps 18 bytes per accepted proposal at every n plus one block of
+temporaries, and the report's peak is the KS sort, about 40 bytes per
+accepted proposal.  The kernels run on 1-D columns, one per coordinate.
 An effective sample size below MIN_EXPECTED_PER_BIN per histogram bin of
 positive expected mass marks the estimate as degenerate.
 """
@@ -413,12 +413,6 @@ def verify_constrained_density(
     under the null.
     """
     m = balanced_half(n)
-    # each subsystem energy is at least sum(nu)/2 and each nu >= 1
-    if 2.0 * constraint.min_energy <= m:
-        raise ValueError(
-            f"2 min(E_A, E_B) = {2.0 * constraint.min_energy:.6g} must exceed "
-            f"n/2 = {m} (empty support)"
-        )
     rng = np.random.default_rng(seed)
     sizes = [min(BLOCK, count - start) for start in range(0, count, BLOCK)]
     if self_test:
@@ -456,27 +450,28 @@ def _bin_index(x, edges) -> np.ndarray:
     return np.clip(idx, 0, edges.size - 2, out=idx)
 
 
-def _reduce_blocks(blocks, pair_edges=None):
-    """S = sum(nu), the log-weights and, given ``pair_edges`` (m = 2), the flat bin index.
+def _reduce_blocks(blocks, bin_edges):
+    """S = sum(nu), the log-weights and the flat bin index, each block as it arrives.
 
-    Each (values, log-weights) block is reduced as it arrives, so a run keeps 16
-    bytes per accepted proposal, and 18 with the uint16 index of (nu1, nu2)
-    on ``pair_edges`` x ``pair_edges``; without ``pair_edges`` the index is
-    None.
+    The binned coordinates are (nu1, nu2) given two edge vectors and S given
+    one.  A run keeps 18 bytes per accepted proposal: S, the log-weight and
+    the uint16 index.
     """
     sums, weights, flats = [], [], []
     for values, w in blocks:
-        sums.append(functools.reduce(np.add, values.T))
+        S = functools.reduce(np.add, values.T)
+        coordinates = values.T if len(bin_edges) > 1 else [S]
+        flat, *rest = (_bin_index(x, edges) for x, edges in zip(coordinates, bin_edges))
+        for index, edges in zip(rest, bin_edges[1:]):
+            flat *= edges.size - 1
+            flat += index
+        flats.append(flat.astype(np.uint16))
+        sums.append(S)
         weights.append(w)
-        if pair_edges is not None:
-            i, j = (_bin_index(x, pair_edges) for x in values.T)
-            i *= pair_edges.size - 1
-            i += j
-            flats.append(i.astype(np.uint16))
     S = np.concatenate(sums)
     del sums
     weights = np.concatenate(weights)
-    return S, weights, np.concatenate(flats) if flats else None
+    return S, weights, np.concatenate(flats)
 
 
 def _report(m, constraint, blocks, metadata) -> HistogramReport:
@@ -484,22 +479,32 @@ def _report(m, constraint, blocks, metadata) -> HistogramReport:
 
     ``blocks`` yields the (values, log-weights) of each block of proposals, and
     ``metadata``, which holds at least ``proposal_count``, is completed in
-    place.  At m = 2 the histogram is of (nu1, nu2) on [1, 2 min(E) - 1]^2,
-    edges fixed by the constraint, with bin masses from the density; at every
-    other m it is of S = sum(nu) on [m, max(S.max(), 2 min(E))], binned once
-    all blocks are in, with exact bin masses from the CDF of S.  Each
-    coordinate is binned once (half-open bins, the last one closed, as in
-    np.histogram), and counts, masses and the chi-square share that flat bin
-    index, which is freed before the KS statistic of S sorts the sample.  An
-    effective sample size below MIN_EXPECTED_PER_BIN per bin of positive
-    expected mass (the bins the chi-square can keep; at m = 2 those below
-    nu1 + nu2 = 2 min(E)) is a degenerate estimate: the metadata then has
-    ``degenerate`` true and the ``ess_floor`` it missed.
+    place.  The edges, fixed by the constraint, the expected bin masses, the
+    degenerate floor and the CDF of S are built before the first block is
+    read, so an empty support is rejected before any draw.  At m = 2 the
+    histogram is of (nu1, nu2) on [1, 2 min(E) - 1]^2, with bin masses from
+    the density; at every other m it is of S = sum(nu) on [m, 2 min(E)], with
+    exact bin masses from the CDF of S.  Each block is binned as it arrives
+    (half-open bins, the last one closed, as in np.histogram), and counts,
+    masses and the chi-square share that flat bin index, which is freed
+    before the KS statistic of S sorts the sample.  An effective sample size
+    below MIN_EXPECTED_PER_BIN per bin of positive expected mass (the bins
+    the chi-square can keep; at m = 2 those below nu1 + nu2 = 2 min(E)) is a
+    degenerate estimate: the metadata then has ``degenerate`` true and the
+    ``ess_floor`` it missed.
     """
     bins = 20 if m == 1 else 10
     top = 2.0 * constraint.min_energy
-    pair_edges = np.linspace(1.0, top - 1.0, bins + 1) if m == 2 else None
-    S, weights, flat = _reduce_blocks(blocks, pair_edges)
+    cdf = _sum_marginal_cdf(m, constraint)
+    if m == 2:
+        edges = np.linspace(1.0, top - 1.0, bins + 1)
+        bin_edges = [edges, edges]
+        expected = _expected_probs_2p2(edges, constraint).ravel()
+    else:
+        bin_edges = [np.linspace(m, top, bins + 1)]
+        expected = np.diff(cdf(bin_edges[0]))
+    floor = MIN_EXPECTED_PER_BIN * np.count_nonzero(expected > 0)
+    S, weights, flat = _reduce_blocks(blocks, bin_edges)
     accepted = S.size
     count = metadata["proposal_count"]
     if accepted == 0:
@@ -523,17 +528,6 @@ def _report(m, constraint, blocks, metadata) -> HistogramReport:
     logger.info(
         "verify pipeline n=%d: %d/%d accepted (ESS %.0f)", 2 * m, accepted, count, ess
     )
-
-    cdf = _sum_marginal_cdf(m, constraint)
-    if m == 2:
-        bin_edges = [pair_edges, pair_edges]
-        expected = _expected_probs_2p2(pair_edges, constraint).ravel()
-    else:
-        edges = np.linspace(m, max(float(S.max()), top), bins + 1)
-        bin_edges = [edges]
-        flat = _bin_index(S, edges)
-        expected = np.diff(cdf(edges))
-    floor = MIN_EXPECTED_PER_BIN * np.count_nonzero(expected > 0)
     if ess < floor:
         metadata.update(degenerate=True, ess_floor=floor)
     shape = (bins,) * len(bin_edges)

@@ -39,6 +39,8 @@ def read_covariance_csv(path) -> GaussianPureState:
         fields = dict(
             part.split("=", 1) for part in header.lstrip("#").split() if "=" in part
         )
+        if "n_modes" not in fields:
+            raise ValueError("covariance CSV header has no n_modes=<n> field")
         n_modes = int(fields["n_modes"])
         if fields.get("ordering", "interleaved") != "interleaved":
             raise ValueError(f"unsupported quadrature ordering {fields['ordering']!r}")
@@ -69,6 +71,12 @@ def state_to_json_dict(state: GaussianPureState) -> dict | list[dict]:
 
 
 def state_from_json_dict(data: dict) -> GaussianPureState:
+    """The state of a :func:`state_to_json_dict` object; ValueError names a missing field."""
+    if not isinstance(data, dict):
+        raise ValueError("a JSON state must be an object with fields n_modes and covariance")
+    for name in ("n_modes", "covariance"):
+        if data.get(name) is None:
+            raise ValueError(f"JSON state has no {name!r} field")
     return GaussianPureState(
         n_modes=int(data["n_modes"]),
         covariance=np.array(data["covariance"], dtype=float),

@@ -166,9 +166,6 @@ class SymplecticSpectrum:
         object.__setattr__(self, "nu", nu)
         object.__setattr__(self, "r", r)
 
-    def __len__(self) -> int:
-        return len(self.nu)
-
 
 def quadrature_indices(modes) -> np.ndarray:
     """Row/column indices of the given modes in the interleaved ordering."""

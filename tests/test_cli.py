@@ -565,6 +565,73 @@ class TestKindOptions:
         assert config["cutoff"] == 10.0 and "E_A" not in config
 
 
+def _assert_config_error(code, capsys):
+    """Exit 2, nothing on stdout, and one JSON error line on stderr."""
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["exit_code"] == 2
+    return json.loads(lines[0])["error"]
+
+
+class TestInvalidValues:
+    @pytest.mark.parametrize(
+        "argv, conf",
+        [
+            (["verify", "--n", "4", "--EA", "nan", "--EB", "2.5", "--count", "10"], None),
+            (["verify", "--n", "4", "--EA", "inf", "--EB", "inf", "--count", "10"], None),
+            (["haar-sample", "--n", "2", "--count", "2", "--cutoff", "nan"], None),
+            (["haar-sample", "--n", "2", "--count", "2", "--cutoff", "1e400"], None),
+            (["sample", "--kind", "lambda", "--n", "2", "--count", "2", "--cutoff", "inf"], None),
+            (["density", "--kind", "2p2", "--EA", "inf", "--EB", "3", "--grid", "3"], None),
+            (["density", "--kind", "2p2", "--EB", "3", "--grid", "3"], '{"E_A": NaN}'),
+            (["density", "--kind", "unconstrained", "--nA", "1", "--nB", "1",
+              "--numax", "nan"], None),
+            (["verify", "--n", "4", "--EA", "2.5", "--EB", "2.5", "--count", "10",
+              "--p-threshold", "nan"], None),
+            (["density", "--kind", "1p1", "--EA", "2", "--EB", "3", "--grid", "0"], None),
+            (["density", "--kind", "1p1", "--EA", "2", "--EB", "3", "--grid", "-3"], None),
+            (["sample", "--kind", "lambda", "--n", "0"], None),
+        ],
+        ids=["verify-nan", "verify-inf", "cutoff-nan", "cutoff-overflow", "cutoff-inf",
+             "density-inf", "config-nan", "numax-nan", "p-threshold-nan", "grid-0",
+             "grid-negative", "lambda-n-0"],
+    )
+    def test_rejected_as_configuration(self, argv, conf, tmp_path, capsys):
+        # a RuntimeWarning, such as eigvalsh's on a nan cutoff, is an error
+        # under the pytest settings, so it fails the test too
+        if conf is not None:
+            path = tmp_path / "conf.json"
+            path.write_text(conf)
+            argv = [*argv, "--config", str(path)]
+        _assert_config_error(main(argv), capsys)
+
+    @pytest.mark.parametrize("command", ["williamson", "entropy"])
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("empty.json", "{}"),
+            ("null.json", '{"n_modes": null, "covariance": [[1.0, 0.0], [0.0, 1.0]]}'),
+            ("draws.json", None),
+            ("array.json", "[[1.0, 0.0], [0.0, 1.0]]"),
+            ("cov.csv", "# ordering=interleaved\n1,0\n0,1\n"),
+        ],
+        ids=["empty-object", "null-n-modes", "haar-sample-output", "array",
+             "csv-without-n-modes"],
+    )
+    def test_malformed_state_file_rejected(self, command, name, text, tmp_path, capsys):
+        # a haar-sample output file (text None) holds draws, not a state
+        path = tmp_path / name
+        if text is None:
+            assert main(["haar-sample", "--n", "1", "--count", "1", "--output", str(path)]) == 0
+        else:
+            path.write_text(text)
+        code = main([command, "--input", str(path), "--nA", "1", "--nB", "0"])
+        assert "n_modes" in _assert_config_error(code, capsys)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
