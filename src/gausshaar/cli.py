@@ -7,7 +7,11 @@ object of ``{dest: value}`` pairs of the command's own options, such as
 ``{"p_threshold": 0.05}`` for ``--p-threshold 0.05``.  Its pairs become flags
 just after the command, followed by ``--seed`` from GAUSSHAAR_SEED (the one
 environment override) and then the flags as given, so argparse's last-wins
-rule gives the precedence and checks every value's type and choices.  A file
+rule gives the precedence and checks every value's type and choices.  Only
+the commands that draw (``sample``, ``verify``, ``haar-sample``) take
+``--seed`` and read GAUSSHAAR_SEED; ``williamson``, ``entropy`` and
+``density`` reject a ``--seed`` flag or ``seed`` key and ignore the
+variable.  A file
 value must also have its option's JSON type: an integer (not a boolean) for
 an int option, a number for a float option, a string for a path or a
 choice, and a boolean for ``--self-test`` and ``--unitary-only``.  A key the
@@ -17,15 +21,19 @@ the flags parse, so it may also set a flag the command requires, such as
 ``{"n": 4}`` for ``verify``.  Every invalid setting, from a flag, the file
 or the environment, exits 2 with a JSON error on stderr; so do argparse's usage
 errors, such as a missing required flag or an abbreviated one.  An option
-that a ``--kind`` does not read (KIND_OPTIONS) must keep its default.
+that a ``--kind``, or ``haar-sample --unitary-only``, does not read
+(KIND_OPTIONS) must keep its default.  ``metadata.config`` of an output
+echoes only values a user can set, and of those only what the run read;
+the CLI, not the encoder, adds ``metadata.timestamp``, the one field that
+differs between runs of one configuration.  Every output, JSON or CSV, goes
+to ``--output`` or stdout as bytes, in one write.
 
 ``verify`` imposes the energy constraint exactly and takes no cutoff.  It
 passes when the chi-square p-value of its comparison exceeds
 ``--p-threshold``, for every n.  A ``verify`` run whose effective sample size
 is below MIN_EXPECTED_PER_BIN (5) times its number of histogram bins of
 positive expected mass (275 at n = 4, where 55 of the 10 x 10 bins lie below
-nu1 + nu2 = 2 min(E); 100 at n = 2; 50 otherwise, less any bin whose expected
-mass rounds to zero, as the top one does at n = 12, E = 7) is a degenerate
+nu1 + nu2 = 2 min(E); 100 at n = 2; 50 otherwise) is a degenerate
 estimate and gives no verdict: its report is still written, with
 ``degenerate`` true in the metadata and ``verification_passed`` null.
 ``verify`` and ``haar-sample`` write JSON only and take no ``--format``.
@@ -41,6 +49,7 @@ import json
 import math
 import os
 import sys
+from datetime import datetime, timezone
 from typing import Callable
 
 import numpy as np
@@ -76,16 +85,18 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_VERIFICATION = 4
 
-# what each (command, --kind) reads besides --kind/--output/--format/--seed
+# what a command reads besides --output/--format/--seed, by the flags that
+# pick what it computes (see _kind)
 KIND_OPTIONS = {
-    ("density", "unconstrained"): ("n_A", "n_B", "grid", "numax"),
-    ("density", "submanifold"): ("n_A", "n_B", "grid", "numax"),
-    ("density", "1p1"): ("E_A", "E_B", "grid"),
-    ("density", "2p2"): ("E_A", "E_B", "grid"),
-    ("density", "submanifold-energy"): ("E", "n", "grid"),
-    ("sample", "2p2"): ("E_A", "E_B", "count"),
-    ("sample", "submanifold-energy"): ("E", "n", "count"),
-    ("sample", "lambda"): ("n", "count", "cutoff"),
+    ("density", "--kind unconstrained"): ("n_A", "n_B", "grid", "numax"),
+    ("density", "--kind submanifold"): ("n_A", "n_B", "grid", "numax"),
+    ("density", "--kind 1p1"): ("E_A", "E_B", "grid"),
+    ("density", "--kind 2p2"): ("E_A", "E_B", "grid"),
+    ("density", "--kind submanifold-energy"): ("E", "n", "grid"),
+    ("sample", "--kind 2p2"): ("E_A", "E_B", "count"),
+    ("sample", "--kind submanifold-energy"): ("E", "n", "count"),
+    ("sample", "--kind lambda"): ("n", "count", "cutoff"),
+    ("haar-sample", "--unitary-only"): ("n", "count"),
 }
 
 # the JSON type a config-file value must have, by the type of its option
@@ -124,14 +135,14 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_common(p: _Parser, csv: bool = True):
+def _add_common(p: _Parser, csv: bool, seed: bool):
+    """--config and --output; --format if the command writes CSV, --seed if it draws."""
     p.add_argument("--config", help="JSON config file of {dest: value} settings")
     p.option("--output", dest="output_path", help="output file (default: stdout)")
     if csv:
         p.option("--format", choices=["csv", "json"], default="json")
-    else:
-        p.set_defaults(format="json")
-    p.option("--seed", type=int, default=0)
+    if seed:
+        p.option("--seed", type=int, default=0)
 
 
 def build_parser() -> _Parser:
@@ -155,7 +166,7 @@ def build_parser() -> _Parser:
         p.option("--input", dest="input_path", required=True)
         p.option("--nA", dest="n_A", type=int, required=True)
         p.option("--nB", dest="n_B", type=int, required=True)
-        _add_common(p)
+        _add_common(p, csv=True, seed=False)
 
     p = command("density", "evaluate an analytic density on a grid")
     p.option(
@@ -172,7 +183,7 @@ def build_parser() -> _Parser:
     p.option("--grid", type=int, default=100)
     p.option("--numax", type=float, default=10.0,
              help="upper end of the nu axes of the unconstrained and submanifold grids")
-    _add_common(p)
+    _add_common(p, csv=True, seed=False)
 
     p = command("sample", "draw from a closed-form density")
     p.option("--kind", required=True, choices=["2p2", "submanifold-energy", "lambda"])
@@ -182,7 +193,7 @@ def build_parser() -> _Parser:
     p.option("--n", type=int)
     p.option("--count", type=int, default=100_000)
     p.option("--cutoff", type=float, default=10.0)
-    _add_common(p)
+    _add_common(p, csv=True, seed=True)
 
     p = command("verify", "Monte Carlo verification of a constrained density")
     p.option("--n", type=int, required=True)
@@ -191,7 +202,7 @@ def build_parser() -> _Parser:
     p.option("--count", type=int, default=100_000)
     p.option("--self-test", dest="self_test", action="store_true")
     p.option("--p-threshold", dest="p_threshold", type=float, default=0.01)
-    _add_common(p, csv=False)
+    _add_common(p, csv=False, seed=True)
 
     p = command("haar-sample", "sample Haar unitaries or Gaussian unitaries")
     p.option("--n", type=int, required=True)
@@ -203,7 +214,7 @@ def build_parser() -> _Parser:
         action="store_true",
         help="emit plain Haar unitaries instead of full Gaussian unitaries",
     )
-    _add_common(p, csv=False)
+    _add_common(p, csv=False, seed=True)
     return parser
 
 
@@ -248,7 +259,7 @@ def parse_config(argv=None) -> argparse.Namespace:
         pre.add_argument("--config")
         path = pre.parse_known_args(argv[1:])[0].config
         flags = _file_flags(command, path) if path else []
-        if "GAUSSHAAR_SEED" in os.environ:
+        if "seed" in command.settable and "GAUSSHAAR_SEED" in os.environ:
             try:
                 flags.append(f"--seed={int(os.environ['GAUSSHAAR_SEED'])}")
             except ValueError:
@@ -261,22 +272,31 @@ def parse_config(argv=None) -> argparse.Namespace:
         value = getattr(args, action.dest)
         if action.type is float and value is not None and not math.isfinite(value):
             raise ConfigError(f"{action.option_strings[0]} ({action.dest}) must be finite")
-    if "kind" in args:
-        _check_kind_options(command, args)
+    _check_kind_options(command, args)
     for dest in ("count", "grid"):
         if dest in args and getattr(args, dest) < 1:
             raise ConfigError(f"{dest} must be positive")
     # the seed is echoed in JSON, whose encoder takes 64-bit integers
-    if not 0 <= args.seed < 2**64:
+    if "seed" in args and not 0 <= args.seed < 2**64:
         raise ConfigError("seed must be in [0, 2**64)")
     return args
 
 
+def _kind(args: argparse.Namespace) -> str:
+    """The flags that pick what ``args.command`` computes: ``--kind K``, or ``--unitary-only``."""
+    if "kind" in args:
+        return f"--kind {args.kind}"
+    return "--unitary-only" if getattr(args, "unitary_only", False) else ""
+
+
 def _check_kind_options(command: _Parser, args: argparse.Namespace) -> None:
-    """Require what ``args.kind`` reads; reject the rest unless at its default, and drop it."""
-    kind = f"{args.command} --kind {args.kind}"
-    reads = KIND_OPTIONS[args.command, args.kind]
-    common = ("kind", "output_path", "format", "seed")
+    """Require what the kind of ``args`` reads (KIND_OPTIONS), and reject the rest
+    unless it is at its default; then drop the rest from ``args``."""
+    kind = f"{args.command} {_kind(args)}"
+    reads = KIND_OPTIONS.get((args.command, _kind(args)))
+    if reads is None:
+        return
+    common = ("kind", "unitary_only", "output_path", "format", "seed")
     unread = [a for a in command.settable.values() if a.dest not in (*reads, *common)]
     given = [f"{a.option_strings[0]} ({a.dest})" for a in unread
              if getattr(args, a.dest) != a.default]
@@ -291,23 +311,25 @@ def _check_kind_options(command: _Parser, args: argparse.Namespace) -> None:
 
 def _metadata(config: argparse.Namespace) -> dict:
     settings = {k: v for k, v in vars(config).items() if v is not None}
-    return {"tool_version": __version__, "config": settings, "seed": config.seed}
+    time = datetime.now(timezone.utc).isoformat()
+    meta = {"tool_version": __version__, "config": settings, "timestamp": time}
+    if "seed" in config:
+        meta["seed"] = config.seed
+    return meta
 
 
 def _emit(
     payload: dict, config: argparse.Namespace, csv_text: Callable[[], str] | None = None
 ) -> None:
-    """Write the JSON payload, or in CSV mode the text ``csv_text()`` builds."""
-    if config.format == "csv":
-        text = csv_text()
-        if config.output_path:
-            with open(config.output_path, "w", newline="") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-        return
-    data = dump_output(payload, config.output_path)
-    if not config.output_path:
+    """Write the JSON payload, or in CSV mode the text ``csv_text()`` builds, in one write."""
+    if getattr(config, "format", "json") == "csv":
+        data = csv_text().encode()
+    else:
+        data = dump_output(payload)
+    if config.output_path:
+        with open(config.output_path, "wb") as fh:
+            fh.write(data)
+    else:
         sys.stdout.flush()
         sys.stdout.buffer.write(data)
 

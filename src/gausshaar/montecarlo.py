@@ -257,27 +257,24 @@ def weighted_ks_statistic(values, weights, cdf) -> float:
     return float(np.maximum(upper, np.abs(gap, out=gap).max()))
 
 
-def weighted_chi2(bin_index, weights, expected_prob) -> tuple[float, int, float]:
+def weighted_chi2(W, W2, count, expected_prob) -> tuple[float, int, float]:
     """Chi-square test of weighted bin masses against expected probabilities.
 
-    Per-bin z-scores use the empirical variance sum(w_i^2) of the bin mass;
-    bins whose expected effective count falls below a floor are dropped.
+    ``W`` and ``W2`` are the per-bin sums of the weights of ``count`` samples
+    and of their squares.  Per-bin z-scores use the empirical variance W2 of
+    the bin mass, floored at the expected mass times the mean weight; bins
+    that no sample reached and whose expected effective count falls below a
+    floor are dropped, so every kept bin has a positive variance.
     Returns (chi2, dof, p_value).
     """
-    n_bins = expected_prob.size
-    W = np.bincount(bin_index, weights=weights, minlength=n_bins)[:n_bins]
-    W2 = np.bincount(bin_index, weights=np.asarray(weights) ** 2, minlength=n_bins)[:n_bins]
     total = W.sum()
     if total <= 0:
         return float("nan"), 0, float("nan")
     ess = total**2 / W2.sum()
-    mean_w = total / len(weights)
     expected = total * expected_prob
-    variance = np.maximum(W2, expected * mean_w)
     keep = (expected_prob * ess >= MIN_EXPECTED_PER_BIN) | (W2 > 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z2 = np.where(variance > 0, (W - expected) ** 2 / variance, 0.0)
-    chi2 = float(z2[keep].sum())
+    variance = np.maximum(W2[keep], expected[keep] * (total / count))
+    chi2 = float(np.sum((W[keep] - expected[keep]) ** 2 / variance))
     dof = max(int(keep.sum()) - 1, 1)
     return chi2, dof, chi2_sf(chi2, dof)
 
@@ -389,6 +386,29 @@ def _sum_marginal_cdf(m: int, constraint: EnergyConstraint):
     return cdf
 
 
+def _sum_bin_masses(m: int, constraint: EnergyConstraint, edges) -> np.ndarray:
+    """Closed-form masses of S = sum(nu) between consecutive ``edges``, to full precision.
+
+    A bin whose lower edge lies below x = (S - m)/L = 1/2 has the difference
+    of ``_sum_marginal_cdf`` as its mass.  Above it that difference cancels
+    (the top bin at m = 6, E = 7 reads 0 against 1.5e-21), so the mass is a
+    difference of the survival function: 1 - I_x(p, q) = I_y(q, p) with
+    y = 1 - x, which over the components Beta(p, a + k + 1) of
+    ``balanced_sum_law`` sums to
+    SF(x) = y^(a+1) sum_k w_k y^k sum_{r < p} C(a + k + r, r) x^r,
+    a sum of positive terms.
+    """
+    L, a, weights, _ = balanced_sum_law(m, constraint)
+    k, r = np.arange(a + 1), np.arange(m * m)
+    coef = np.array([[math.comb(a + j + i, i) for i in r] for j in k], dtype=float)
+    x = np.clip((edges - m) / L, 0.0, 1.0)
+    y = 1.0 - x
+    # sum_r C(a + k + r, r) x^r for each edge and k, then y^k and w_k
+    sf = y ** (a + 1) * ((y[:, None] ** k) * (x[:, None] ** r @ coef.T) @ weights)
+    cdf = _sum_marginal_cdf(m, constraint)(edges)
+    return np.where(x[:-1] >= 0.5, sf[:-1] - sf[1:], np.diff(cdf))
+
+
 def verify_constrained_density(
     n: int,
     constraint: EnergyConstraint,
@@ -484,10 +504,12 @@ def _report(m, constraint, blocks, metadata) -> HistogramReport:
     read, so an empty support is rejected before any draw.  At m = 2 the
     histogram is of (nu1, nu2) on [1, 2 min(E) - 1]^2, with bin masses from
     the density; at every other m it is of S = sum(nu) on [m, 2 min(E)], with
-    exact bin masses from the CDF of S.  Each block is binned as it arrives
-    (half-open bins, the last one closed, as in np.histogram), and counts,
-    masses and the chi-square share that flat bin index, which is freed
-    before the KS statistic of S sorts the sample.  An effective sample size
+    exact bin masses from ``_sum_bin_masses``.  Each block is binned as it
+    arrives (half-open bins, the last one closed, as in np.histogram).  Three
+    bincounts over that flat index give the counts and the per-bin sums of
+    the weights and of their squares, which the density and the chi-square
+    share; the index is freed before the KS statistic of S sorts the
+    sample.  An effective sample size
     below MIN_EXPECTED_PER_BIN per bin of positive expected mass (the bins
     the chi-square can keep; at m = 2 those below nu1 + nu2 = 2 min(E)) is a
     degenerate estimate: the metadata then has ``degenerate`` true and the
@@ -502,7 +524,7 @@ def _report(m, constraint, blocks, metadata) -> HistogramReport:
         expected = _expected_probs_2p2(edges, constraint).ravel()
     else:
         bin_edges = [np.linspace(m, top, bins + 1)]
-        expected = np.diff(cdf(bin_edges[0]))
+        expected = _sum_bin_masses(m, constraint, bin_edges[0])
     floor = MIN_EXPECTED_PER_BIN * np.count_nonzero(expected > 0)
     S, weights, flat = _reduce_blocks(blocks, bin_edges)
     accepted = S.size
@@ -517,7 +539,8 @@ def _report(m, constraint, blocks, metadata) -> HistogramReport:
     weights -= weights.max()
     np.exp(weights, out=weights)
     total = weights.sum()
-    ess = float(total**2 / (weights**2).sum())
+    squares = weights**2
+    ess = float(total**2 / squares.sum())
     metadata.update(
         sample_count=accepted,
         acceptance_rate=accepted / count,
@@ -532,10 +555,11 @@ def _report(m, constraint, blocks, metadata) -> HistogramReport:
         metadata.update(degenerate=True, ess_floor=floor)
     shape = (bins,) * len(bin_edges)
     counts = np.bincount(flat, minlength=expected.size).reshape(shape)
-    mass = np.bincount(flat, weights=weights, minlength=expected.size).reshape(shape)
-    density = mass / (weights.sum() * _cell_volume(bin_edges))
-    chi2, dof, p = weighted_chi2(flat, weights, expected)
-    del flat
+    mass = np.bincount(flat, weights=weights, minlength=expected.size)
+    mass2 = np.bincount(flat, weights=squares, minlength=expected.size)
+    del flat, squares
+    density = mass.reshape(shape) / (total * _cell_volume(bin_edges))
+    chi2, dof, p = weighted_chi2(mass, mass2, accepted, expected)
     ks = weighted_ks_statistic(S, weights, cdf)
     comparison = {"ks_statistic": ks, "chi2": chi2, "dof": dof, "p_value": p}
     return HistogramReport(bin_edges, counts, density, comparison, metadata)

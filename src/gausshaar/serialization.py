@@ -2,20 +2,20 @@
 
 Every number round-trips bit-exactly: the CSV writers use 17 significant
 digits, and JSON holds the shortest digits that parse back to the same
-double.  Output files embed the configuration that produced them; the only
-non-reproducible field is the timestamp, which lives in metadata.
+double.  Results are encoded here and written by the caller: ``dump_output``
+returns JSON bytes and the CSV builders return text, and none reads the
+clock.  The CLI embeds the configuration that produced an output, and the
+timestamp, its only non-reproducible field, under metadata.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from datetime import datetime, timezone
 
 import numpy as np
 import orjson
 
-from .montecarlo import HistogramReport
 from .symplectic import GaussianPureState
 
 FLOAT_FMT = "%.17g"
@@ -94,7 +94,8 @@ def read_state(path) -> GaussianPureState:
     return read_covariance_csv(path)
 
 
-def report_to_json_dict(report: HistogramReport) -> dict:
+def report_to_json_dict(report) -> dict:
+    """The fields of a ``montecarlo.HistogramReport`` as a JSON object."""
     return {
         "bin_edges": [np.asarray(e).tolist() for e in report.bin_edges],
         "counts": np.asarray(report.counts).tolist(),
@@ -112,8 +113,8 @@ def _contiguous(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def dump_output(payload: dict, path: str | None, timestamp: bool = True) -> bytes:
-    """Encode a result payload as one line of UTF-8 JSON; write it to ``path`` if given.
+def dump_output(payload: dict) -> bytes:
+    """Encode a result payload as one line of UTF-8 JSON.
 
     Returns the encoded bytes, undecoded: a decoded copy would only double
     the memory held while a large document is written.
@@ -124,26 +125,15 @@ def dump_output(payload: dict, path: str | None, timestamp: bool = True) -> byte
     ``haar-sample`` run formatting floats.  float64 and int64 numpy arrays
     are encoded as they stand, in the same bytes as their ``tolist()``, so
     bulk payloads pass arrays and no Python float is made per number;
-    non-contiguous arrays are copied to C order first.  The timestamp is
-    attached under metadata only, so stripping it recovers a byte-identical
-    document for identical (config, seed).
+    non-contiguous arrays are copied to C order first.
     """
-    if timestamp:
-        payload = dict(payload)
-        meta = dict(payload.get("metadata", {}))
-        meta["timestamp"] = datetime.now(timezone.utc).isoformat()
-        payload["metadata"] = meta
-    data = orjson.dumps(
+    return orjson.dumps(
         payload,
         default=_contiguous,
         option=orjson.OPT_SORT_KEYS
         | orjson.OPT_APPEND_NEWLINE
         | orjson.OPT_SERIALIZE_NUMPY,
     )
-    if path:
-        with open(path, "wb") as fh:
-            fh.write(data)
-    return data
 
 
 def samples_csv_text(samples: np.ndarray, energies) -> str:

@@ -529,8 +529,10 @@ class TestKindOptions:
             (["sample", "--kind", "2p2", "--EA", "2.5", "--EB", "2.5", "--cutoff", "3",
               "--n", "9"], ["--cutoff (cutoff)", "--n (n)"]),
             (["sample", "--kind", "lambda", "--n", "2", "--EA", "2.5"], ["--EA (E_A)"]),
+            (["haar-sample", "--n", "2", "--count", "1", "--unitary-only", "--cutoff", "5"],
+             ["--cutoff (cutoff)"]),
         ],
-        ids=["density-2p2", "sample-2p2", "sample-lambda"],
+        ids=["density-2p2", "sample-2p2", "sample-lambda", "haar-sample-unitary-only"],
     )
     def test_option_the_kind_does_not_read_rejected(self, argv, flags, tmp_path, capsys):
         out = tmp_path / "out.json"
@@ -549,13 +551,18 @@ class TestKindOptions:
                      "--config", str(conf)])
         assert code == 2
         assert "n_A" in json.loads(capsys.readouterr().err)["error"]
+        conf.write_text(json.dumps({"cutoff": 5.0}))
+        code = main(["haar-sample", "--n", "2", "--count", "1", "--unitary-only",
+                     "--config", str(conf)])
+        assert code == 2
+        assert "--cutoff (cutoff)" in json.loads(capsys.readouterr().err)["error"]
 
     def test_unread_options_left_out_of_the_echoed_config(self, capsys):
         # an unread option given at its default is accepted and not echoed
         assert main(["density", "--kind", "2p2", "--EA", "2.5", "--EB", "2.5",
                      "--grid", "3", "--numax", "10"]) == 0
         config = json.loads(capsys.readouterr().out)["metadata"]["config"]
-        assert sorted(config) == ["E_A", "E_B", "command", "format", "grid", "kind", "seed"]
+        assert sorted(config) == ["E_A", "E_B", "command", "format", "grid", "kind"]
         assert main(["sample", "--kind", "2p2", "--EA", "2.5", "--EB", "2.5",
                      "--count", "5", "--format", "json"]) == 0
         config = json.loads(capsys.readouterr().out)["metadata"]["config"]
@@ -563,6 +570,57 @@ class TestKindOptions:
         assert main(["sample", "--kind", "lambda", "--n", "2", "--count", "5"]) == 0
         config = json.loads(capsys.readouterr().out)["metadata"]["config"]
         assert config["cutoff"] == 10.0 and "E_A" not in config
+        argv = ["haar-sample", "--n", "2", "--count", "1", "--cutoff", "10", "--unitary-only"]
+        assert main(argv) == 0
+        assert "cutoff" not in json.loads(capsys.readouterr().out)["metadata"]["config"]
+        assert main(argv[:-1]) == 0
+        assert json.loads(capsys.readouterr().out)["metadata"]["config"]["cutoff"] == 10.0
+
+
+class TestSeed:
+    DRAWS = [
+        ["sample", "--kind", "lambda", "--n", "2", "--count", "3"],
+        ["verify", "--n", "2", "--EA", "3", "--EB", "3", "--count", "500", "--self-test"],
+        ["haar-sample", "--n", "2", "--count", "2"],
+    ]
+    DRAWS_NOTHING = [
+        ["williamson", "--input", "{cov}", "--nA", "2", "--nB", "2"],
+        ["entropy", "--input", "{cov}", "--nA", "2", "--nB", "2"],
+        ["density", "--kind", "1p1", "--EA", "2", "--EB", "3", "--grid", "4"],
+    ]
+
+    def test_settable_values_of_each_command(self):
+        settable = {name: len(p.settable) for name, p in build_parser().commands.items()}
+        assert settable == {"williamson": 5, "entropy": 5, "density": 11, "sample": 10,
+                            "verify": 8, "haar-sample": 6}
+
+    @pytest.mark.parametrize("argv", DRAWS_NOTHING, ids=lambda argv: argv[0])
+    def test_commands_that_draw_nothing_take_no_seed(
+        self, argv, canonical_csv, tmp_path, capsys, monkeypatch
+    ):
+        argv = [arg.format(cov=canonical_csv) for arg in argv]
+        assert "seed" in _assert_config_error(main([*argv, "--seed", "3"]), capsys)
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"seed": 3}))
+        assert "seed" in _assert_config_error(main([*argv, "--config", str(conf)]), capsys)
+        assert main(argv) == 0
+        plain = _strip_timestamp(capsys.readouterr().out)
+        assert "seed" not in plain["metadata"] and "seed" not in plain["metadata"]["config"]
+        for value in ("5", "abc"):
+            monkeypatch.setenv("GAUSSHAAR_SEED", value)
+            assert main(argv) == 0
+            assert _strip_timestamp(capsys.readouterr().out) == plain
+
+    @pytest.mark.parametrize("argv", DRAWS, ids=lambda argv: argv[0])
+    def test_commands_that_draw_honour_flag_and_environment(self, argv, capsys, monkeypatch):
+        assert main([*argv, "--seed", "5"]) == 0
+        flagged = _strip_timestamp(capsys.readouterr().out)
+        assert flagged["metadata"]["seed"] == flagged["metadata"]["config"]["seed"] == 5
+        monkeypatch.setenv("GAUSSHAAR_SEED", "5")
+        assert main(argv) == 0
+        assert _strip_timestamp(capsys.readouterr().out) == flagged
+        assert main([*argv, "--seed", "6"]) == 0
+        assert _strip_timestamp(capsys.readouterr().out)["metadata"]["seed"] == 6
 
 
 def _assert_config_error(code, capsys):

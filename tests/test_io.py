@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from gausshaar.cli import main
 from gausshaar.densities import EnergyConstraint
 from gausshaar.montecarlo import verify_constrained_density
 from gausshaar.serialization import (
@@ -82,25 +83,27 @@ class TestReportJson:
         assert parsed["metadata"]["seed"] == 1
         assert len(parsed["bin_edges"][0]) == len(parsed["counts"]) + 1
 
-    def test_dump_output_timestamp_only_in_metadata(self, tmp_path):
+    def test_dump_output_timestamp_only_in_metadata(self, capsys):
+        # the encoder reads no clock; the CLI stamps metadata.timestamp, and
+        # nothing else differs between two runs
         payload = {"x": 1, "metadata": {"seed": 5}}
-        t1 = dump_output(payload, None)
-        t2 = dump_output(payload, None)
-        d1, d2 = json.loads(t1), json.loads(t2)
-        d1["metadata"].pop("timestamp")
-        d2["metadata"].pop("timestamp")
-        assert d1 == d2
+        assert dump_output(payload) == b'{"metadata":{"seed":5},"x":1}\n'
+        docs = []
+        for _ in range(2):
+            assert main(["sample", "--kind", "lambda", "--n", "1", "--count", "2"]) == 0
+            docs.append(json.loads(capsys.readouterr().out))
+        for doc in docs:
+            assert isinstance(doc["metadata"].pop("timestamp"), str)
+        assert docs[0] == docs[1]
+        assert "timestamp" not in json.dumps(docs[0])
 
 
 class TestDumpOutput:
-    def test_floats_round_trip_bit_exactly(self, tmp_path):
+    def test_floats_round_trip_bit_exactly(self):
         edge = [5e-324, -0.0, 0.1, 1e-7, 1e16, 1.7976931348623157e308]
         normals = np.random.default_rng(40).standard_normal(10_000).tolist()
         payload = {"edge": edge, "normals": normals, "metadata": {"seed": 40}}
-        path = tmp_path / "out.json"
-        data = dump_output(payload, str(path), timestamp=False)
-        assert path.read_bytes() == data
-        back = json.loads(data)
+        back = json.loads(dump_output(payload))
         for key in ("edge", "normals"):
             sent = np.array(payload[key])
             got = np.array(back[key])
@@ -126,9 +129,7 @@ class TestDumpOutput:
         payload = {**arrays, "rows": list(wide), "metadata": {"seed": 41}}
         twin = {k: v.tolist() for k, v in arrays.items()}
         twin.update(rows=[row.tolist() for row in wide], metadata={"seed": 41})
-        assert dump_output(payload, None, timestamp=False) == dump_output(
-            twin, None, timestamp=False
-        )
+        assert dump_output(payload) == dump_output(twin)
 
     @pytest.mark.parametrize("view", ["transposed", "real", "imag"])
     def test_non_contiguous_view_encodes_as_its_list(self, view):
@@ -140,21 +141,19 @@ class TestDumpOutput:
             "imag": z.imag,
         }[view]
         assert not a.flags.c_contiguous
-        assert dump_output({"a": a}, None, timestamp=False) == dump_output(
-            {"a": a.tolist()}, None, timestamp=False
-        )
+        assert dump_output({"a": a}) == dump_output({"a": a.tolist()})
 
     def test_unencodable_array_raises_type_error(self):
         with pytest.raises(TypeError):
-            dump_output({"z": np.ones(3, dtype=complex)}, None, timestamp=False)
+            dump_output({"z": np.ones(3, dtype=complex)})
 
     def test_state_stack_encodes_as_its_lists(self):
         states = [tmsv_state(r) for r in (0.1, 0.5, 0.9)]
         stack = GaussianPureState(2, np.stack([s.covariance for s in states]))
         rows = state_to_json_dict(stack)
         assert all(isinstance(row["covariance"], np.ndarray) for row in rows)
-        assert dump_output({"s": rows}, None, timestamp=False) == dump_output(
-            {"s": [state_to_json_dict(s) for s in states]}, None, timestamp=False
+        assert dump_output({"s": rows}) == dump_output(
+            {"s": [state_to_json_dict(s) for s in states]}
         )
 
 

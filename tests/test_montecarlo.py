@@ -1,5 +1,7 @@
+import functools
 import itertools
 import math
+from fractions import Fraction
 import tracemalloc
 
 import numpy as np
@@ -53,6 +55,29 @@ def _sum_cdf_by_polynomial(m, c):
 
     top = 2.0 * c.min_energy - m
     return lambda s: integral(np.clip(s - m, 0.0, top)) / integral(np.array(top))
+
+
+def _sum_bin_masses_exact(m, c, edges):
+    """Masses of S = sum(nu) between the float ``edges``, in exact rationals.
+
+    The marginal of x = (S - m)/L, L = 2 min(E) - m, is up to a constant
+    x^(m^2 - 1) (u_A - x)^a (u_B - x)^a with u = (2E - m)/L; its coefficients
+    and antiderivative are expanded in ``Fraction`` and rounded once at the end.
+    """
+    a = (m - 1) * (m + 2) // 2
+    L = 2 * min(Fraction(c.E_A), Fraction(c.E_B)) - m
+    poly = [Fraction(0)] * (m * m - 1) + [Fraction(1)]
+    for E in (c.E_A, c.E_B):
+        u = (2 * Fraction(E) - m) / L
+        for _ in range(a):
+            poly = [u * hi - lo for hi, lo in zip(poly + [0], [0] + poly)]
+    antiderivative = [Fraction(0)] + [coef / (i + 1) for i, coef in enumerate(poly)]
+
+    def integral(x):
+        return functools.reduce(lambda acc, coef: acc * x + coef, reversed(antiderivative))
+
+    F = [integral((Fraction(float(e)) - m) / L) for e in edges]
+    return np.array([float((hi - lo) / F[-1]) for lo, hi in zip(F, F[1:])])
 
 
 class TestSampleDensity2p2:
@@ -128,6 +153,22 @@ class TestSampleDensity2p2:
         # turn the CDF into an array of Python objects
         assert cdf.dtype == np.float64
         assert np.abs(cdf - exact).max() < 1e-12
+
+    @pytest.mark.parametrize(
+        "n, energies",
+        [(2, (3.0, 3.0)), (2, (2.2, 4.0)), (6, (2.2, 2.9)), (8, (4.0, 4.0)),
+         (8, (4.0, 5.0)), (10, (5.0, 5.0)), (12, (7.0, 7.0))],
+    )
+    def test_sum_bin_masses_match_exact_rationals(self, n, energies):
+        # a difference of the CDF gave 0 for the top bin at n = 12, E = 7
+        # (mass 1.5e-21) and missed it by 19% at n = 10, E = 5
+        m = n // 2
+        c = EnergyConstraint(*energies)
+        edges = np.linspace(m, 2.0 * c.min_energy, (20 if m == 1 else 10) + 1)
+        exact = _sum_bin_masses_exact(m, c, edges)
+        assert np.all(exact > 0)
+        masses = montecarlo._sum_bin_masses(m, c, edges)
+        np.testing.assert_allclose(masses, exact, rtol=1e-13, atol=0.0)
 
 
 class TestSampleSubmanifoldEnergy:
@@ -215,15 +256,15 @@ class TestWeightedStatistics:
         assert ks < 0.011
 
     def test_chi2_detects_gross_mismatch(self):
-        idx = np.zeros(1000, dtype=int)
-        w = np.ones(1000)
-        chi2, dof, p = weighted_chi2(idx, w, np.array([0.5, 0.5]))
+        W = np.array([1000.0, 0.0])
+        chi2, dof, p = weighted_chi2(W, W, 1000, np.array([0.5, 0.5]))
         assert p < 1e-6
 
     def test_chi2_accepts_matching_split(self):
         rng = np.random.default_rng(39)
         idx = (rng.random(10_000) < 0.5).astype(int)
-        chi2, dof, p = weighted_chi2(idx, np.ones(10_000), np.array([0.5, 0.5]))
+        W = np.bincount(idx, minlength=2).astype(float)
+        chi2, dof, p = weighted_chi2(W, W, 10_000, np.array([0.5, 0.5]))
         assert p > 0.001
 
     def test_chi2_tail_matches_scipy(self):
@@ -496,7 +537,9 @@ def _previous_report(m, c, values, log_weights):
     counts = np.bincount(idx, minlength=expected.size).reshape(shape)
     mass = np.bincount(idx, weights=weights, minlength=expected.size).reshape(shape)
     density = mass / (weights.sum() * montecarlo._cell_volume(bin_edges))
-    chi2, dof, _ = weighted_chi2(idx, weights, expected)
+    W = np.bincount(idx, weights=weights, minlength=expected.size)
+    W2 = np.bincount(idx, weights=weights**2, minlength=expected.size)
+    chi2, dof, _ = weighted_chi2(W, W2, weights.size, expected)
     order = np.argsort(S)
     w = weights[order]
     cum = np.cumsum(w) / w.sum()
@@ -566,13 +609,15 @@ class TestBlockwiseReport:
         assert rep.comparison["ks_statistic"] == pytest.approx(ks, rel=1e-12)
         assert np.allclose(rep.normalized_density, density, rtol=1e-12, atol=0.0)
 
-    @pytest.mark.parametrize("n, bins", [(2, 20), (4, 55), (6, 10)])
+    @pytest.mark.parametrize("n, bins", [(2, 20), (4, 55), (6, 10), (12, 10)])
     def test_effective_sample_size_floor(self, n, bins):
         # self-test weights are 1, so the ESS is the proposal count exactly;
         # the floor counts the bins of positive expected mass: at n = 4 the
-        # 55 of the 10 x 10 grid below nu1 + nu2 = 2 min(E)
+        # 55 of the 10 x 10 grid below nu1 + nu2 = 2 min(E), and at n = 12
+        # all 10, the top one with a mass of 1.5e-21 (the support needs
+        # 2 min(E) > n/2, so n = 12 runs at E = 7)
         floor = MIN_EXPECTED_PER_BIN * bins
-        c = EnergyConstraint(2.5, 2.5)
+        c = EnergyConstraint(7.0, 7.0) if n == 12 else EnergyConstraint(2.5, 2.5)
         low = verify_constrained_density(n, c, int(floor) - 1, seed=1, self_test=True)
         assert low.metadata["degenerate"] is True
         assert low.metadata["ess_floor"] == floor
