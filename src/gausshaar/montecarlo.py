@@ -6,10 +6,10 @@ propose nu from the closed-form balanced law mixed with a uniform share on
 the support box, weight it by the unconstrained invariant factor, draw the
 mixing unitaries of each subsystem from their invariant measure, and
 integrate the squeezing weights against the Dirac energy constraint of each
-subsystem exactly.  At fixed mixing the
-constrained squeezing weights form a scaled simplex, so the integral is its
-volume times the mean repulsion at one uniform point of it: no shell width,
-no lambda cutoff, and no zero weight inside the support.
+subsystem exactly.  At fixed mixing the constrained squeezing weights form a
+scaled simplex, so the integral is its volume times the mean repulsion over
+it: exact at m <= 2, and averaged over K(m) uniform points of it from m = 3.
+No shell width, no lambda cutoff, and no zero weight inside the support.
 Accepted samples carry log-weights, sums of logs that no product overflows,
 exponentiated against their maximum before any statistic: every reported
 value is invariant to their scale, and no square overflows.  One binning
@@ -199,34 +199,95 @@ def g_constraint_mc(
 # the exact energy-constraint estimator
 
 
+def _simplex_draws(m: int) -> int:
+    """K(m), the uniform simplex points averaged per mixing draw at m >= 3.
+
+    The tail of a one-point weight grows with m: at n = 10 and 12 it made
+    ``verify`` reject the right law at far more seeds than its p threshold
+    allows.  Of three powers of 4 around the best at each m = 3-10, this is
+    the K of most effective samples per second of ``verify`` (CHANGES.md);
+    where two tie, the smaller one, except at m = 8, where 256 keeps the
+    ESS of every seed near its median and 64 does not.  Past m = 10 it is
+    not measured.
+    """
+    return 16 if m <= 5 else 64 if m <= 7 else 256
+
+
 def _constrained_lambda_weight(c, E, rng):
-    """Log of a single-sample estimate of the delta-constrained lambda integral.
+    """Log of an estimate of the delta-constrained lambda integral at fixed mixing.
 
     Given per-draw mixing coefficients c (shape (count, m)), the subsystem
     energy is sum_h lambda_h c_h / 2.  With mu_h = c_h (lambda_h - 1) the
     constraint delta(E - sum lambda c / 2) becomes 2 delta(R - sum mu), where
     R = 2E - sum(c) (= 2E - sum(nu), because |U|^2 is doubly stochastic), and
     dlambda = dmu / prod(c).  The integral of the repulsion prod |lambda_h -
-    lambda_k| is therefore 2 / prod(c) times the simplex volume
-    R^(m-1) / (m-1)! times the mean repulsion at mu uniform on the simplex
-    {mu >= 0, sum mu = R}, which is R times normalized exponentials.  The
-    weight is that product at one such draw, returned as the sum of the logs
-    of its factors: an unbiased estimate with no shell width and no lambda
-    cutoff, and -inf exactly where R <= 0.
-    Every step is a 1-D column: sums and products over rows of length m are
-    about 15x slower, and so is broadcasting a (count, 1) factor over them.
+    lambda_k| = prod |mu_h/c_h - mu_k/c_k| is therefore 2 / prod(c) times the
+    simplex volume R^(m-1) / (m-1)! times the mean repulsion over mu uniform
+    on the simplex {mu >= 0, sum mu = R}.  That mean is taken exactly where
+    it is cheap, and averaged over draws otherwise (a Rao-Blackwellisation
+    of the one-point estimate; Casella & Robert, Biometrika 83 (1996) 81):
+
+    - m = 1: there is no repulsion, and the integral is 2 / c.
+    - m = 2: with mu = (R u, R (1 - u)), u uniform, the mean of
+      |mu_1/c_1 - mu_2/c_2| is R (c_1^2 + c_2^2) / (2 c_1 c_2 (c_1 + c_2)).
+    - m >= 3: mu is R times normalized exponentials x / sum(x), so the
+      repulsion is R^D prod |t_h - t_k|, t = x / (c sum(x)), D = m(m-1)/2;
+      its log-mean-exp over ``_simplex_draws(m)`` draws of x is accumulated
+      against a running maximum, one (m, count) draw at a time.
+
+    Returned as the sum of the logs of the factors: an unbiased estimate of
+    the integral with no shell width and no lambda cutoff, exact at m <= 2,
+    and -inf exactly where R <= 0.  Every step is a 1-D column: sums and
+    products over rows of length m are about 15x slower, and so is
+    broadcasting a (count, 1) factor over them.
     """
-    count, m = c.shape
+    m = c.shape[1]
     columns = c.T
     R = 2.0 * E - functools.reduce(np.add, columns)
-    x = rng.standard_exponential((count, m))
-    scale = R / functools.reduce(np.add, x.T)
-    lam = np.array([1.0 + x[:, h] * scale / columns[h] for h in range(m)])
     # log R is nan or -inf where R <= 0, which the mask drops
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_w = (m - 1) * np.log(R) - functools.reduce(np.add, np.log(columns))
-    log_w += log_vandermonde(lam.T) + math.log(2.0 / math.factorial(m - 1))
+        log_R = np.log(R)
+    if m == 1:
+        log_w = np.log(2.0 / columns[0])
+    elif m == 2:
+        c1, c2 = columns
+        log_w = 2.0 * log_R + np.log(c1 * c1 + c2 * c2)
+        log_w -= 2.0 * np.log(c1 * c2) + np.log(c1 + c2)
+    else:
+        # the exponent m - 1 of the volume plus D of the repulsion
+        exponent = (m - 1) * (m + 2) // 2
+        log_w = exponent * log_R - functools.reduce(np.add, np.log(columns))
+        log_w += math.log(2.0 / math.factorial(m - 1)) + _log_mean_repulsion(columns, rng)
     return np.where(R > 0, log_w, -np.inf)
+
+
+def _log_mean_repulsion(columns, rng):
+    """log of the mean of prod |t_h - t_k|, t = x / (c sum(x)), over K(m) draws of x.
+
+    x holds m standard exponentials per column of c; each t lies in [0, 1]
+    (c >= 1), and the repulsion of t is free of R, so rows with R <= 0 need
+    no special case.  The log-mean-exp keeps the running maximum ``top`` of the
+    log-repulsions and the sum ``acc`` of their exponentials against it.
+    """
+    m, count = columns.shape
+    draws = _simplex_draws(m)
+    pairs = m * (m - 1) // 2
+    inverse = 1.0 / columns
+
+    def log_repulsion():
+        x = rng.standard_exponential((m, count))
+        out = log_vandermonde((x * inverse).T)
+        out -= pairs * np.log(functools.reduce(np.add, x))
+        return out
+
+    top, acc = log_repulsion(), np.ones(count)
+    for _ in range(draws - 1):
+        log_rep = log_repulsion()
+        shift = np.maximum(top, log_rep)
+        acc *= np.exp(top - shift)
+        acc += np.exp(log_rep - shift)
+        top = shift
+    return top + np.log(acc / draws)
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +377,9 @@ def _pipeline_block(m, constraint, count, rng):
     the pipeline law, and the uniform share lets them show mass the closed
     form misses.  The log-weight is the log of the invariant factor
     prod nu_j^2 prod (nu_h^2 - nu_k^2)^2 over the proposal density, plus that
-    of a single-sample estimate of each subsystem's delta-constrained lambda
-    integral from the mixing matrix |U|^2.  For m <= 2 the Haar |U|^2 is
+    of each subsystem's delta-constrained lambda integral at the mixing
+    matrix |U|^2, exact at m <= 2 and averaged over ``_simplex_draws(m)``
+    points of the simplex from m = 3.  For m <= 2 the Haar |U|^2 is
     [[p, 1 - p], [1 - p, p]] with p uniform on (0, 1), so p is drawn directly
     (at m = 1 the mixture is nu itself).  Each coordinate is a contiguous
     1-D column, as in ``_constrained_lambda_weight``.
@@ -439,14 +501,7 @@ def verify_constrained_density(
         blocks = ((sample_balanced(m, constraint, k, rng), np.zeros(k)) for k in sizes)
     else:
         blocks = (_pipeline_block(m, constraint, size, rng) for size in sizes)
-    metadata = {
-        "seed": seed,
-        "proposal_count": count,
-        "n": n,
-        "E_A": constraint.E_A,
-        "E_B": constraint.E_B,
-        "self_test": self_test,
-    }
+    metadata = {"seed": seed, "proposal_count": count}
     return _report(m, constraint, blocks, metadata)
 
 

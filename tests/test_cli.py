@@ -191,6 +191,37 @@ class TestVerifyCommand:
         assert doc["verification_passed"] is True
         assert doc["metadata"]["seed"] == 5
 
+    def test_settings_are_echoed_once(self, tmp_path):
+        # metadata.config echoes the settings; the top level keeps the seed
+        # and the run's own counts
+        out = tmp_path / "report.json"
+        argv = ["verify", "--n", "2", "--EA", "3", "--EB", "3", "--count", "2000"]
+        assert main([*argv, "--seed", "4", "--output", str(out)]) == 0
+        meta = json.loads(out.read_text())["metadata"]
+        assert not {"n", "E_A", "E_B", "self_test"} & set(meta)
+        config = meta["config"]
+        assert (config["n"], config["E_A"], config["E_B"]) == (2, 3.0, 3.0)
+        assert config["self_test"] is False
+        assert meta["seed"] == 4 and meta["proposal_count"] == 2000
+        assert 0.0 < meta["acceptance_rate"] <= 1.0
+
+    def test_too_few_proposals_give_no_verdict(self, tmp_path, capsys):
+        # 100 proposals hold an ESS of at most 100, below the floor of 5 per
+        # bin over the 55 bins of positive mass at n = 4, whatever the weights
+        out = tmp_path / "report.json"
+        code = main(
+            [
+                "verify", "--n", "4", "--EA", "2.5", "--EB", "2.5",
+                "--count", "100", "--seed", "5", "--output", str(out),
+            ]
+        )
+        assert code == 3
+        assert "degenerate" in json.loads(capsys.readouterr().err)["error"]
+        doc = json.loads(out.read_text())
+        assert doc["verification_passed"] is None
+        assert doc["metadata"]["degenerate"] is True
+        assert doc["metadata"]["ess_floor"] == 275
+
     def test_statistical_failure_still_writes_report(self, tmp_path):
         # no p-value exceeds 1, so a p threshold of 1 fails verification with
         # exit code 4
@@ -218,8 +249,8 @@ class TestVerifyCommand:
                 "--count", "2000", "--output", str(out),
             ]
         )
-        # the ESS of this run (about 32) is below the floor of 50, and does
-        # not grow with the count, so it may exit 3 with no verdict
+        # the ESS of this run is about 930, above the floor of 50; a run
+        # below it would exit 3 with no verdict
         assert code in (0, 3, 4)
         doc = json.loads(out.read_text())
         assert math.isfinite(doc["comparison"]["p_value"])
@@ -795,25 +826,30 @@ def test_submanifold_sample_eight_modes_finishes():
     assert np.allclose(rows.sum(axis=1), 8.0, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("E_A", ["11", "6"])
-def test_very_unequal_energies_give_finite_statistics(E_A, tmp_path):
+@pytest.mark.parametrize("E_A, exit_code", [("11", 3), ("6", 0)], ids=["11", "6"])
+def test_very_unequal_energies_give_finite_statistics(E_A, exit_code, tmp_path):
     # at E_B = 1e6 the raw importance weights pass 1e154, so their squares
-    # overflow, and at E_A = 6 the Beta-mixture weights of the law overflow;
-    # with an ESS of about 5 the estimate is degenerate, so the report is
-    # written with no verdict and the exit code is 3; the floor is at most
-    # 5 x 10 bins, fewer where a bin of S has no mass to round-off
+    # overflow, and at E_A = 6 the Beta-mixture weights of the law overflow.
+    # At E_A = 11 the ESS is about 3, so the estimate is degenerate: the
+    # report is written with no verdict and the exit code is 3; the floor is
+    # at most 5 x 10 bins, fewer where a bin of S has no mass to round-off.
+    # At E_A = 6 the averaged lambda-weights leave an ESS of about 115.
     out = tmp_path / "report.json"
     run = _run_python(
         "-m", "gausshaar.cli", "verify", "--n", "20", "--EA", E_A,
         "--EB", "1000000", "--count", "200", "--output", str(out), check=False,
     )
-    assert run.returncode == 3, run.stderr
+    assert run.returncode == exit_code, run.stderr
     assert "Traceback" not in run.stderr and "overflow" not in run.stderr
-    assert "degenerate" in json.loads(run.stderr)["error"]
     doc = json.loads(out.read_text())
-    assert doc["verification_passed"] is None
-    assert doc["metadata"]["degenerate"] is True
-    assert doc["metadata"]["effective_sample_size"] < doc["metadata"]["ess_floor"] <= 50
+    if exit_code == 3:
+        assert "degenerate" in json.loads(run.stderr)["error"]
+        assert doc["verification_passed"] is None
+        assert doc["metadata"]["degenerate"] is True
+        assert doc["metadata"]["effective_sample_size"] < doc["metadata"]["ess_floor"] <= 50
+    else:
+        assert doc["verification_passed"] is True
+        assert "degenerate" not in doc["metadata"]
     for value in (
         doc["comparison"]["chi2"],
         doc["comparison"]["p_value"],

@@ -8,8 +8,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from gausshaar.densities import EnergyConstraint, balanced_sum_law, density_balanced, g_2p2
-from gausshaar import montecarlo
+from gausshaar.densities import (
+    EnergyConstraint,
+    balanced_sum_law,
+    density_2p2,
+    density_balanced,
+    g_2p2,
+)
+from gausshaar import densities, montecarlo
 from gausshaar.haar import sample_haar_unitary
 from gausshaar.montecarlo import (
     BLOCK,
@@ -286,6 +292,16 @@ def _mean_constrained_weight(nu, E, count, rng):
     return w.mean(), w.std(ddof=1) / np.sqrt(count)
 
 
+def _one_point_weight(c, E, rng):
+    """The constrained lambda-weight from one uniform point of the simplex, as a plain product."""
+    count, m = c.shape
+    R = 2.0 * E - c.sum(axis=1)
+    x = rng.standard_exponential((count, m))
+    lam = 1.0 + x * (R / x.sum(axis=1))[:, None] / c
+    volume = 2.0 / np.prod(c, axis=1) * R ** (m - 1) / math.factorial(m - 1)
+    return np.where(R > 0, volume * _vandermonde(lam), 0.0)
+
+
 def _assert_constant_ratio(ratios, stderrs):
     ratios, stderrs = np.asarray(ratios), np.asarray(stderrs)
     mean = np.average(ratios, weights=stderrs**-2)
@@ -302,6 +318,41 @@ class TestConstrainedLambdaWeight:
         want = np.where(2.0 * E - nu[:, 0] > 0, 2.0 / nu[:, 0], 0.0)
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
         assert np.any(want == 0.0) and np.any(want > 0.0)
+
+    def test_two_modes_is_the_exact_simplex_mean(self):
+        # the weight at m = 2 is the volume 2 R / (c1 c2) times the mean of
+        # |mu1/c1 - mu2/c2| over mu = (R u, R (1 - u)), u uniform; against a
+        # brute-force mean over 1e6 draws of u at each c
+        rng = np.random.default_rng(6)
+        E = 3.0
+        u = rng.random(1_000_000)
+        c = np.array([(1.0, 1.0), (1.5, 1.0), (1.2, 2.9), (3.0, 1.5), (1.01, 4.8)])
+        state = rng.bit_generator.state
+        got = np.exp(_constrained_lambda_weight(c, E, rng))
+        for (c1, c2), w in zip(c, got):
+            R = 2.0 * E - c1 - c2
+            brute = 2.0 * R / (c1 * c2) * np.abs(R * u / c1 - R * (1.0 - u) / c2)
+            stderr = brute.std(ddof=1) / np.sqrt(brute.size)
+            assert abs(w - brute.mean()) < 4.0 * stderr, (c1, c2)
+        # -inf where R <= 0; and no draw is made
+        edge = np.array([(3.0, 3.0), (4.0, 2.5), (2.0, 4.5)])
+        assert np.all(_constrained_lambda_weight(edge, E, rng) == -np.inf)
+        assert rng.bit_generator.state == state
+
+    def test_averaged_draws_keep_the_mean_and_cut_the_variance(self):
+        # at m = 3 the weight averages the repulsion over K simplex points at
+        # each c: the same mean as the one-point weight, a K-fold lower variance
+        rng = np.random.default_rng(7)
+        E, count = 4.0, 20_000
+        draws = montecarlo._simplex_draws(3)
+        for c in [(1.0, 1.5, 2.0), (1.1, 1.2, 3.3), (2.0, 2.0, 1.4)]:
+            rows = np.tile(c, (count, 1))
+            averaged = np.exp(_constrained_lambda_weight(rows, E, rng))
+            single = _one_point_weight(rows, E, rng)
+            gap = abs(averaged.mean() - single.mean())
+            stderr = np.hypot(averaged.std(ddof=1), single.std(ddof=1)) / np.sqrt(count)
+            assert gap < 4.0 * stderr, c
+            assert averaged.var() < single.var() * 2.0 / draws, c
 
     def test_two_modes_proportional_to_g_2p2(self):
         rng = np.random.default_rng(4)
@@ -453,6 +504,90 @@ class TestVerifyPipeline:
             verify_constrained_density(6, c, 20_000, cutoff=10.0, seed=0)
 
 
+def _law_with_lighter_exponent(m, constraint):
+    """``balanced_sum_law`` at equal energies with the exponent a lowered to a - 1.
+
+    At b = 0 only the component Beta(m^2, 2a + 1) survives, with unnormalized
+    weight B(m^2, 2a + 1).
+    """
+    assert constraint.E_A == constraint.E_B
+    L, a, _, _ = balanced_sum_law(m, constraint)
+    a -= 1
+    weights = np.zeros(a + 1)
+    weights[-1] = 1.0
+    p = m * m
+    return L, a, weights, math.lgamma(p) + math.lgamma(2 * a + 1) - math.lgamma(p + 2 * a + 1)
+
+
+class TestVerdicts:
+    # the default --p-threshold of the CLI: a run with p at or below it exits 4
+    P_THRESHOLD = 0.01
+
+    @pytest.mark.parametrize(
+        "n, E, count, seeds",
+        [
+            (2, 3.0, 20_000, 20),
+            (4, 2.5, 20_000, 20),
+            (6, 3.0, 20_000, 20),
+            (8, 4.0, 20_000, 20),
+            (10, 5.0, 20_000, 20),
+            (12, 7.0, 8_000, 12),
+        ],
+        ids=["2", "4", "6", "8", "10", "12"],
+    )
+    def test_no_false_failures_across_seeds(self, n, E, count, seeds):
+        # the closed form is right, so the share of runs that reject it must
+        # stay within a binomial 4 sigma bound of the p threshold, and no run
+        # may be degenerate; one-point lambda-weights failed 6 of 20 at n = 10
+        # and left 6 of 12 degenerate at n = 12
+        c = EnergyConstraint(E, E)
+        failed, degenerate = [], []
+        for seed in range(seeds):
+            rep = verify_constrained_density(n, c, count, seed=seed)
+            if rep.metadata.get("degenerate", False):
+                degenerate.append(seed)
+            elif not rep.comparison["p_value"] > self.P_THRESHOLD:
+                failed.append(seed)
+        q = self.P_THRESHOLD
+        bound = seeds * q + 4.0 * math.sqrt(seeds * q * (1.0 - q))
+        assert len(failed) <= bound, failed
+        assert not degenerate, degenerate
+
+    @pytest.mark.parametrize(
+        "mutation, n, E, count",
+        [
+            ("inward", 2, 3.0, 30_000),
+            ("inward", 4, 2.5, 100_000),
+            ("inward", 6, 3.0, 30_000),
+            ("exponent", 4, 2.5, 100_000),
+            ("exponent", 6, 3.0, 30_000),
+        ],
+        ids=["inward-2", "inward-4", "inward-6", "exponent-4", "exponent-6"],
+    )
+    def test_a_wrong_closed_form_fails(self, mutation, n, E, count, monkeypatch):
+        # a closed form whose support stops 0.2 short of 2 min(E), or with
+        # the exponent a - 1, in the proposal and in the expected masses alike
+        if mutation == "inward":
+            def lowered(c):
+                return EnergyConstraint(c.E_A - 0.1, c.E_B - 0.1)
+
+            monkeypatch.setattr(
+                montecarlo, "balanced_sum_law", lambda m, c: balanced_sum_law(m, lowered(c))
+            )
+            monkeypatch.setattr(
+                montecarlo, "density_balanced", lambda nu, c: density_balanced(nu, lowered(c))
+            )
+            monkeypatch.setattr(
+                montecarlo, "density_2p2", lambda x, y, c: density_2p2(x, y, lowered(c))
+            )
+        else:
+            monkeypatch.setattr(densities, "balanced_sum_law", _law_with_lighter_exponent)
+            monkeypatch.setattr(montecarlo, "balanced_sum_law", _law_with_lighter_exponent)
+        rep = verify_constrained_density(n, EnergyConstraint(E, E), count, seed=1)
+        assert "degenerate" not in rep.metadata
+        assert rep.comparison["p_value"] < 1e-6
+
+
 class TestReport:
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_weight_scale_leaves_every_statistic_unchanged(self, n, monkeypatch):
@@ -552,7 +687,9 @@ def _previous_report(m, c, values, log_weights):
 def _linear_pipeline_block(m, constraint, count, rng):
     """``_pipeline_block`` with its weight formed as a plain product of its factors.
 
-    The same draws in the same order; the reference for the log-weights.
+    The same draws in the same order; the reference for the log-weights.  The
+    mean repulsion at fixed mixing is 1 at m = 1, R's closed form at m = 2,
+    and a plain mean over ``_simplex_draws(m)`` points of the simplex from m = 3.
     """
     top = 2.0 * constraint.min_energy
     nu = sample_balanced(m, constraint, count, rng)
@@ -570,10 +707,19 @@ def _linear_pipeline_block(m, constraint, count, rng):
             P = np.abs(sample_haar_unitary(m, rng, size=count)) ** 2
             c = np.einsum("chk,ck->ch", P, nu)
         R = 2.0 * E - c.sum(axis=1)
-        x = rng.standard_exponential((count, m))
-        lam = 1.0 + x * (R / x.sum(axis=1))[:, None] / c
         volume = 2.0 / np.prod(c, axis=1) * R ** (m - 1) / math.factorial(m - 1)
-        w = w * np.where(R > 0, volume * _vandermonde(lam), 0.0)
+        if m == 1:
+            mean = 1.0
+        elif m == 2:
+            mean = R * (c**2).sum(axis=1) / (2.0 * c.prod(axis=1) * c.sum(axis=1))
+        else:
+            draws = montecarlo._simplex_draws(m)
+            mean = 0.0
+            for _ in range(draws):
+                x = rng.standard_exponential((m, count)).T
+                lam = 1.0 + x * (R / x.sum(axis=1))[:, None] / c
+                mean = mean + _vandermonde(lam) / draws
+        w = w * np.where(R > 0, volume * mean, 0.0)
     keep = w > 0
     return nu[keep], w[keep]
 
