@@ -23,8 +23,9 @@ or the environment, exits 2 with a JSON error on stderr; so do argparse's usage
 errors, such as a missing required flag or an abbreviated one.  An option
 that a ``--kind``, or ``haar-sample --unitary-only``, does not read
 (KIND_OPTIONS) must keep its default.  ``metadata.config`` of an output
-echoes only values a user can set, and of those only what the run read;
-the CLI, not the encoder, adds ``metadata.timestamp``, the one field that
+echoes only values a user can set, and of those only what the run read; it
+is the one record of the seed of a command that draws.  The CLI, not the
+encoder, adds ``metadata.timestamp``, the one field that
 differs between runs of one configuration.  Every output, JSON or CSV, goes
 to ``--output`` or stdout as bytes, in one write.
 
@@ -312,10 +313,7 @@ def _check_kind_options(command: _Parser, args: argparse.Namespace) -> None:
 def _metadata(config: argparse.Namespace) -> dict:
     settings = {k: v for k, v in vars(config).items() if v is not None}
     time = datetime.now(timezone.utc).isoformat()
-    meta = {"tool_version": __version__, "config": settings, "timestamp": time}
-    if "seed" in config:
-        meta["seed"] = config.seed
-    return meta
+    return {"tool_version": __version__, "config": settings, "timestamp": time}
 
 
 def _emit(

@@ -321,16 +321,14 @@ def weighted_ks_statistic(values, weights, cdf) -> float:
 def weighted_chi2(W, W2, count, expected_prob) -> tuple[float, int, float]:
     """Chi-square test of weighted bin masses against expected probabilities.
 
-    ``W`` and ``W2`` are the per-bin sums of the weights of ``count`` samples
-    and of their squares.  Per-bin z-scores use the empirical variance W2 of
+    ``W`` and ``W2`` are the per-bin sums of the weights of ``count`` samples,
+    at least one of them positive, and of their squares.  Per-bin z-scores use the empirical variance W2 of
     the bin mass, floored at the expected mass times the mean weight; bins
     that no sample reached and whose expected effective count falls below a
     floor are dropped, so every kept bin has a positive variance.
     Returns (chi2, dof, p_value).
     """
     total = W.sum()
-    if total <= 0:
-        return float("nan"), 0, float("nan")
     ess = total**2 / W2.sum()
     expected = total * expected_prob
     keep = (expected_prob * ess >= MIN_EXPECTED_PER_BIN) | (W2 > 0)
@@ -501,8 +499,7 @@ def verify_constrained_density(
         blocks = ((sample_balanced(m, constraint, k, rng), np.zeros(k)) for k in sizes)
     else:
         blocks = (_pipeline_block(m, constraint, size, rng) for size in sizes)
-    metadata = {"seed": seed, "proposal_count": count}
-    return _report(m, constraint, blocks, metadata)
+    return _report(m, constraint, blocks, {"proposal_count": count})
 
 
 def _expected_probs_2p2(edges, constraint, subgrid=8):

@@ -49,29 +49,27 @@ def read_covariance_csv(path) -> GaussianPureState:
 
 
 def state_to_json_dict(state: GaussianPureState) -> dict | list[dict]:
-    """{"n_modes", "covariance", "displacement"}; a list of them for a stack of states.
+    """{"n_modes", "covariance"}; a list of them for a stack of states.
 
     A single state holds nested lists, so any JSON encoder (the stdlib's
-    included) takes the dict.  A stack holds row views of C-contiguous
-    stacks, which :func:`dump_output` encodes straight from numpy: a
+    included) takes the dict.  A stack holds row views of a C-contiguous
+    stack, which :func:`dump_output` encodes straight from numpy: a
     1000-state list would otherwise keep a Python float for every number.
     """
     if state.covariance.ndim == 2:
-        return {
-            "n_modes": state.n_modes,
-            "covariance": state.covariance.tolist(),
-            "displacement": state.displacement.tolist(),
-        }
+        return {"n_modes": state.n_modes, "covariance": state.covariance.tolist()}
     covariance = np.ascontiguousarray(state.covariance)
-    displacement = np.ascontiguousarray(state.displacement)
-    return [
-        {"n_modes": state.n_modes, "covariance": cov, "displacement": disp}
-        for cov, disp in zip(covariance, displacement)
-    ]
+    return [{"n_modes": state.n_modes, "covariance": cov} for cov in covariance]
 
 
 def state_from_json_dict(data: dict) -> GaussianPureState:
-    """The state of a :func:`state_to_json_dict` object; ValueError names a missing field."""
+    """The state of a :func:`state_to_json_dict` object; ValueError names a missing field.
+
+    Only ``n_modes`` and ``covariance`` are read.  Any other key is ignored,
+    such as the all-zero first moments that earlier versions wrote beside the
+    covariance: the states have zero mean, and no spectrum or entropy depends
+    on first moments.
+    """
     if not isinstance(data, dict):
         raise ValueError("a JSON state must be an object with fields n_modes and covariance")
     for name in ("n_modes", "covariance"):
@@ -80,9 +78,6 @@ def state_from_json_dict(data: dict) -> GaussianPureState:
     return GaussianPureState(
         n_modes=int(data["n_modes"]),
         covariance=np.array(data["covariance"], dtype=float),
-        displacement=np.array(data.get("displacement", []), dtype=float)
-        if data.get("displacement")
-        else None,
     )
 
 

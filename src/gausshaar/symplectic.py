@@ -1,6 +1,8 @@
 """Covariance-matrix representation of multimode Gaussian pure states.
 
-Conventions used throughout the package:
+The states are those the invariant measure lives on, reached from the vacuum
+by homogeneous Gaussian unitaries: their first moments are zero, so a state
+is its covariance matrix.  Conventions used throughout the package:
 
 * quadratures are interleaved, (x_1, p_1, ..., x_n, p_n);
 * hbar = 1 and all mode frequencies are 1, so the vacuum covariance is the
@@ -64,35 +66,24 @@ def validate_pure_covariance(cov: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class GaussianPureState:
-    """A pure Gaussian state: real covariance matrix plus displacement.
+    """A pure Gaussian state of zero mean, described fully by its real covariance.
 
     The covariance of a pure state is a symmetric symplectic matrix; this is
     validated at construction time.  A stack of states on the same modes
-    shares leading axes: covariance (..., 2n, 2n) and displacement (..., 2n).
-    The spectrum and energy functions take a single state.
+    shares leading axes: covariance (..., 2n, 2n).  The spectrum and energy
+    functions take a single state.
     """
 
     n_modes: int
     covariance: np.ndarray
-    displacement: np.ndarray = None  # type: ignore[assignment]
 
     def __post_init__(self):
         cov = np.asarray(self.covariance, dtype=float)
         dim = 2 * self.n_modes
         if cov.shape[-2:] != (dim, dim):
             raise ValueError(f"covariance must be {dim}x{dim}, got {cov.shape}")
-        if self.displacement is None:
-            disp = np.zeros(cov.shape[:-1])
-        else:
-            disp = np.asarray(self.displacement, dtype=float)
-            if disp.shape != cov.shape[:-1]:
-                raise ValueError("displacement has wrong length")
         object.__setattr__(self, "covariance", cov)
-        object.__setattr__(self, "displacement", disp)
-        self._validate()
-
-    def _validate(self):
-        validate_pure_covariance(self.covariance)
+        validate_pure_covariance(cov)
 
 
 @dataclass(frozen=True)

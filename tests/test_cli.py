@@ -23,7 +23,11 @@ from gausshaar.haar import (
     sample_homogeneous_gaussian_unitary,
 )
 from gausshaar.montecarlo import sample_density_2p2
-from gausshaar.serialization import state_from_json_dict, write_covariance_csv
+from gausshaar.serialization import (
+    state_from_json_dict,
+    state_to_json_dict,
+    write_covariance_csv,
+)
 from gausshaar.symplectic import Bipartition, canonical_state
 
 
@@ -82,6 +86,24 @@ class TestEntropyCommand:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["entropy_nats"] > 0
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("command", ["williamson", "entropy"])
+def test_state_file_displacement_key_is_ignored(command, fmt, tmp_path, capsys):
+    # earlier haar-sample versions wrote an all-zero "displacement" with each
+    # state; a spectrum does not depend on first moments, so the file still
+    # loads and gives the same output
+    state = state_to_json_dict(canonical_state([0.8, 0.3], Bipartition(2, 2)))
+    path = tmp_path / "state.json"
+    argv = [command, "--input", str(path), "--nA", "2", "--nB", "2", "--format", fmt]
+    outputs = []
+    for doc in (state, {**state, "displacement": [0.0] * 8}):
+        path.write_text(json.dumps(doc))
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        outputs.append(_strip_timestamp(out) if fmt == "json" else out)
+    assert outputs[0] == outputs[1]
 
 
 class TestDensityCommand:
@@ -189,20 +211,20 @@ class TestVerifyCommand:
         assert code == 0
         doc = json.loads(out.read_text())
         assert doc["verification_passed"] is True
-        assert doc["metadata"]["seed"] == 5
+        assert doc["metadata"]["config"]["seed"] == 5
 
     def test_settings_are_echoed_once(self, tmp_path):
-        # metadata.config echoes the settings; the top level keeps the seed
-        # and the run's own counts
+        # metadata.config echoes the settings, the seed included; the top
+        # level keeps the run's own counts
         out = tmp_path / "report.json"
         argv = ["verify", "--n", "2", "--EA", "3", "--EB", "3", "--count", "2000"]
         assert main([*argv, "--seed", "4", "--output", str(out)]) == 0
         meta = json.loads(out.read_text())["metadata"]
-        assert not {"n", "E_A", "E_B", "self_test"} & set(meta)
+        assert not {"n", "E_A", "E_B", "self_test", "seed"} & set(meta)
         config = meta["config"]
         assert (config["n"], config["E_A"], config["E_B"]) == (2, 3.0, 3.0)
         assert config["self_test"] is False
-        assert meta["seed"] == 4 and meta["proposal_count"] == 2000
+        assert config["seed"] == 4 and meta["proposal_count"] == 2000
         assert 0.0 < meta["acceptance_rate"] <= 1.0
 
     def test_too_few_proposals_give_no_verdict(self, tmp_path, capsys):
@@ -327,7 +349,6 @@ class TestHaarSampleCommand:
                 "state": {
                     "n_modes": 3,
                     "covariance": state.covariance[i].tolist(),
-                    "displacement": state.displacement[i].tolist(),
                 },
             }
             for i in range(5)
@@ -378,7 +399,7 @@ class TestConfigPrecedence:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["samples"]) == 7
-        assert doc["metadata"]["seed"] == 2
+        assert doc["metadata"]["config"]["seed"] == 2
 
     def test_flag_overrides_config_file(self, tmp_path, capsys):
         conf = tmp_path / "conf.json"
@@ -401,7 +422,7 @@ class TestConfigPrecedence:
              "--config", str(conf)]
         )
         assert code == 0
-        assert json.loads(capsys.readouterr().out)["metadata"]["seed"] == 99
+        assert json.loads(capsys.readouterr().out)["metadata"]["config"]["seed"] == 99
 
     def test_flag_overrides_env(self, capsys, monkeypatch):
         monkeypatch.setenv("GAUSSHAAR_SEED", "99")
@@ -409,7 +430,7 @@ class TestConfigPrecedence:
             ["sample", "--kind", "lambda", "--n", "1", "--count", "2", "--seed", "4"]
         )
         assert code == 0
-        assert json.loads(capsys.readouterr().out)["metadata"]["seed"] == 4
+        assert json.loads(capsys.readouterr().out)["metadata"]["config"]["seed"] == 4
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         conf = tmp_path / "conf.json"
@@ -418,6 +439,19 @@ class TestConfigPrecedence:
             ["sample", "--kind", "lambda", "--n", "1", "--config", str(conf)]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [(None, "cannot read config file"), ("{not json", "cannot read config file"),
+         ("[1, 2]", "must hold a JSON object")],
+        ids=["missing", "invalid-json", "array"],
+    )
+    def test_unreadable_config_file_rejected(self, text, message, tmp_path, capsys):
+        path = tmp_path / "conf.json"
+        if text is not None:
+            path.write_text(text)
+        code = main(["sample", "--kind", "lambda", "--n", "1", "--config", str(path)])
+        assert message in _assert_config_error(code, capsys)
 
     def test_invalid_count_rejected(self, capsys):
         code = main(["sample", "--kind", "lambda", "--n", "1", "--count", "0"])
@@ -646,12 +680,13 @@ class TestSeed:
     def test_commands_that_draw_honour_flag_and_environment(self, argv, capsys, monkeypatch):
         assert main([*argv, "--seed", "5"]) == 0
         flagged = _strip_timestamp(capsys.readouterr().out)
-        assert flagged["metadata"]["seed"] == flagged["metadata"]["config"]["seed"] == 5
+        assert "seed" not in flagged["metadata"]
+        assert flagged["metadata"]["config"]["seed"] == 5
         monkeypatch.setenv("GAUSSHAAR_SEED", "5")
         assert main(argv) == 0
         assert _strip_timestamp(capsys.readouterr().out) == flagged
         assert main([*argv, "--seed", "6"]) == 0
-        assert _strip_timestamp(capsys.readouterr().out)["metadata"]["seed"] == 6
+        assert _strip_timestamp(capsys.readouterr().out)["metadata"]["config"]["seed"] == 6
 
 
 def _assert_config_error(code, capsys):

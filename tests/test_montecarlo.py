@@ -639,7 +639,7 @@ class TestReport:
 
 
 def _previous_report(m, c, values, log_weights):
-    """The report as np.digitize, a polyval CDF and a concatenated KS build it.
+    """The report as np.digitize, exact rational S masses and a concatenated KS build it.
 
     Returns (counts, density, chi2, dof, ks) from the joined accepted samples,
     an independent reference for the block-wise reduction of ``_report``.
@@ -663,7 +663,7 @@ def _previous_report(m, c, values, log_weights):
     else:
         edges = np.linspace(m, max(S.max(), 2.0 * c.min_energy), bins + 1)
         coords, bin_edges = [S], [edges]
-        expected = np.diff(cdf(edges))
+        expected = _sum_bin_masses_exact(m, c, edges)
     shape = (bins,) * len(bin_edges)
     idx = np.ravel_multi_index(
         [np.clip(np.digitize(x, e) - 1, 0, bins - 1) for x, e in zip(coords, bin_edges)],
