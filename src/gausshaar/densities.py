@@ -135,8 +135,6 @@ def mean_energy_from_state(
     if bipartition.n_modes != state.n_modes:
         raise ValueError("bipartition does not match the state's mode count")
     e_a = float(np.trace(reduced_covariance(state, bipartition.modes_a)) / 4)
-    if bipartition.n_B == 0:
-        return e_a, 0.0
     e_b = float(np.trace(reduced_covariance(state, bipartition.modes_b)) / 4)
     return e_a, e_b
 

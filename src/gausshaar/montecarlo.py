@@ -32,6 +32,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -46,7 +47,7 @@ from .densities import (
     log_density_unconstrained,
     mean_energy,
 )
-from .haar import log_vandermonde, sample_haar_unitary, sample_repulsive
+from .haar import log_vandermonde, sample_haar_unitary, sample_lambda
 
 logger = logging.getLogger(__name__)
 
@@ -184,7 +185,7 @@ def g_constraint_mc(
     hits = 0
     for start in range(0, count, BLOCK):
         size = min(BLOCK, count - start)
-        lam, _ = sample_repulsive(m, 1.0, cutoff, size, rng)
+        lam = sample_lambda(m, cutoff, rng, size=size)
         U = sample_haar_unitary(m, rng, size=size)
         energies = mean_energy(U, lam, nu)
         hits += int(np.count_nonzero(np.abs(energies - E) <= shell_width))
@@ -409,20 +410,33 @@ def _pipeline_block(m, constraint, count, rng):
     return np.compress(keep, nu, axis=0), log_w[keep]
 
 
-def _sum_marginal_cdf(m: int, constraint: EnergyConstraint):
-    """CDF of S = sum(nu) under the closed-form balanced law.
+def _sum_law(m: int, constraint: EnergyConstraint, edges):
+    """The law of S = sum(nu) under the closed-form balanced law: (cdf, masses).
 
-    The Beta mixture of ``balanced_sum_law``.  For integer p and q the
-    regularized incomplete Beta is a binomial tail, in negative-binomial form
-    I_x(p, q) = x^p sum_{r < q} C(p + r - 1, r) (1 - x)^r.  Summed over the
-    components Beta(p, a + j + 1), x = (S - m)/L gives x^p times a polynomial
-    in 1 - x with positive coefficients, so Horner's rule cancels nothing;
-    the same CDF in powers of x has degree 34 at m = 4 and loses every digit
-    near x = 1.  Term r sums the components with a + j >= r.  The CDF of an
-    array needs two temporaries of its size: Horner's rule runs in place.
+    ``cdf`` is the CDF of the Beta mixture of ``balanced_sum_law``.  For
+    integer p and q the regularized incomplete Beta is a binomial tail, in
+    negative-binomial form I_x(p, q) = x^p sum_{r < q} C(p + r - 1, r) (1 - x)^r.
+    Summed over the components Beta(p, a + j + 1), x = (S - m)/L gives x^p
+    times a polynomial in 1 - x with positive coefficients, so Horner's rule
+    cancels nothing; the same CDF in powers of x has degree 34 at m = 4 and
+    loses every digit near x = 1.  Term r sums the components with a + j >= r.
+    The CDF of an array needs two temporaries of its size: Horner's rule runs
+    in place.  ``masses`` are those of S between consecutive ``edges``: a
+    difference of the CDF below x = 1/2.  Above it that difference cancels
+    (the top bin at m = 6, E = 7 reads 0 against 1.5e-21), so the mass is a
+    difference of the survival function 1 - I_x(p, q) = I_y(q, p), y = 1 - x,
+    which over the components sums to
+    SF(x) = y^(a+1) sum_k w_k y^k sum_{r < p} C(a + k + r, r) x^r,
+    a sum of positive terms.  The largest binomial of both, C(p + 2a - 1, 2a),
+    exceeds the largest double from n = 46, which is rejected first.
     """
     L, a, weights, _ = balanced_sum_law(m, constraint)
     p = m * m
+    if math.comb(p + 2 * a - 1, 2 * a) > sys.float_info.max:
+        raise ValueError(
+            f"n = {2 * m} is out of range: the law of sum(nu) needs binomial "
+            "coefficients beyond the largest double (even n up to 44 fit)"
+        )
     tail = np.cumsum(weights[::-1])[::-1]
     share = np.concatenate([np.ones(a), tail])
     # float64: from m = 6 the binomials exceed int64 and numpy would keep
@@ -443,30 +457,14 @@ def _sum_marginal_cdf(m: int, constraint: EnergyConstraint):
         x *= horner
         return x
 
-    return cdf
-
-
-def _sum_bin_masses(m: int, constraint: EnergyConstraint, edges) -> np.ndarray:
-    """Closed-form masses of S = sum(nu) between consecutive ``edges``, to full precision.
-
-    A bin whose lower edge lies below x = (S - m)/L = 1/2 has the difference
-    of ``_sum_marginal_cdf`` as its mass.  Above it that difference cancels
-    (the top bin at m = 6, E = 7 reads 0 against 1.5e-21), so the mass is a
-    difference of the survival function: 1 - I_x(p, q) = I_y(q, p) with
-    y = 1 - x, which over the components Beta(p, a + k + 1) of
-    ``balanced_sum_law`` sums to
-    SF(x) = y^(a+1) sum_k w_k y^k sum_{r < p} C(a + k + r, r) x^r,
-    a sum of positive terms.
-    """
-    L, a, weights, _ = balanced_sum_law(m, constraint)
-    k, r = np.arange(a + 1), np.arange(m * m)
-    coef = np.array([[math.comb(a + j + i, i) for i in r] for j in k], dtype=float)
+    k, r = np.arange(a + 1), np.arange(p)
+    table = np.array([[math.comb(a + j + i, i) for i in r] for j in k], dtype=float)
     x = np.clip((edges - m) / L, 0.0, 1.0)
     y = 1.0 - x
     # sum_r C(a + k + r, r) x^r for each edge and k, then y^k and w_k
-    sf = y ** (a + 1) * ((y[:, None] ** k) * (x[:, None] ** r @ coef.T) @ weights)
-    cdf = _sum_marginal_cdf(m, constraint)(edges)
-    return np.where(x[:-1] >= 0.5, sf[:-1] - sf[1:], np.diff(cdf))
+    sf = y ** (a + 1) * ((y[:, None] ** k) * (x[:, None] ** r @ table.T) @ weights)
+    masses = np.where(x[:-1] >= 0.5, sf[:-1] - sf[1:], np.diff(cdf(edges)))
+    return cdf, masses
 
 
 def verify_constrained_density(
@@ -483,7 +481,8 @@ def verify_constrained_density(
     constraint's ``shell_width`` is not read, and neither is ``cutoff``: the
     squeezing weights are integrated over the whole constrained simplex, with
     no lambda box.  Both stay accepted for existing callers.  Every even n
-    is compared with the closed-form balanced law: n = 4 with a 2D
+    up to 44 is compared with the closed-form balanced law (from n = 46
+    ``_sum_law`` raises a ValueError before any draw): n = 4 with a 2D
     chi-square of (nu1, nu2) and a KS of nu1 + nu2, every other n with a
     histogram (20 bins at n = 2, 10 otherwise), a chi-square and a KS of
     S = sum(nu).  The proposals are drawn from one generator seeded with
@@ -551,32 +550,29 @@ def _report(m, constraint, blocks, metadata) -> HistogramReport:
 
     ``blocks`` yields the (values, log-weights) of each block of proposals, and
     ``metadata``, which holds at least ``proposal_count``, is completed in
-    place.  The edges, fixed by the constraint, the expected bin masses, the
-    degenerate floor and the CDF of S are built before the first block is
-    read, so an empty support is rejected before any draw.  At m = 2 the
-    histogram is of (nu1, nu2) on [1, 2 min(E) - 1]^2, with bin masses from
-    the density; at every other m it is of S = sum(nu) on [m, 2 min(E)], with
-    exact bin masses from ``_sum_bin_masses``.  Each block is binned as it
-    arrives (half-open bins, the last one closed, as in np.histogram).  Three
-    bincounts over that flat index give the counts and the per-bin sums of
-    the weights and of their squares, which the density and the chi-square
-    share; the index is freed before the KS statistic of S sorts the
-    sample.  An effective sample size
-    below MIN_EXPECTED_PER_BIN per bin of positive expected mass (the bins
-    the chi-square can keep; at m = 2 those below nu1 + nu2 = 2 min(E)) is a
-    degenerate estimate: the metadata then has ``degenerate`` true and the
-    ``ess_floor`` it missed.
+    place.  One call of ``_sum_law`` gives the CDF of S = sum(nu) and its
+    exact masses on [m, 2 min(E)].  They, the edges, fixed by the constraint,
+    and the degenerate floor are built before the first block is read, so an
+    empty support, or an n too large for ``_sum_law``, is rejected before any
+    draw.  At m = 2 the histogram is of (nu1, nu2) on [1, 2 min(E) - 1]^2,
+    with bin masses from the density; at every other m it is of S, with the
+    masses of ``_sum_law``.  Each block is binned as it arrives (half-open
+    bins, the last one closed, as in np.histogram).  Three bincounts over
+    that flat index give the counts and the per-bin sums of the weights and
+    of their squares, which the density and the chi-square share; the index
+    is freed before the KS statistic of S sorts the sample.  An effective
+    sample size below MIN_EXPECTED_PER_BIN per bin of positive expected mass
+    (the bins the chi-square can keep; at m = 2 those below
+    nu1 + nu2 = 2 min(E)) is a degenerate estimate: the metadata then has
+    ``degenerate`` true and the ``ess_floor`` it missed.
     """
     bins = 20 if m == 1 else 10
     top = 2.0 * constraint.min_energy
-    cdf = _sum_marginal_cdf(m, constraint)
+    bin_edges = [np.linspace(m, top, bins + 1)]
+    cdf, expected = _sum_law(m, constraint, bin_edges[0])
     if m == 2:
-        edges = np.linspace(1.0, top - 1.0, bins + 1)
-        bin_edges = [edges, edges]
-        expected = _expected_probs_2p2(edges, constraint).ravel()
-    else:
-        bin_edges = [np.linspace(m, top, bins + 1)]
-        expected = _sum_bin_masses(m, constraint, bin_edges[0])
+        bin_edges = [np.linspace(1.0, top - 1.0, bins + 1)] * 2
+        expected = _expected_probs_2p2(bin_edges[0], constraint).ravel()
     floor = MIN_EXPECTED_PER_BIN * np.count_nonzero(expected > 0)
     S, weights, flat = _reduce_blocks(blocks, bin_edges)
     accepted = S.size

@@ -38,12 +38,15 @@ def symplectic_form(n_modes: int) -> np.ndarray:
 def validate_pure_covariance(cov: np.ndarray) -> None:
     """Check that every matrix of a stack (..., 2n, 2n) is a pure-state covariance.
 
-    Each matrix must be symmetric, symplectic (cov Omega cov^T = Omega), of
-    determinant 1 and positive definite, each within a tolerance scaled by
-    that matrix's own largest entry max(1, max|cov|).  Raises
-    NotAGaussianPureStateError naming the first invariant that some matrix
-    breaks.
+    Every entry must be finite, which is checked first: a NaN or an inf
+    fails every comparison below.  Each matrix must be symmetric, symplectic
+    (cov Omega cov^T = Omega), of determinant 1 and positive definite, each
+    within a tolerance scaled by that matrix's own largest entry
+    max(1, max|cov|).  Raises NotAGaussianPureStateError naming the first
+    invariant that some matrix breaks.
     """
+    if not np.isfinite(cov).all():
+        raise NotAGaussianPureStateError("covariance has a non-finite entry")
     n = cov.shape[-1] // 2
     scale = np.maximum(1.0, np.abs(cov).max(axis=(-2, -1)))
     cov_t = cov.swapaxes(-1, -2)
@@ -135,27 +138,27 @@ class Bipartition:
 
 @dataclass(frozen=True)
 class SymplecticSpectrum:
-    """Symplectic eigenvalues nu (sorted descending) and squeezings r.
+    """Symplectic eigenvalues nu (sorted descending), of which r derives.
 
-    nu_k = cosh(2 r_k) >= 1 for every mode of the smaller subsystem.
+    nu_k >= 1 for every mode of the smaller subsystem; the squeezing r_k, with
+    nu_k = cosh(2 r_k), is read from nu as arccosh(nu_k) / 2.
     """
 
     nu: np.ndarray
-    r: np.ndarray
 
     def __post_init__(self):
         nu = np.asarray(self.nu, dtype=float)
-        r = np.asarray(self.r, dtype=float)
-        if nu.shape != r.shape or nu.ndim != 1:
-            raise ValueError("nu and r must be 1-d arrays of equal length")
+        if nu.ndim != 1:
+            raise ValueError("nu must be a 1-d array")
         if np.any(nu < 1.0):
             raise ValueError("symplectic eigenvalues must be >= 1")
         if np.any(np.diff(nu) > 0):
             raise ValueError("spectrum must be sorted descending")
-        if np.abs(nu - np.cosh(2 * r)).max() > 1e-12 * max(1.0, nu.max()):
-            raise ValueError("nu_k = cosh(2 r_k) violated")
         object.__setattr__(self, "nu", nu)
-        object.__setattr__(self, "r", r)
+
+    @property
+    def r(self) -> np.ndarray:
+        return np.arccosh(self.nu) / 2
 
 
 def quadrature_indices(modes) -> np.ndarray:
@@ -256,8 +259,7 @@ def williamson_spectrum(
             "round-off; input is not a valid reduced pure-state block"
         )
     nu = np.where(below, 1.0, nu)  # round-off at the vacuum boundary
-    r = np.arccosh(nu) / 2
-    return SymplecticSpectrum(nu=nu, r=r)
+    return SymplecticSpectrum(nu=nu)
 
 
 def reduced_spectrum(nu: float, j_max: int | None = None) -> np.ndarray:

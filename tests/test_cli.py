@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import gausshaar
-from gausshaar import cli
+from gausshaar import cli, montecarlo
 from gausshaar.cli import build_parser, main
 from gausshaar.densities import EnergyConstraint
 from gausshaar.haar import (
@@ -243,6 +243,44 @@ class TestVerifyCommand:
         assert doc["verification_passed"] is None
         assert doc["metadata"]["degenerate"] is True
         assert doc["metadata"]["ess_floor"] == 275
+
+    @pytest.mark.parametrize("seed", [7, 11, 20, 31])
+    def test_zero_accepted_samples_is_a_numerical_failure(self, seed, tmp_path, capsys):
+        # the one proposal of each of these seeds has nu1 + nu2 above
+        # 2 min(E) = 5, so the pipeline accepts none
+        out = tmp_path / "r.json"
+        code = main(
+            [
+                "verify", "--n", "4", "--EA", "2.5", "--EB", "2.5",
+                "--count", "1", "--seed", str(seed), "--output", str(out),
+            ]
+        )
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert "zero accepted samples" in json.loads(lines[0])["error"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n", [46, 48])
+    def test_n_beyond_the_law_of_the_sum_rejected_before_sampling(
+        self, n, tmp_path, monkeypatch, capsys
+    ):
+        # from n = 46 the binomials of the law of sum(nu) exceed a double
+        def fail(*args, **kwargs):
+            raise AssertionError("sampled before rejecting n")
+
+        monkeypatch.setattr(montecarlo, "_pipeline_block", fail)
+        out = tmp_path / "r.json"
+        code = main(
+            [
+                "verify", "--n", str(n), "--EA", "30", "--EB", "30",
+                "--count", "10", "--output", str(out),
+            ]
+        )
+        assert f"n = {n}" in _assert_config_error(code, capsys)
+        assert not out.exists()
 
     def test_statistical_failure_still_writes_report(self, tmp_path):
         # no p-value exceeds 1, so a p threshold of 1 fails verification with
@@ -754,6 +792,28 @@ class TestInvalidValues:
             path.write_text(text)
         code = main([command, "--input", str(path), "--nA", "1", "--nB", "0"])
         assert "n_modes" in _assert_config_error(code, capsys)
+
+    @pytest.mark.parametrize("command", ["williamson", "entropy"])
+    @pytest.mark.parametrize(
+        "name, value",
+        [("cov.csv", "nan"), ("cov.csv", "inf"), ("cov.json", "NaN"),
+         ("cov.json", "Infinity")],
+        ids=["csv-nan", "csv-inf", "json-nan", "json-infinity"],
+    )
+    def test_non_finite_covariance_rejected(self, command, name, value, tmp_path, capsys):
+        # a non-finite entry fails every tolerance comparison, so it must be
+        # caught before them; here it sits in the B block of a vacuum
+        rows = [["1", "0", "0", "0"], ["0", "1", "0", "0"],
+                ["0", "0", value, "0"], ["0", "0", "0", "1"]]
+        path = tmp_path / name
+        if name.endswith(".json"):
+            cov = ", ".join(f"[{', '.join(row)}]" for row in rows)
+            path.write_text(f'{{"n_modes": 2, "covariance": [{cov}]}}')
+        else:
+            lines = [",".join(row) for row in rows]
+            path.write_text("# n_modes=2 ordering=interleaved\n" + "\n".join(lines) + "\n")
+        code = main([command, "--input", str(path), "--nA", "1", "--nB", "1"])
+        assert "non-finite" in _assert_config_error(code, capsys)
 
 
 @pytest.mark.parametrize(

@@ -123,6 +123,15 @@ class TestMeanEnergy:
         state = GaussianPureState(2, np.eye(4))
         assert mean_energy_from_state(state, Bipartition(1, 1)) == (0.5, 0.5)
 
+    def test_whole_system_in_a(self):
+        # the empty B block has trace 0
+        rng = np.random.default_rng(3)
+        S = euler_to_symplectic(sample_homogeneous_gaussian_unitary(3, 4.0, rng))
+        state = GaussianPureState(3, S @ S.T)
+        e_a, e_b = mean_energy_from_state(state, Bipartition(3, 0))
+        assert e_a == np.trace(state.covariance) / 4 and e_a > 1.5
+        assert e_b == 0.0
+
     def test_tmsv_energies(self):
         r = 0.6
         nu = np.cosh(2 * r)

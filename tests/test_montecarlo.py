@@ -22,7 +22,7 @@ from gausshaar.montecarlo import (
     MIN_EXPECTED_PER_BIN,
     HistogramReport,
     _constrained_lambda_weight,
-    _sum_marginal_cdf,
+    _sum_law,
     chi2_sf,
     g_constraint_mc,
     sample_balanced,
@@ -154,7 +154,7 @@ class TestSampleDensity2p2:
         c = EnergyConstraint(*energies)
         s = np.linspace(m - 0.5, 2.0 * c.min_energy + 0.5, 201)
         exact = _sum_cdf_by_polynomial(m, c)(s)
-        cdf = _sum_marginal_cdf(m, c)(s)
+        cdf = _sum_law(m, c, s)[0](s)
         # from m = 6 the binomial coefficients exceed int64; they must not
         # turn the CDF into an array of Python objects
         assert cdf.dtype == np.float64
@@ -173,7 +173,7 @@ class TestSampleDensity2p2:
         edges = np.linspace(m, 2.0 * c.min_energy, (20 if m == 1 else 10) + 1)
         exact = _sum_bin_masses_exact(m, c, edges)
         assert np.all(exact > 0)
-        masses = montecarlo._sum_bin_masses(m, c, edges)
+        _, masses = _sum_law(m, c, edges)
         np.testing.assert_allclose(masses, exact, rtol=1e-13, atol=0.0)
 
 

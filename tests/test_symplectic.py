@@ -57,6 +57,7 @@ class TestGaussianPureState:
             ("symplectic", "not symplectic"),
             ("determinant", "det"),
             ("positivity", "positive definite"),
+            ("finiteness", "non-finite"),
         ],
     )
     def test_stack_rejects_one_bad_matrix(self, invariant, match):
@@ -71,8 +72,12 @@ class TestGaussianPureState:
         elif invariant == "determinant":
             # defect 0.02 is inside this matrix's own tolerance 1e-8 * 1.01e4^2
             bad = 1.01 * np.diag([1e4, 1e-4, 1.0, 1.0])
-        else:
+        elif invariant == "positivity":
             bad = -np.eye(4)  # symmetric, symplectic, det +1
+        else:
+            # NaN fails every comparison of the other checks, so they pass it
+            bad = np.eye(4)
+            bad[3, 3] = np.nan
         GaussianPureState(n_modes=2, covariance=np.stack(good))
         with pytest.raises(NotAGaussianPureStateError, match=match):
             GaussianPureState(n_modes=2, covariance=np.stack([*good[:2], bad, good[2]]))
@@ -210,7 +215,7 @@ class TestReducedSpectrum:
 
 class TestEntropy:
     def test_pure_spectrum_zero(self):
-        spectrum = SymplecticSpectrum(nu=np.ones(3), r=np.zeros(3))
+        spectrum = SymplecticSpectrum(nu=np.ones(3))
         assert entanglement_entropy(spectrum) == 0.0
 
     @pytest.mark.parametrize("nu", [1.5, 3.0, 10.0])
