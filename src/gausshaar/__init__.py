@@ -38,6 +38,7 @@ from .densities import (
     density_submanifold_energy,
     energy_mixing_parameters,
     g_2p2,
+    log_density_balanced,
     log_density_submanifold,
     log_density_unconstrained,
     mean_energy,
@@ -79,6 +80,7 @@ __all__ = [
     "density_submanifold_energy",
     "energy_mixing_parameters",
     "g_2p2",
+    "log_density_balanced",
     "log_density_submanifold",
     "log_density_unconstrained",
     "mean_energy",

@@ -26,7 +26,8 @@ SIMPLEX_SLACK = 1e-9
 class EnergyConstraint:
     """Target mean energies of the two subsystems.
 
-    ``shell_width`` is accepted and checked, but ``verify`` does not read it:
+    Twice each energy must be a finite double.  ``shell_width`` is accepted
+    and checked, but ``verify`` does not read it:
     ``verify_constrained_density`` imposes the energy constraint exactly, and
     the shell-hit reference ``g_constraint_mc`` takes its own width as an
     argument.
@@ -39,6 +40,9 @@ class EnergyConstraint:
     def __post_init__(self):
         if self.shell_width <= 0:
             raise ValueError("shell_width must be positive")
+        # the support reaches S = 2 min(E), and the law reads log(2E - S)
+        if not all(math.isfinite(2.0 * E) for E in (self.E_A, self.E_B)):
+            raise ValueError("2 E_A and 2 E_B must be finite, within the largest double")
 
     @property
     def min_energy(self) -> float:
@@ -202,35 +206,55 @@ def balanced_sum_law(m: int, constraint: EnergyConstraint):
     return L, a, weights / total, top + math.log(total)
 
 
-def density_balanced(nu, constraint: EnergyConstraint):
-    """Normalized eigenvalue density of a balanced m + m split at fixed mean energies.
+def log_density_balanced(nu, constraint: EnergyConstraint, log_gaps=None):
+    """Log of the normalized eigenvalue density of a balanced m + m split.
 
-    Proportional to Delta(nu)^2 [(2E_A - S)(2E_B - S)]^a with S = sum(nu) and
-    a = (m - 1)(m + 2)/2, on {nu >= 1, S <= 2 min(E_A, E_B)}, and zero
-    outside.  nu has shape (..., m); returns the stack (...) of values, or a
-    float for a single vector.  The normalizer is the unit-simplex constant
-    times L^(m^2 + 2a) times the unnormalized sum of the ``balanced_sum_law``
-    weights; it and the value are formed in logs, since L^(m^2 + 2a)
-    overflows a double already at m = 10, E = 30.
+    The density is proportional to Delta(nu)^2 [(2E_A - S)(2E_B - S)]^a with
+    S = sum(nu) and a = (m - 1)(m + 2)/2, on {nu >= 1, S <= 2 min(E_A, E_B)};
+    its log is -inf outside.  nu has shape (..., m); returns the stack (...)
+    of values, or a float for a single vector.  The normalizer is the
+    unit-simplex constant times L^(m^2 + 2a) times the unnormalized sum of
+    the ``balanced_sum_law`` weights.  Everything is a sum of logs, the
+    bracket too, as a log(2E_A - S) + a log(2E_B - S): L^(m^2 + 2a)
+    overflows a double already at m = 10, E = 30, and the bracket at
+    E = 1e200.  A caller that has formed the pair
+    ``log_gaps`` = (log(2E_A - S), log(2E_B - S)) passes it; every point must
+    then lie strictly inside the support, which is not checked.
     """
     nu = np.asarray(nu, dtype=float)
     m = nu.shape[-1]
     L, a, _, log_total = balanced_sum_law(m, constraint)
-    log_norm = _log_simplex_constant(m) + (m * m + 2 * a) * math.log(L) + log_total
-    # column by column: reductions over rows of length m are about 20x slower
-    columns = np.moveaxis(nu, -1, 0)
-    total = functools.reduce(np.add, columns)
-    support = (functools.reduce(np.minimum, columns) >= 1.0) & (
-        total <= 2.0 * constraint.min_energy
-    )
-    bracket = (2.0 * constraint.E_A - total) * (2.0 * constraint.E_B - total)
-    # log(0) = -inf gives a zero density, and outside the support the log may
-    # be nan; at m = 1, a = 0 and the bracket factor is 1 even where it is 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_val = 2.0 * log_vandermonde(nu) - log_norm
-        if a:
-            log_val = log_val + a * np.log(bracket)
-        val = np.where(support, np.exp(log_val), 0.0)
+    log_val = 2.0 * log_vandermonde(nu)
+    log_val -= _log_simplex_constant(m) + (m * m + 2 * a) * math.log(L) + log_total
+    if log_gaps is None:
+        # column by column: reductions over rows of length m are about 20x slower
+        columns = np.moveaxis(nu, -1, 0)
+        total = functools.reduce(np.add, columns)
+        support = (functools.reduce(np.minimum, columns) >= 1.0) & (
+            total <= 2.0 * constraint.min_energy
+        )
+        # outside the support the gaps are read as 1, so no log sees a
+        # negative; on its edge log(0) = -inf gives a zero density
+        with np.errstate(divide="ignore"):
+            log_gaps = [
+                np.log(np.where(support, 2.0 * E - total, 1.0))
+                for E in (constraint.E_A, constraint.E_B)
+            ]
+        log_val = np.where(support, log_val, -np.inf)
+    # at m = 1, a = 0 and the bracket factor is 1 even where it is 0
+    if a:
+        log_val += a * (log_gaps[0] + log_gaps[1])
+    return float(log_val) if np.ndim(log_val) == 0 else log_val
+
+
+def density_balanced(nu, constraint: EnergyConstraint):
+    """Normalized eigenvalue density of a balanced m + m split at fixed mean energies.
+
+    The exponential of ``log_density_balanced``: zero outside the support,
+    and finite wherever the log is.  nu has shape (..., m); returns the
+    stack (...) of values, or a float for a single vector.
+    """
+    val = np.exp(log_density_balanced(nu, constraint))
     return float(val) if val.ndim == 0 else val
 
 

@@ -20,10 +20,14 @@ One generator seeded with ``seed`` feeds every draw, in blocks of BLOCK
 proposals; results are deterministic for a fixed seed.  Each block is
 reduced as it arrives to what the report reads: S = sum(nu), the log-weight
 and the uint16 bin index of its coordinates, on edges the constraint fixes.
-So a run keeps 18 bytes per accepted proposal at every n plus one block of
-temporaries, and the report's peak is the KS sort, about 40 bytes per
-accepted proposal.  The kernels run on 1-D columns, one per coordinate.
-An effective sample size below MIN_EXPECTED_PER_BIN per histogram bin of
+So a run keeps 18 bytes per proposal at every n, in buffers sized for the
+run, plus one block of temporaries, and the report's peak is the KS sort,
+about 40 bytes per accepted proposal.  The kernels run on 1-D columns, one
+per coordinate: nu is built as m columns of one array, only the proposals
+inside the support (S < 2 min(E)) are weighted, and S and log(2E - S) are
+formed once for the proposal density and the lambda integrals alike.  The
+bins are found by arithmetic on the uniform edges.  A weight that overflows
+a double is a numerical failure (RuntimeError), never a report.  An effective sample size below MIN_EXPECTED_PER_BIN per histogram bin of
 positive expected mass marks the estimate as degenerate.
 """
 
@@ -43,7 +47,7 @@ from .densities import (
     balanced_half,
     balanced_sum_law,
     density_2p2,
-    density_balanced,
+    log_density_balanced,
     log_density_unconstrained,
     mean_energy,
 )
@@ -92,23 +96,28 @@ def _cell_volume(bin_edges) -> np.ndarray:
 def _unit_simplex_delta2(m: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``count`` points x of the unit simplex with density prop. to Delta(x)^2.
 
-    At m = 2, x = ((1 + t)/2, (1 - t)/2) with t of density 3 t^2 / 2 on
-    [-1, 1], whose CDF (t^3 + 1)/2 inverts to a cube root.  For m >= 3 the
-    eigenvalues y of G G^dag, G an m x m complex Ginibre matrix, have density
+    Returned as m contiguous columns, shape (m, count).  At m = 2,
+    x = ((1 + t)/2, (1 - t)/2) with t of density 3 t^2 / 2 on [-1, 1], whose
+    CDF (t^3 + 1)/2 inverts to a cube root.  For m >= 3 the eigenvalues y of
+    G G^dag, G an m x m complex Ginibre matrix, have density
     prod (y_h - y_k)^2 exp(-sum y) (the beta = 2 Laguerre ensemble); the
     exponential depends on sum(y) alone and the squared Vandermonde is
     homogeneous, so y / sum(y) has the simplex law.  They are shuffled
     because the law is of unordered vectors.
     """
     if m == 1:
-        return np.ones((count, 1))
+        return np.ones((1, count))
     if m == 2:
         t = np.cbrt(2.0 * rng.random(count) - 1.0)
-        return np.column_stack([0.5 * (1.0 + t), 0.5 * (1.0 - t)])
+        x = np.empty((2, count))
+        np.add(1.0, t, out=x[0])
+        np.subtract(1.0, t, out=x[1])
+        x *= 0.5
+        return x
     shape = (count, m, m)
     g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     y = rng.permuted(np.linalg.eigvalsh(g @ g.conj().transpose(0, 2, 1)), axis=1)
-    return y / y.sum(axis=1, keepdims=True)
+    return np.ascontiguousarray((y / y.sum(axis=1, keepdims=True)).T)
 
 
 def sample_balanced(
@@ -119,12 +128,16 @@ def sample_balanced(
     (S - m)/L, S = sum(nu), follows the Beta mixture of ``balanced_sum_law``:
     pick a component by its weight, then draw that Beta.  Given S, nu is
     1 + (S - m) x with x from the Delta^2 law on the unit simplex, which
-    keeps every eigenvalue >= 1 under round-off.  Nothing is rejected.
+    keeps every eigenvalue >= 1 under round-off.  Nothing is rejected.  The
+    rows are a view of m contiguous columns: ``.T`` gives them back.
     """
     L, a, weights, _ = balanced_sum_law(m, constraint)
     k = rng.choice(weights.size, size=count, p=weights)
     y = L * rng.beta(m * m, a + 1.0 + k)
-    return 1.0 + y[:, None] * _unit_simplex_delta2(m, count, rng)
+    nu = _unit_simplex_delta2(m, count, rng)
+    nu *= y
+    nu += 1.0
+    return nu.T
 
 
 def sample_density_2p2(
@@ -147,7 +160,10 @@ def sample_submanifold_energy(
     width = 2.0 * E - m
     if width < 0:
         raise ValueError("2E < n/2: the energy simplex is empty")
-    return 1.0 + width * _unit_simplex_delta2(m, count, rng)
+    nu = _unit_simplex_delta2(m, count, rng)
+    nu *= width
+    nu += 1.0
+    return nu.T
 
 
 def g_constraint_mc(
@@ -215,12 +231,31 @@ def _simplex_draws(m: int) -> int:
 
 
 def _constrained_lambda_weight(c, E, rng):
+    """``_log_lambda_integral`` on rows c (count, m) of mixing coefficients.
+
+    R = 2E - sum(c) is formed from the rows, and the log-weight is -inf
+    exactly where R <= 0.  The draws of m >= 3 are made for every row, as in
+    the pipeline; m <= 2 draws nothing.
+    """
+    columns = c.T
+    total = functools.reduce(np.add, columns)
+    inside = total < 2.0 * E
+    log_w = np.full(total.shape, -np.inf)
+    total = total[inside]
+    log_w[inside] = _log_lambda_integral(
+        np.compress(inside, columns, axis=1), total, np.log(2.0 * E - total), rng, inside
+    )
+    return log_w
+
+
+def _log_lambda_integral(c, S, log_R, rng, rows):
     """Log of an estimate of the delta-constrained lambda integral at fixed mixing.
 
-    Given per-draw mixing coefficients c (shape (count, m)), the subsystem
-    energy is sum_h lambda_h c_h / 2.  With mu_h = c_h (lambda_h - 1) the
-    constraint delta(E - sum lambda c / 2) becomes 2 delta(R - sum mu), where
-    R = 2E - sum(c) (= 2E - sum(nu), because |U|^2 is doubly stochastic), and
+    c holds the m mixing coefficients of each point as m 1-D columns, S their
+    sum and log_R the log of R = 2E - S > 0.  The subsystem energy is
+    sum_h lambda_h c_h / 2.  With mu_h = c_h (lambda_h - 1) the constraint
+    delta(E - sum lambda c / 2) becomes 2 delta(R - sum mu), where
+    sum(c) = sum(nu) = S, because |U|^2 is doubly stochastic, and
     dlambda = dmu / prod(c).  The integral of the repulsion prod |lambda_h -
     lambda_k| = prod |mu_h/c_h - mu_k/c_k| is therefore 2 / prod(c) times the
     simplex volume R^(m-1) / (m-1)! times the mean repulsion over mu uniform
@@ -230,44 +265,42 @@ def _constrained_lambda_weight(c, E, rng):
 
     - m = 1: there is no repulsion, and the integral is 2 / c.
     - m = 2: with mu = (R u, R (1 - u)), u uniform, the mean of
-      |mu_1/c_1 - mu_2/c_2| is R (c_1^2 + c_2^2) / (2 c_1 c_2 (c_1 + c_2)).
+      |mu_1/c_1 - mu_2/c_2| is R (c_1^2 + c_2^2) / (2 c_1 c_2 (c_1 + c_2)),
+      so the integral is R^2 (c_1^-2 + c_2^-2) / S: a sum of positive terms
+      that no square of a large c overflows.
     - m >= 3: mu is R times normalized exponentials x / sum(x), so the
       repulsion is R^D prod |t_h - t_k|, t = x / (c sum(x)), D = m(m-1)/2;
       its log-mean-exp over ``_simplex_draws(m)`` draws of x is accumulated
-      against a running maximum, one (m, count) draw at a time.
+      against a running maximum.  Each draw is made for every row of the
+      block, of which the boolean mask ``rows`` marks those c holds.
 
     Returned as the sum of the logs of the factors: an unbiased estimate of
-    the integral with no shell width and no lambda cutoff, exact at m <= 2,
-    and -inf exactly where R <= 0.  Every step is a 1-D column: sums and
-    products over rows of length m are about 15x slower, and so is
-    broadcasting a (count, 1) factor over them.
+    the integral with no shell width and no lambda cutoff, exact at m <= 2.
+    Every step is a 1-D column: sums and products over rows of length m are
+    about 15x slower, and so is broadcasting a (count, 1) factor over them.
     """
-    m = c.shape[1]
-    columns = c.T
-    R = 2.0 * E - functools.reduce(np.add, columns)
-    # log R is nan or -inf where R <= 0, which the mask drops
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_R = np.log(R)
+    m = len(c)
     if m == 1:
-        log_w = np.log(2.0 / columns[0])
-    elif m == 2:
-        c1, c2 = columns
-        log_w = 2.0 * log_R + np.log(c1 * c1 + c2 * c2)
-        log_w -= 2.0 * np.log(c1 * c2) + np.log(c1 + c2)
+        return np.log(2.0 / S)
+    if m == 2:
+        inverse = np.divide(1.0, c)
+        inverse *= inverse
+        log_w = np.log(functools.reduce(np.add, inverse))
+        log_w -= np.log(S)
     else:
-        # the exponent m - 1 of the volume plus D of the repulsion
-        exponent = (m - 1) * (m + 2) // 2
-        log_w = exponent * log_R - functools.reduce(np.add, np.log(columns))
-        log_w += math.log(2.0 / math.factorial(m - 1)) + _log_mean_repulsion(columns, rng)
-    return np.where(R > 0, log_w, -np.inf)
+        log_w = -functools.reduce(np.add, np.log(c))
+        log_w += math.log(2.0 / math.factorial(m - 1)) + _log_mean_repulsion(c, rng, rows)
+    # the exponent m - 1 of the volume plus D of the repulsion (2 at m = 2)
+    log_w += (m - 1) * (m + 2) // 2 * log_R
+    return log_w
 
 
-def _log_mean_repulsion(columns, rng):
+def _log_mean_repulsion(columns, rng, rows):
     """log of the mean of prod |t_h - t_k|, t = x / (c sum(x)), over K(m) draws of x.
 
-    x holds m standard exponentials per column of c; each t lies in [0, 1]
-    (c >= 1), and the repulsion of t is free of R, so rows with R <= 0 need
-    no special case.  The log-mean-exp keeps the running maximum ``top`` of the
+    x holds m standard exponentials per row of the block, of which those
+    that ``rows`` marks pair with the columns of c; each t lies in [0, 1]
+    (c >= 1).  The log-mean-exp keeps the running maximum ``top`` of the
     log-repulsions and the sum ``acc`` of their exponentials against it.
     """
     m, count = columns.shape
@@ -276,7 +309,7 @@ def _log_mean_repulsion(columns, rng):
     inverse = 1.0 / columns
 
     def log_repulsion():
-        x = rng.standard_exponential((m, count))
+        x = np.compress(rows, rng.standard_exponential((m, rows.size)), axis=1)
         out = log_vandermonde((x * inverse).T)
         out -= pairs * np.log(functools.reduce(np.add, x))
         return out
@@ -366,48 +399,92 @@ def chi2_sf(x: float, dof: int) -> float:
 # the end-to-end verification pipeline
 
 
+def _softplus(z):
+    """log(1 + exp(z)) as max(z, 0) + log1p(exp(-|z|)), overwriting z.
+
+    Finite wherever z is, and 0 at z = -inf.  np.logaddexp gives the same
+    to round-off at about 4x the time on a block.
+    """
+    soft = np.abs(z)
+    np.negative(soft, out=soft)
+    np.exp(soft, out=soft)
+    np.log1p(soft, out=soft)
+    soft += np.maximum(z, 0.0, out=z)
+    return soft
+
+
 def _pipeline_block(m, constraint, count, rng):
     """One block of the pipeline, m eigenvalues a side; returns (values, log-weights).
 
     nu is proposed from the closed-form balanced law, except for a share
     DEFENSIVE drawn uniformly on the box [1, 2 min(E)]^m, the support set by
-    each subsystem energy being at least sum(nu)/2.  Any support-covering
-    proposal is valid: the weights are flat only if the closed form matches
-    the pipeline law, and the uniform share lets them show mass the closed
-    form misses.  The log-weight is the log of the invariant factor
-    prod nu_j^2 prod (nu_h^2 - nu_k^2)^2 over the proposal density, plus that
-    of each subsystem's delta-constrained lambda integral at the mixing
-    matrix |U|^2, exact at m <= 2 and averaged over ``_simplex_draws(m)``
-    points of the simplex from m = 3.  For m <= 2 the Haar |U|^2 is
-    [[p, 1 - p], [1 - p, p]] with p uniform on (0, 1), so p is drawn directly
-    (at m = 1 the mixture is nu itself).  Each coordinate is a contiguous
-    1-D column, as in ``_constrained_lambda_weight``.
+    each subsystem energy being at least S/2, S = sum(nu).  Any
+    support-covering proposal is valid: the weights are flat only if the
+    closed form matches the pipeline law, and the uniform share lets them
+    show mass the closed form misses.  The log-weight is the log of the
+    invariant factor prod nu_j^2 prod (nu_h^2 - nu_k^2)^2 over the proposal
+    density, plus that of each subsystem's delta-constrained lambda integral
+    at the mixing matrix |U|^2, exact at m <= 2 and averaged over
+    ``_simplex_draws(m)`` points of the simplex from m = 3.  For m <= 2 the
+    Haar |U|^2 is [[p, 1 - p], [1 - p, p]] with p uniform on (0, 1), so p is
+    drawn directly; at m = 1 the mixture is nu itself, and p is drawn only to
+    keep the stream.
+
+    nu is m contiguous columns of one (m, count) array.  Only the proposals
+    with S < 2 min(E) are weighted, since every other one has an empty
+    constraint simplex; every draw is still made for the whole block, so the
+    stream does not depend on which are kept.  S and each log(2E - S) are
+    formed once, over those rows, and read by both the proposal density and
+    the lambda integrals, so no log sees a negative argument.  The two
+    shares u and v of the proposal density are mixed in logs, as
+    log u + softplus(log v - log u), so neither overflows at any energy.
+    Returns the kept rows as a (kept, m) view of their columns.
     """
     top = 2.0 * constraint.min_energy
-    nu = sample_balanced(m, constraint, count, rng)
+    nu = sample_balanced(m, constraint, count, rng).T
     box = rng.random(count) < DEFENSIVE
-    nu[box] = rng.uniform(1.0, top, (int(box.sum()), m))
-    proposal = DEFENSIVE / (top - 1.0) ** m + (1.0 - DEFENSIVE) * density_balanced(
-        nu, constraint
-    )
-    log_w = log_density_unconstrained(nu, m, m) - np.log(proposal)
-    columns = nu.T.copy()
-    for E in (constraint.E_A, constraint.E_B):
-        if m <= 2:
-            p = rng.random(count)
-            c = p * columns + (1.0 - p) * columns[::-1]
+    nu[:, box] = rng.uniform(1.0, top, (int(box.sum()), m)).T
+    S = functools.reduce(np.add, nu)
+    rows = S < top
+    nu = np.compress(rows, nu, axis=1)
+    S = S[rows]
+    # keyed by energy, so equal energies share one log
+    log_gap = {E: np.log(2.0 * E - S) for E in (constraint.E_A, constraint.E_B)}
+    log_gaps = [log_gap[constraint.E_A], log_gap[constraint.E_B]]
+    # the log of the uniform share, and of the closed-form share against it
+    log_uniform = math.log(DEFENSIVE) - m * math.log(top - 1.0)
+    z = log_density_balanced(nu.T, constraint, log_gaps)
+    # at DEFENSIVE = 1 the uniform share is the whole proposal
+    z += (math.log1p(-DEFENSIVE) if DEFENSIVE < 1.0 else -math.inf) - log_uniform
+    # nu^2 overflows from nu = 1.3e154; the log-weight is then inf or nan,
+    # which _report rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_w = log_density_unconstrained(nu.T, m, m)
+    log_w -= log_uniform
+    log_w -= _softplus(z)
+    for log_R in log_gaps:
+        if m == 1:
+            rng.random(count)  # p: the mixture is nu itself
+            c = nu
+        elif m == 2:
+            p = np.compress(rows, rng.random(count))
+            # c1 = p nu1 + (1 - p) nu2 and c2 = S - c1, in place
+            c = np.empty_like(nu)
+            np.multiply(p, nu[0], out=c[0])
+            np.subtract(1.0, p, out=p)
+            p *= nu[1]
+            c[0] += p
+            np.subtract(S, c[0], out=c[1])
         else:
-            P = np.abs(sample_haar_unitary(m, rng, size=count)) ** 2
+            P = np.compress(rows, np.abs(sample_haar_unitary(m, rng, size=count)) ** 2, axis=0)
             c = np.array(
                 [
-                    functools.reduce(np.add, [P[:, h, k] * columns[k] for k in range(m)])
+                    functools.reduce(np.add, [P[:, h, k] * nu[k] for k in range(m)])
                     for h in range(m)
                 ]
             )
-        log_w += _constrained_lambda_weight(c.T, E, rng)
-    keep = log_w > -np.inf
-    # compress, not a boolean index: 8x faster on the rows of nu
-    return np.compress(keep, nu, axis=0), log_w[keep]
+        log_w += _log_lambda_integral(c, S, log_R, rng, rows)
+    return nu.T, log_w
 
 
 def _sum_law(m: int, constraint: EnergyConstraint, edges):
@@ -512,37 +589,53 @@ def _expected_probs_2p2(edges, constraint, subgrid=8):
 
 
 def _bin_index(x, edges) -> np.ndarray:
-    """np.digitize(x, edges) - 1 clipped to the bins, in place.
+    """np.digitize(x, edges) - 1 clipped to the bins, found by arithmetic.
 
-    The bins are half-open, the last one closed, as in np.histogram.
+    The edges are uniform, so the bin is (x - e_0) / (e_last - e_0) times the
+    bin count, clipped and truncated.  As in np.histogram, one step down where
+    x lies below the lower bound of that bin and one step up where it reaches
+    the upper bound correct the round-off of that quotient.  The bounds are
+    the edges with the outer two replaced by -inf and inf, so the end bins
+    take every value beyond them and the last bin is closed, as in
+    np.histogram; no index leaves the bins.  About 2.5x faster than
+    np.digitize on a block.
     """
-    idx = np.digitize(x, edges)
-    idx -= 1
-    return np.clip(idx, 0, edges.size - 2, out=idx)
+    bins = edges.size - 1
+    bounds = np.concatenate([[-np.inf], edges[1:-1], [np.inf]])
+    scaled = x - edges[0]
+    scaled *= bins / (edges[-1] - edges[0])
+    idx = np.clip(scaled, 0, bins - 1, out=scaled).astype(np.intp)
+    idx -= x < bounds.take(idx)
+    idx += x >= bounds[1:].take(idx)
+    return idx
 
 
-def _reduce_blocks(blocks, bin_edges):
+def _reduce_blocks(blocks, bin_edges, count):
     """S = sum(nu), the log-weights and the flat bin index, each block as it arrives.
 
     The binned coordinates are (nu1, nu2) given two edge vectors and S given
-    one.  A run keeps 18 bytes per accepted proposal: S, the log-weight and
-    the uint16 index.
+    one.  Each block is written into three buffers sized for the ``count``
+    proposals of the run, 18 bytes per proposal: S, the log-weight and the
+    uint16 index.  No per-block array outlives its block, which keeps the
+    heap of a run, and its peak RSS, about 2 MB lower than a list of blocks
+    joined at the end.  Returned are copies of the accepted part, so the
+    report's peak (the KS sort) does not grow with the rejected proposals.
     """
-    sums, weights, flats = [], [], []
+    S, weights, flat = np.empty(count), np.empty(count), np.empty(count, np.uint16)
+    end = 0
     for values, w in blocks:
-        S = functools.reduce(np.add, values.T)
-        coordinates = values.T if len(bin_edges) > 1 else [S]
-        flat, *rest = (_bin_index(x, edges) for x, edges in zip(coordinates, bin_edges))
-        for index, edges in zip(rest, bin_edges[1:]):
-            flat *= edges.size - 1
-            flat += index
-        flats.append(flat.astype(np.uint16))
-        sums.append(S)
-        weights.append(w)
-    S = np.concatenate(sums)
-    del sums
-    weights = np.concatenate(weights)
-    return S, weights, np.concatenate(flats)
+        part = slice(end, end + w.size)
+        end += w.size
+        columns = values.T
+        np.add.reduce(columns, axis=0, out=S[part])
+        weights[part] = w
+        coordinates = columns if len(bin_edges) > 1 else [S[part]]
+        index, *rest = (_bin_index(x, edges) for x, edges in zip(coordinates, bin_edges))
+        for more, edges in zip(rest, bin_edges[1:]):
+            index *= edges.size - 1
+            index += more
+        flat[part] = index
+    return S[:end].copy(), weights[:end].copy(), flat[:end].copy()
 
 
 def _report(m, constraint, blocks, metadata) -> HistogramReport:
@@ -574,7 +667,7 @@ def _report(m, constraint, blocks, metadata) -> HistogramReport:
         bin_edges = [np.linspace(1.0, top - 1.0, bins + 1)] * 2
         expected = _expected_probs_2p2(bin_edges[0], constraint).ravel()
     floor = MIN_EXPECTED_PER_BIN * np.count_nonzero(expected > 0)
-    S, weights, flat = _reduce_blocks(blocks, bin_edges)
+    S, weights, flat = _reduce_blocks(blocks, bin_edges, metadata["proposal_count"])
     accepted = S.size
     count = metadata["proposal_count"]
     if accepted == 0:
@@ -584,7 +677,13 @@ def _report(m, constraint, blocks, metadata) -> HistogramReport:
         )
     # exponentiated against their maximum, in place: every statistic is
     # invariant to the scale, and with a maximum of 1 no square overflows
-    weights -= weights.max()
+    largest = weights.max()
+    if not np.isfinite(largest):
+        raise RuntimeError(
+            f"the largest log-weight is {largest}: the weights overflow a double "
+            f"at n = {2 * m}, E = ({constraint.E_A:.6g}, {constraint.E_B:.6g})"
+        )
+    weights -= largest
     np.exp(weights, out=weights)
     total = weights.sum()
     squares = weights**2

@@ -157,6 +157,17 @@ class TestDensityCommand:
         assert text.startswith("nu_1,nu_2,density\r\n")
         assert out.read_bytes() == text.encode()
 
+    def test_2p2_grid_at_huge_energies_is_finite(self, capsys):
+        # the bracket (2E_A - S)(2E_B - S) overflowed here: a RuntimeWarning
+        # and null at the three grid points strictly inside the support
+        code = main(
+            ["density", "--kind", "2p2", "--EA", "1e200", "--EB", "1e200", "--grid", "3"]
+        )
+        assert code == 0
+        density = json.loads(capsys.readouterr().out)["density"]
+        assert len(density) == 9
+        assert all(v is not None and math.isfinite(v) and v >= 0.0 for v in density)
+
     def test_missing_energy_is_config_error(self, capsys):
         code = main(["density", "--kind", "2p2", "--EA", "2.5"])
         assert code == 2
@@ -261,6 +272,45 @@ class TestVerifyCommand:
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert "zero accepted samples" in json.loads(lines[0])["error"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n, E", [(4, "1e154"), (20, "1e31")])
+    def test_huge_energies_neither_crash_nor_pass(self, n, E, tmp_path, capsys):
+        # nu^2 overflows at n = 4, and (2 min(E) - 1)^m overflowed at n = 20;
+        # either run may end in exit 3, with one JSON line, but no traceback,
+        # and no verdict of true beside a statistic that is not finite
+        out = tmp_path / "r.json"
+        code = main(
+            [
+                "verify", "--n", str(n), "--EA", E, "--EB", E,
+                "--count", "100", "--output", str(out),
+            ]
+        )
+        assert code in (0, 3)
+        lines = capsys.readouterr().err.splitlines()
+        if code == 3:
+            assert len(lines) == 1
+            assert json.loads(lines[0])["exit_code"] == 3
+        if out.exists():
+            doc = json.loads(out.read_text())
+            if doc["verification_passed"] is True:
+                assert all(
+                    v is not None and math.isfinite(v) for v in doc["comparison"].values()
+                )
+        else:
+            assert code == 3
+
+    def test_energies_whose_double_overflows_rejected(self, tmp_path, capsys):
+        # 2 min(E) = inf ended in an OverflowError traceback from the draw
+        # of the uniform share
+        out = tmp_path / "r.json"
+        code = main(
+            [
+                "verify", "--n", "2", "--EA", "1e308", "--EB", "1e308",
+                "--count", "100", "--output", str(out),
+            ]
+        )
+        assert "largest double" in _assert_config_error(code, capsys)
         assert not out.exists()
 
     @pytest.mark.parametrize("n", [46, 48])

@@ -14,6 +14,7 @@ from gausshaar.densities import (
     density_submanifold_energy,
     energy_mixing_parameters,
     g_2p2,
+    log_density_balanced,
     log_density_submanifold,
     log_density_unconstrained,
     mean_energy,
@@ -222,6 +223,43 @@ class TestDensityBalanced:
         direct = _vandermonde(nu) ** 2 * bracket**a / norm
         assert np.all(direct > 0.0)
         assert np.allclose(density_balanced(nu, c), direct, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_given_gaps_match_the_formed_ones(self, m):
+        # inside the support a caller may pass log(2E_A - S), log(2E_B - S)
+        c = EnergyConstraint(m + 1.2, m + 1.9)
+        rng = np.random.default_rng(m)
+        L = 2.0 * c.min_energy - m
+        nu = 1.0 + rng.dirichlet(np.ones(m), 50) * rng.uniform(0.0, L, (50, 1))
+        total = nu.sum(axis=1)
+        gaps = [np.log(2.0 * E - total) for E in (c.E_A, c.E_B)]
+        got = log_density_balanced(nu, c, gaps)
+        want = log_density_balanced(nu, c)
+        assert np.all(np.isfinite(want))
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(np.exp(want), density_balanced(nu, c), rtol=1e-15)
+
+    def test_log_is_minus_inf_outside_the_support(self):
+        c = EnergyConstraint(2.5, 3.0)
+        outside = np.array([[0.9, 2.0], [3.0, 2.5], [1.5, 1.5], [4.0, 1.0]])
+        assert np.all(log_density_balanced(outside, c) == -np.inf)
+        assert log_density_balanced([1.2, 2.0], c) == pytest.approx(
+            math.log(density_balanced([1.2, 2.0], c)), abs=1e-12
+        )
+
+    def test_huge_energies_stay_finite(self):
+        # the grid of `density --kind 2p2 --EA 1e200 --EB 1e200 --grid 3`:
+        # the bracket (2E_A - S)(2E_B - S) overflowed a double and gave nan
+        # inside the support; its log is finite off the diagonal below
+        # S = 2 min(E)
+        c = EnergyConstraint(1e200, 1e200)
+        axis = np.linspace(1.0, 2.0 * c.min_energy - 1.0, 3)
+        nu = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+        val = density_balanced(nu, c)
+        assert np.all(np.isfinite(val)) and np.all(val >= 0.0)
+        inside = (nu[:, 0] != nu[:, 1]) & (nu.sum(axis=1) < 2.0 * c.min_energy)
+        assert inside.sum() == 2
+        assert np.all(np.isfinite(log_density_balanced(nu[inside], c)))
 
 
 class TestDensity2p2:

@@ -14,6 +14,7 @@ from gausshaar.densities import (
     density_2p2,
     density_balanced,
     g_2p2,
+    log_density_balanced,
 )
 from gausshaar import densities, montecarlo
 from gausshaar.haar import sample_haar_unitary
@@ -574,8 +575,11 @@ class TestVerdicts:
             monkeypatch.setattr(
                 montecarlo, "balanced_sum_law", lambda m, c: balanced_sum_law(m, lowered(c))
             )
+            # the lowered law forms its own gaps: the pipeline's are of c
             monkeypatch.setattr(
-                montecarlo, "density_balanced", lambda nu, c: density_balanced(nu, lowered(c))
+                montecarlo,
+                "log_density_balanced",
+                lambda nu, c, log_gaps: log_density_balanced(nu, lowered(c)),
             )
             monkeypatch.setattr(
                 montecarlo, "density_2p2", lambda x, y, c: density_2p2(x, y, lowered(c))
@@ -608,6 +612,20 @@ class TestReport:
             assert big.comparison[key] == pytest.approx(base.comparison[key], rel=1e-12)
         for key in ("effective_sample_size", "ess_fraction", "max_weight_share"):
             assert big.metadata[key] == pytest.approx(base.metadata[key], rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_a_non_finite_log_weight_is_a_numerical_failure(self, bad, monkeypatch):
+        # an overflowed weight must not be exponentiated into nan statistics
+        block = montecarlo._pipeline_block
+
+        def broken(*args):
+            values, log_weights = block(*args)
+            log_weights[3] = bad
+            return values, log_weights
+
+        monkeypatch.setattr(montecarlo, "_pipeline_block", broken)
+        with pytest.raises(RuntimeError, match="log-weight"):
+            verify_constrained_density(4, EnergyConstraint(2.5, 2.5), 2_000, seed=1)
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_binning_matches_numpy_histograms(self, n):
@@ -786,6 +804,95 @@ class TestBlockwiseReport:
         finally:
             tracemalloc.stop()
         assert peak / count < 46.0
+
+
+
+# verify_constrained_density(n, EnergyConstraint(E_A, E_B), 40_000, seed=1)
+# as the pipeline computed it before its blocks were rewritten for speed: a
+# faster block must make the same draws in the same order
+PARITY = {
+    (2, 2.2, 2.9): dict(
+        sample_count=40000, dof=19, chi2=11.803803566395823,
+        ks=0.0038517913519525715, ess=40000.000000000015,
+        counts=[
+            2010, 1963, 1973, 1990, 1973, 1960, 2043, 2014, 2033, 2053,
+            1959, 1985, 2060, 2043, 2045, 1970, 1978, 2013, 1955, 1980,
+        ],
+    ),
+    (4, 2.2, 2.9): dict(
+        sample_count=36923, dof=54, chi2=51.2904821503888,
+        ks=0.004652332072257126, ess=35992.844260840015,
+        counts=[
+            207, 927, 2216, 2988, 2977, 2388, 1700, 820, 260, 24,
+            857, 108, 410, 749, 955, 707, 417, 149, 13, 0,
+            2020, 389, 49, 128, 218, 154, 82, 15, 0, 0,
+            2856, 772, 115, 33, 38, 30, 14, 0, 0, 0,
+            3039, 886, 220, 44, 19, 13, 0, 0, 0, 0,
+            2468, 775, 174, 28, 16, 0, 0, 0, 0, 0,
+            1628, 409, 86, 14, 0, 0, 0, 0, 0, 0,
+            854, 140, 13, 0, 0, 0, 0, 0, 0, 0,
+            254, 22, 0, 0, 0, 0, 0, 0, 0, 0,
+            36, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+        ],
+    ),
+    (6, 2.2, 2.9): dict(
+        sample_count=35999, dof=8, chi2=3.495934598476689,
+        ks=0.006206390462280553, ess=31812.392079896144,
+        counts=[0, 44, 765, 3660, 8213, 10897, 8307, 3504, 583, 26],
+    ),
+    # equal energies: the two subsystems share one log(2E - S)
+    (4, 2.5, 2.5): dict(
+        sample_count=37063, dof=54, chi2=50.445711125196695,
+        ks=0.005276633184686075, ess=35819.8311370996,
+        counts=[
+            365, 1495, 3086, 3655, 3246, 2152, 1100, 312, 53, 9,
+            1500, 141, 477, 835, 810, 470, 164, 33, 11, 0,
+            3049, 483, 67, 130, 143, 70, 22, 9, 0, 0,
+            3739, 867, 99, 27, 33, 22, 18, 0, 0, 0,
+            3068, 768, 135, 32, 25, 17, 0, 0, 0, 0,
+            2087, 440, 73, 24, 7, 0, 0, 0, 0, 0,
+            1042, 174, 31, 10, 0, 0, 0, 0, 0, 0,
+            299, 35, 11, 0, 0, 0, 0, 0, 0, 0,
+            73, 9, 0, 0, 0, 0, 0, 0, 0, 0,
+            11, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+        ],
+    ),
+}
+
+
+class TestParity:
+    @pytest.mark.parametrize("key", list(PARITY), ids=lambda k: "n{}-E{}-{}".format(*k))
+    def test_verify_repeats_the_recorded_run(self, key):
+        n, E_A, E_B = key
+        want = PARITY[key]
+        rep = verify_constrained_density(n, EnergyConstraint(E_A, E_B), 40_000, seed=1)
+        assert rep.counts.ravel().tolist() == want["counts"]
+        assert rep.metadata["sample_count"] == want["sample_count"]
+        assert rep.comparison["dof"] == want["dof"]
+        assert rep.comparison["chi2"] == pytest.approx(want["chi2"], rel=1e-9)
+        assert rep.comparison["ks_statistic"] == pytest.approx(want["ks"], rel=1e-9)
+        assert rep.metadata["effective_sample_size"] == pytest.approx(want["ess"], rel=1e-9)
+
+
+class TestBinIndex:
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_arithmetic_binning_matches_digitize(self, n):
+        # on the edges _report builds at E = (2.2, 2.9): every edge and its
+        # two neighbouring doubles, values outside the edges, uniform draws
+        c = EnergyConstraint(2.2, 2.9)
+        edges = verify_constrained_density(n, c, 200, seed=0, self_test=True).bin_edges[0]
+        bins = edges.size - 1
+        span = edges[-1] - edges[0]
+        near = np.concatenate(
+            [edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)]
+        )
+        outside = np.array(
+            [-1e300, -span, 0.0, edges[0] - span, edges[-1] + span, 2.0 * edges[-1], 1e300]
+        )
+        uniform = np.random.default_rng(n).uniform(edges[0], edges[-1], 100_000)
+        for x in (near, outside, uniform):
+            want = np.clip(np.digitize(x, edges) - 1, 0, bins - 1)
+            assert np.array_equal(montecarlo._bin_index(x, edges), want)
 
 
 class TestHistogramReport:
