@@ -24,11 +24,13 @@ So a run keeps 18 bytes per proposal at every n, in buffers sized for the
 run, plus one block of temporaries, and the report's peak is the KS sort,
 about 40 bytes per accepted proposal.  The kernels run on 1-D columns, one
 per coordinate: nu is built as m columns of one array, only the proposals
-inside the support (S < 2 min(E)) are weighted, and S and log(2E - S) are
-formed once for the proposal density and the lambda integrals alike.  The
-bins are found by arithmetic on the uniform edges.  A weight that overflows
-a double is a numerical failure (RuntimeError), never a report.  An effective sample size below MIN_EXPECTED_PER_BIN per histogram bin of
-positive expected mass marks the estimate as degenerate.
+inside the support (S < 2 min(E), tested once per block, in
+``_pipeline_block``) are weighted, and S and log(2E - S) are formed once for
+the proposal density and the lambda integrals alike.  The bins are found by
+arithmetic on the uniform edges.  A weight that overflows a double is a
+numerical failure (RuntimeError), never a report.  An effective sample size
+below MIN_EXPECTED_PER_BIN per histogram bin of positive expected mass marks
+the estimate as degenerate.
 """
 
 from __future__ import annotations
@@ -84,7 +86,8 @@ class HistogramReport:
         if int(self.counts.sum()) != int(self.metadata.get("sample_count", self.counts.sum())):
             raise ValueError("counts must sum to the accepted sample count")
         total = float(np.sum(self.normalized_density * _cell_volume(self.bin_edges)))
-        if self.counts.sum() > 0 and abs(total - 1.0) > 1e-9:
+        # written so that a NaN integral fails it too
+        if self.counts.sum() > 0 and not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"normalized density integrates to {total}, not 1")
 
 
@@ -230,29 +233,14 @@ def _simplex_draws(m: int) -> int:
     return 16 if m <= 5 else 64 if m <= 7 else 256
 
 
-def _constrained_lambda_weight(c, E, rng):
-    """``_log_lambda_integral`` on rows c (count, m) of mixing coefficients.
-
-    R = 2E - sum(c) is formed from the rows, and the log-weight is -inf
-    exactly where R <= 0.  The draws of m >= 3 are made for every row, as in
-    the pipeline; m <= 2 draws nothing.
-    """
-    columns = c.T
-    total = functools.reduce(np.add, columns)
-    inside = total < 2.0 * E
-    log_w = np.full(total.shape, -np.inf)
-    total = total[inside]
-    log_w[inside] = _log_lambda_integral(
-        np.compress(inside, columns, axis=1), total, np.log(2.0 * E - total), rng, inside
-    )
-    return log_w
-
-
 def _log_lambda_integral(c, S, log_R, rng, rows):
     """Log of an estimate of the delta-constrained lambda integral at fixed mixing.
 
     c holds the m mixing coefficients of each point as m 1-D columns, S their
-    sum and log_R the log of R = 2E - S > 0.  The subsystem energy is
+    sum and log_R the log of R = 2E - S > 0.  Its one caller,
+    ``_pipeline_block``, passes only the proposals of its block inside the
+    support, marked by the boolean mask ``rows`` (S < 2 min(E)), so R > 0
+    holds for every point and nothing here tests it.  The subsystem energy is
     sum_h lambda_h c_h / 2.  With mu_h = c_h (lambda_h - 1) the constraint
     delta(E - sum lambda c / 2) becomes 2 delta(R - sum mu), where
     sum(c) = sum(nu) = S, because |U|^2 is doubly stochastic, and
@@ -272,7 +260,7 @@ def _log_lambda_integral(c, S, log_R, rng, rows):
       repulsion is R^D prod |t_h - t_k|, t = x / (c sum(x)), D = m(m-1)/2;
       its log-mean-exp over ``_simplex_draws(m)`` draws of x is accumulated
       against a running maximum.  Each draw is made for every row of the
-      block, of which the boolean mask ``rows`` marks those c holds.
+      block, so the stream does not depend on which rows ``rows`` keeps.
 
     Returned as the sum of the logs of the factors: an unbiased estimate of
     the integral with no shell width and no lambda cutoff, exact at m <= 2.

@@ -170,7 +170,9 @@ def quadrature_indices(modes) -> np.ndarray:
 def tmsv_symplectic(r: float) -> np.ndarray:
     """Symplectic matrix of the two-mode squeezing generator at parameter r.
 
-    Applied to the vacuum it reproduces ``tmsv_state(r)``.
+    Applied to the vacuum it gives the covariance of ``tmsv_state(r)``; this
+    matrix is the one place that fixes the two-mode squeezing sign
+    convention of the module docstring.
     """
     c, s = np.cosh(r), np.sinh(r)
     return np.array(
@@ -184,18 +186,20 @@ def tmsv_symplectic(r: float) -> np.ndarray:
 
 
 def tmsv_state(r: float) -> GaussianPureState:
-    """Two-mode squeezed vacuum with squeezing parameter r >= 0."""
-    if r < 0:
-        raise ValueError("squeezing parameter must be nonnegative")
-    S = tmsv_symplectic(r)
-    return GaussianPureState(n_modes=2, covariance=S @ S.T)
+    """Two-mode squeezed vacuum with squeezing parameter r >= 0.
+
+    The canonical state of the 1 + 1 bipartition.
+    """
+    return canonical_state([r], Bipartition(1, 1))
 
 
 def canonical_state(r, bipartition: Bipartition) -> GaussianPureState:
     """Canonical bipartite pure state: TMSV pairs plus spare vacua.
 
     The k-th A mode is paired with the k-th B mode at squeezing r[k]; the
-    remaining n_B - n_A B modes stay in vacuum.
+    remaining n_B - n_A B modes stay in vacuum.  The state is S S^T, where
+    S is the identity with ``tmsv_symplectic(r[k])`` on the quadratures of
+    each pair, so the sign convention is that of ``tmsv_symplectic``.
     """
     r = np.atleast_1d(np.asarray(r, dtype=float))
     if r.shape != (bipartition.n_A,):
@@ -206,17 +210,11 @@ def canonical_state(r, bipartition: Bipartition) -> GaussianPureState:
     if np.any(r < 0):
         raise ValueError("squeezing parameters must be nonnegative")
     n = bipartition.n_modes
-    cov = np.eye(2 * n)
-    modes_a, modes_b = bipartition.modes_a, bipartition.modes_b
-    for k, rk in enumerate(r):
-        a, b = modes_a[k], modes_b[k]
-        c, s = np.cosh(2 * rk), np.sinh(2 * rk)
-        for q in (0, 1):
-            cov[2 * a + q, 2 * a + q] = c
-            cov[2 * b + q, 2 * b + q] = c
-        cov[2 * a, 2 * b] = cov[2 * b, 2 * a] = -s
-        cov[2 * a + 1, 2 * b + 1] = cov[2 * b + 1, 2 * a + 1] = s
-    return GaussianPureState(n_modes=n, covariance=cov)
+    S = np.eye(2 * n)
+    for rk, a, b in zip(r, bipartition.modes_a, bipartition.modes_b):
+        idx = quadrature_indices([a, b])
+        S[np.ix_(idx, idx)] = tmsv_symplectic(rk)
+    return GaussianPureState(n_modes=n, covariance=S @ S.T)
 
 
 def reduced_covariance(state: GaussianPureState, modes) -> np.ndarray:

@@ -120,6 +120,11 @@ class TestTmsv:
         spectrum = williamson_spectrum(tmsv_state(r), Bipartition(1, 1))
         assert spectrum.nu[0] == pytest.approx(2.0, abs=1e-10)
 
+    def test_is_the_canonical_state_of_one_pair(self):
+        for r in (0.0, 0.37, 1.4):
+            want = canonical_state([r], Bipartition(1, 1)).covariance
+            assert np.array_equal(tmsv_state(r).covariance, want)
+
     def test_purity_oracle(self):
         cov = tmsv_state(0.7).covariance
         omega = symplectic_form(2)
@@ -130,6 +135,22 @@ class TestCanonicalState:
     def test_zero_squeezing_gives_identity(self):
         state = canonical_state([0.0, 0.0], Bipartition(2, 2))
         assert np.array_equal(state.covariance, np.eye(8))
+
+    def test_sign_convention_on_interleaved_modes(self):
+        # pairs (1, 0), (3, 2), (5, 4) are not adjacent in A-then-B order,
+        # and mode 6 is the spare vacuum
+        r = np.array([0.3, 1.2, 0.05])
+        bp = Bipartition(3, 4, mode_assignment=("B", "A", "B", "A", "B", "A", "B"))
+        cov = canonical_state(r, bp).covariance
+        want = np.eye(14)
+        for rk, a, b in zip(r, bp.modes_a, bp.modes_b):
+            c, s = np.cosh(2 * rk), np.sinh(2 * rk)
+            for q in (2 * a, 2 * a + 1, 2 * b, 2 * b + 1):
+                want[q, q] = c
+            want[2 * a, 2 * b] = want[2 * b, 2 * a] = -s
+            want[2 * a + 1, 2 * b + 1] = want[2 * b + 1, 2 * a + 1] = s
+        assert list(bp.modes_a) == [1, 3, 5] and list(bp.modes_b) == [0, 2, 4, 6]
+        np.testing.assert_allclose(cov, want, rtol=1e-14, atol=0.0)
 
     def test_unbalanced_composition(self):
         r1 = 0.4
