@@ -26,8 +26,10 @@ about 40 bytes per accepted proposal.  The kernels run on 1-D columns, one
 per coordinate: nu is built as m columns of one array, only the proposals
 inside the support (S < 2 min(E), tested once per block, in
 ``_pipeline_block``) are weighted, and S and log(2E - S) are formed once for
-the proposal density and the lambda integrals alike.  The bins are found by
-arithmetic on the uniform edges.  A weight that overflows a double is a
+the proposal density and the integrand alike.  The integrand, the weight
+before the proposal density, is one function of the kept columns,
+``_log_weight``, which the tests also call at fixed nu.  The bins are found
+by arithmetic on the uniform edges.  A weight that overflows a double is a
 numerical failure (RuntimeError), never a report.  An effective sample size
 below MIN_EXPECTED_PER_BIN per histogram bin of positive expected mass marks
 the estimate as degenerate.
@@ -237,9 +239,9 @@ def _log_lambda_integral(c, S, log_R, rng, rows):
     """Log of an estimate of the delta-constrained lambda integral at fixed mixing.
 
     c holds the m mixing coefficients of each point as m 1-D columns, S their
-    sum and log_R the log of R = 2E - S > 0.  Its one caller,
-    ``_pipeline_block``, passes only the proposals of its block inside the
-    support, marked by the boolean mask ``rows`` (S < 2 min(E)), so R > 0
+    sum and log_R the log of R = 2E - S > 0.  Its one caller in the
+    pipeline, ``_log_weight``, passes only the proposals of its block inside
+    the support, marked by the boolean mask ``rows`` (S < 2 min(E)), so R > 0
     holds for every point and nothing here tests it.  The subsystem energy is
     sum_h lambda_h c_h / 2.  With mu_h = c_h (lambda_h - 1) the constraint
     delta(E - sum lambda c / 2) becomes 2 delta(R - sum mu), where
@@ -401,55 +403,26 @@ def _softplus(z):
     return soft
 
 
-def _pipeline_block(m, constraint, count, rng):
-    """One block of the pipeline, m eigenvalues a side; returns (values, log-weights).
+def _log_weight(nu, S, log_gaps, rng, rows):
+    """Log of the pipeline's integrand at the kept columns of nu, m eigenvalues a side.
 
-    nu is proposed from the closed-form balanced law, except for a share
-    DEFENSIVE drawn uniformly on the box [1, 2 min(E)]^m, the support set by
-    each subsystem energy being at least S/2, S = sum(nu).  Any
-    support-covering proposal is valid: the weights are flat only if the
-    closed form matches the pipeline law, and the uniform share lets them
-    show mass the closed form misses.  The log-weight is the log of the
-    invariant factor prod nu_j^2 prod (nu_h^2 - nu_k^2)^2 over the proposal
-    density, plus that of each subsystem's delta-constrained lambda integral
-    at the mixing matrix |U|^2, exact at m <= 2 and averaged over
-    ``_simplex_draws(m)`` points of the simplex from m = 3.  For m <= 2 the
-    Haar |U|^2 is [[p, 1 - p], [1 - p, p]] with p uniform on (0, 1), so p is
-    drawn directly; at m = 1 the mixture is nu itself, and p is drawn only to
-    keep the stream.
-
-    nu is m contiguous columns of one (m, count) array.  Only the proposals
-    with S < 2 min(E) are weighted, since every other one has an empty
-    constraint simplex; every draw is still made for the whole block, so the
-    stream does not depend on which are kept.  S and each log(2E - S) are
-    formed once, over those rows, and read by both the proposal density and
-    the lambda integrals, so no log sees a negative argument.  The two
-    shares u and v of the proposal density are mixed in logs, as
-    log u + softplus(log v - log u), so neither overflows at any energy.
-    Returns the kept rows as a (kept, m) view of their columns.
+    The invariant factor prod nu_j^2 prod (nu_h^2 - nu_k^2)^2 times each
+    subsystem's delta-constrained lambda integral at the Haar mixing |U|^2,
+    in logs; its mean over the draws is proportional to the closed-form
+    balanced law.  For m <= 2, |U|^2 is [[p, 1 - p], [1 - p, p]] with p
+    uniform on (0, 1), so p is drawn directly; at m = 1 the mixture is nu
+    itself, and p is drawn only to keep the stream.  nu holds the kept points
+    as m 1-D columns, all inside the support, S their sums and ``log_gaps``
+    the pair log(2E_A - S), log(2E_B - S); the mask ``rows`` marks them among
+    the ``rows.size`` proposals of the block.  Every draw is made for the
+    whole block, so the stream does not depend on which are kept.
     """
-    top = 2.0 * constraint.min_energy
-    nu = sample_balanced(m, constraint, count, rng).T
-    box = rng.random(count) < DEFENSIVE
-    nu[:, box] = rng.uniform(1.0, top, (int(box.sum()), m)).T
-    S = functools.reduce(np.add, nu)
-    rows = S < top
-    nu = np.compress(rows, nu, axis=1)
-    S = S[rows]
-    # keyed by energy, so equal energies share one log
-    log_gap = {E: np.log(2.0 * E - S) for E in (constraint.E_A, constraint.E_B)}
-    log_gaps = [log_gap[constraint.E_A], log_gap[constraint.E_B]]
-    # the log of the uniform share, and of the closed-form share against it
-    log_uniform = math.log(DEFENSIVE) - m * math.log(top - 1.0)
-    z = log_density_balanced(nu.T, constraint, log_gaps)
-    # at DEFENSIVE = 1 the uniform share is the whole proposal
-    z += (math.log1p(-DEFENSIVE) if DEFENSIVE < 1.0 else -math.inf) - log_uniform
+    m = len(nu)
+    count = rows.size
     # nu^2 overflows from nu = 1.3e154; the log-weight is then inf or nan,
     # which _report rejects
     with np.errstate(over="ignore", invalid="ignore"):
         log_w = log_density_unconstrained(nu.T, m, m)
-    log_w -= log_uniform
-    log_w -= _softplus(z)
     for log_R in log_gaps:
         if m == 1:
             rng.random(count)  # p: the mixture is nu itself
@@ -472,6 +445,48 @@ def _pipeline_block(m, constraint, count, rng):
                 ]
             )
         log_w += _log_lambda_integral(c, S, log_R, rng, rows)
+    return log_w
+
+
+def _pipeline_block(m, constraint, count, rng):
+    """One block of the pipeline, m eigenvalues a side; returns (values, log-weights).
+
+    nu is proposed from the closed-form balanced law, except for a share
+    DEFENSIVE drawn uniformly on the box [1, 2 min(E)]^m, the support set by
+    each subsystem energy being at least S/2, S = sum(nu).  Any
+    support-covering proposal is valid: the weights are flat only if the
+    closed form matches the pipeline law, and the uniform share lets them
+    show mass the closed form misses.  The log-weight is ``_log_weight``
+    minus the log of the proposal density.
+
+    nu is m contiguous columns of one (m, count) array.  Only the proposals
+    with S < 2 min(E) are weighted, since every other one has an empty
+    constraint simplex.  S and each log(2E - S) are formed once, over those
+    rows, and read by both the proposal density and ``_log_weight``, so no
+    log sees a negative argument.  The two shares u and v of the proposal
+    density are mixed in logs, as log u + softplus(log v - log u), so
+    neither overflows at any energy.  Returns the kept rows as a (kept, m)
+    view of their columns.
+    """
+    top = 2.0 * constraint.min_energy
+    nu = sample_balanced(m, constraint, count, rng).T
+    box = rng.random(count) < DEFENSIVE
+    nu[:, box] = rng.uniform(1.0, top, (int(box.sum()), m)).T
+    S = functools.reduce(np.add, nu)
+    rows = S < top
+    nu = np.compress(rows, nu, axis=1)
+    S = S[rows]
+    # keyed by energy, so equal energies share one log
+    log_gap = {E: np.log(2.0 * E - S) for E in (constraint.E_A, constraint.E_B)}
+    log_gaps = [log_gap[constraint.E_A], log_gap[constraint.E_B]]
+    # the log of the uniform share, and of the closed-form share against it
+    log_uniform = math.log(DEFENSIVE) - m * math.log(top - 1.0)
+    z = log_density_balanced(nu.T, constraint, log_gaps)
+    # at DEFENSIVE = 1 the uniform share is the whole proposal
+    z += (math.log1p(-DEFENSIVE) if DEFENSIVE < 1.0 else -math.inf) - log_uniform
+    log_w = _log_weight(nu, S, log_gaps, rng, rows)
+    log_w -= log_uniform
+    log_w -= _softplus(z)
     return nu.T, log_w
 
 

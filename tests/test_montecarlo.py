@@ -15,9 +15,10 @@ from gausshaar.densities import (
     density_balanced,
     g_2p2,
     log_density_balanced,
+    log_density_unconstrained,
 )
 from gausshaar import densities, montecarlo
-from gausshaar.haar import sample_haar_unitary
+from gausshaar.haar import log_vandermonde, sample_haar_unitary
 from gausshaar.montecarlo import (
     BLOCK,
     MIN_EXPECTED_PER_BIN,
@@ -288,7 +289,7 @@ class TestWeightedStatistics:
 def _lambda_weight(c, E, rng):
     """log of the constrained lambda-weight of rows c (count, m) of mixing coefficients.
 
-    ``_log_lambda_integral`` is called as ``_pipeline_block`` calls it: on
+    ``_log_lambda_integral`` is called as ``_log_weight`` calls it: on
     the columns of the rows with S = sum(c) < 2E, the mask of those rows, S
     and log(2E - S).  Returns the log-weights of the rows it keeps.
     """
@@ -394,6 +395,149 @@ class TestConstrainedLambdaWeight:
             ratios.append(ratio)
             stderrs.append(ratio * np.hypot(stderr / mean, hits_err / hits))
         _assert_constant_ratio(ratios, stderrs)
+
+
+def _integrand(columns, constraint, rng, rows):
+    """``_log_weight`` at the columns of nu, with S and log(2E - S) formed as the pipeline forms them."""
+    S = functools.reduce(np.add, columns)
+    log_gaps = [np.log(2.0 * E - S) for E in (constraint.E_A, constraint.E_B)]
+    return montecarlo._log_weight(columns, S, log_gaps, rng, rows)
+
+
+def _log_mean_weight(nu, constraint, repeats, rng, p_weights=None):
+    """log of the mean of the integrand at the point nu over ``repeats`` draws, and its SE.
+
+    nu is tiled into ``repeats`` columns, all kept.  ``p_weights`` weighs the
+    repeats; without it the mean is plain, and the SE of its log is
+    sd(w) / (mean sqrt(repeats)).
+    """
+    columns = np.repeat(np.asarray(nu, dtype=float)[:, None], repeats, axis=1)
+    log_w = _integrand(columns, constraint, rng, np.ones(repeats, bool))
+    top = log_w.max()
+    w = np.exp(log_w - top)
+    mean = np.average(w, weights=p_weights)
+    return top + math.log(mean), w.std(ddof=1) / (mean * math.sqrt(repeats))
+
+
+def _pointwise_chi2(m, constraint, repeats, rng):
+    """Chi-square and p of the log-ratios of the mean integrand to the closed form at 20 points.
+
+    The points are drawn from ``sample_balanced``; each log-ratio is compared
+    with their inverse-variance mean, on 19 degrees of freedom.
+    """
+    points = sample_balanced(m, constraint, 20, rng)
+    logs, stderrs = map(
+        np.array, zip(*(_log_mean_weight(nu, constraint, repeats, rng) for nu in points))
+    )
+    ratios = logs - log_density_balanced(points, constraint)
+    mean = np.average(ratios, weights=stderrs**-2)
+    chi2 = float(np.sum(((ratios - mean) / stderrs) ** 2))
+    return chi2, stats.chi2.sf(chi2, ratios.size - 1)
+
+
+class _GaussLegendreP:
+    """A generator stub whose two ``random`` calls give a tensor grid of Gauss-Legendre nodes in p.
+
+    Side A's p repeats each node and side B's tiles them, so every pair of
+    nodes occurs once and the two sides stay independent.  ``weights`` are
+    the products of the rule's weights on [0, 1], which sum to 1.
+    """
+
+    def __init__(self, order):
+        x, w = np.polynomial.legendre.leggauss(order)
+        nodes = (x + 1.0) / 2.0
+        self._draws = iter([np.repeat(nodes, order), np.tile(nodes, order)])
+        self.weights = np.outer(w, w).ravel() / 4.0
+
+    def random(self, count):
+        p = next(self._draws)
+        assert p.size == count
+        return p.copy()
+
+
+def _sample_orthogonal(m, rng, size):
+    """Real orthogonal Q of the QR of a Gaussian stack: |Q|^2 has the law of Haar |O|^2.
+
+    The column signs that would make Q Haar cancel in |Q|^2.
+    """
+    return np.linalg.qr(rng.standard_normal((size, m, m)))[0]
+
+
+class TestPointwiseWeight:
+    # the pipeline's integrand at fixed nu: its mean over the mixing and
+    # simplex draws is proportional to the closed-form balanced law.  No
+    # proposal, no bins and no statistic of a sample enter.
+
+    @pytest.mark.parametrize(
+        "n, E_A, E_B",
+        [(2, 2.2, 2.9), (4, 2.2, 2.9), (6, 3.0, 3.0), (8, 4.0, 4.0), (10, 5.0, 5.0)],
+        ids=["2", "4", "6", "8", "10"],
+    )
+    def test_mean_weight_is_proportional_to_the_closed_form(self, n, E_A, E_B):
+        c = EnergyConstraint(E_A, E_B)
+        m = n // 2
+        rng = np.random.default_rng(n)
+        if m >= 3:
+            chi2, p = _pointwise_chi2(m, c, 20_000, rng)
+            assert p > 1e-3, chi2
+        else:
+            self._assert_exact_mean(m, c, rng)
+
+    @staticmethod
+    def _assert_exact_mean(m, c, rng):
+        # p is the only draw, and the mean over it is exactly
+        # 4 Delta(nu)^2 (R_A R_B)^a: at m = 2 the integral of c1^-2 + c2^-2
+        # over p is 2 / (nu1 nu2) per side.  A 32-point rule in p gives it
+        # to round-off, also at the corner where nu1 / nu2 is largest.
+        top = 2.0 * c.min_energy
+        corner = np.r_[top - m + 0.95, np.ones(m - 1)]
+        a = (m - 1) * (m + 2) // 2
+        for nu in np.vstack([sample_balanced(m, c, 20, rng), corner]):
+            grid = _GaussLegendreP(32)
+            got, _ = _log_mean_weight(nu, c, grid.weights.size, grid, grid.weights)
+            gaps = (2.0 * c.E_A - nu.sum()) * (2.0 * c.E_B - nu.sum())
+            want = math.log(4.0 * _vandermonde(nu) ** 2 * gaps**a)
+            assert abs(got - want) < 1e-12, nu
+
+    @pytest.mark.parametrize("mutation", ["no-nu2", "vandermonde-1", "orthogonal"])
+    def test_a_wrong_integrand_fails(self, mutation, monkeypatch):
+        # prod nu^2 dropped from the invariant factor, Delta(nu^2)^1 in place
+        # of Delta(nu^2)^2, or real orthogonal mixing in place of unitary
+        if mutation == "no-nu2":
+            monkeypatch.setattr(
+                montecarlo,
+                "log_density_unconstrained",
+                lambda nu, n_A, n_B: log_density_unconstrained(nu, n_A, n_B)
+                - 2.0 * np.log(nu).sum(axis=-1),
+            )
+        elif mutation == "vandermonde-1":
+            monkeypatch.setattr(
+                montecarlo,
+                "log_density_unconstrained",
+                lambda nu, n_A, n_B: log_density_unconstrained(nu, n_A, n_B)
+                - log_vandermonde(nu**2),
+            )
+        else:
+            monkeypatch.setattr(montecarlo, "sample_haar_unitary", _sample_orthogonal)
+        chi2, p = _pointwise_chi2(3, EnergyConstraint(3.0, 3.0), 20_000, np.random.default_rng(6))
+        assert p < 1e-6, chi2
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_the_stream_does_not_depend_on_the_kept_rows(self, m):
+        c = EnergyConstraint(2.2, 2.9)
+        nu = sample_balanced(m, c, 400, np.random.default_rng(m)).T
+        some = np.random.default_rng(10 + m).random(400) < 0.7
+        assert not some.all()
+
+        def weigh(rows):
+            rng = np.random.default_rng(5)
+            log_w = _integrand(np.compress(rows, nu, axis=1), c, rng, rows)
+            return log_w, rng.bit_generator.state
+
+        every, every_state = weigh(np.ones(400, bool))
+        kept, kept_state = weigh(some)
+        assert kept_state == every_state
+        assert np.array_equal(kept, every[some])
 
 
 class TestVerifyPipeline:
