@@ -55,22 +55,9 @@ from typing import Callable
 
 import numpy as np
 
-from . import __version__
-from .densities import (
-    EnergyConstraint,
-    density_balanced,
-    density_submanifold_energy,
-    log_density_submanifold,
-    log_density_unconstrained,
-)
-from .haar import (
-    euler_to_symplectic,
-    apply_to_vacuum,
-    sample_haar_unitary,
-    sample_homogeneous_gaussian_unitary,
-    sample_lambda,
-)
-from .montecarlo import sample_balanced, sample_submanifold_energy, verify_constrained_density
+# densities, haar and montecarlo are read through their lazily loaded module
+# objects, so a command runs only the modules it uses
+from . import __version__, densities, haar, montecarlo
 from .serialization import (
     density_grid_csv_text,
     dump_output,
@@ -357,22 +344,26 @@ def _grid_axes(hi: float, points: int, m: int) -> tuple[dict, np.ndarray]:
 def _density_grid(config: argparse.Namespace) -> dict:
     kind = config.kind
     if kind in ("1p1", "2p2"):
-        constraint = EnergyConstraint(config.E_A, config.E_B)
+        constraint = densities.EnergyConstraint(config.E_A, config.E_B)
         m = 1 if kind == "1p1" else 2
         # the balanced law's support reaches nu_k = 2 min(E) - (m - 1)
         grid, nu = _grid_axes(2.0 * constraint.min_energy - (m - 1), config.grid, m)
-        return {**grid, "density": density_balanced(nu, constraint)}
+        return {**grid, "density": densities.density_balanced(nu, constraint)}
     if kind == "submanifold-energy":
         if config.n != 4:
             raise ConfigError("grid output is implemented for --n 4")
         nu1 = np.linspace(1.0, 2.0 * config.E - 1.0, config.grid)
         nu2 = 2.0 * config.E - nu1
-        dens = density_submanifold_energy(np.stack([nu1, nu2], axis=-1), config.E, 4)
+        dens = densities.density_submanifold_energy(np.stack([nu1, nu2], axis=-1), config.E, 4)
         return {"nu_1": nu1, "nu_2": nu2, "density": dens}
     # unnormalized log densities over [1, numax]^{n_A}
     if config.n_A not in (1, 2):
         raise ConfigError("grid output is implemented for n_A in {1, 2}")
-    fn = log_density_unconstrained if kind == "unconstrained" else log_density_submanifold
+    fn = (
+        densities.log_density_unconstrained
+        if kind == "unconstrained"
+        else densities.log_density_submanifold
+    )
     grid, nu = _grid_axes(config.numax, config.grid, config.n_A)
     return {**grid, "log_density": fn(nu, config.n_A, config.n_B)}
 
@@ -388,14 +379,14 @@ def _cmd_density(config: argparse.Namespace) -> int:
 def _cmd_sample(config: argparse.Namespace) -> int:
     rng = np.random.default_rng(config.seed)
     if config.kind == "2p2":
-        constraint = EnergyConstraint(config.E_A, config.E_B)
-        samples = sample_balanced(2, constraint, config.count, rng)
+        constraint = densities.EnergyConstraint(config.E_A, config.E_B)
+        samples = montecarlo.sample_balanced(2, constraint, config.count, rng)
         energies = (config.E_A, config.E_B)
     elif config.kind == "submanifold-energy":
-        samples = sample_submanifold_energy(config.n, config.E, config.count, rng)
+        samples = montecarlo.sample_submanifold_energy(config.n, config.E, config.count, rng)
         energies = (config.E, config.E)
     else:  # lambda
-        samples = sample_lambda(config.n, config.cutoff, rng, size=config.count)
+        samples = haar.sample_lambda(config.n, config.cutoff, rng, size=config.count)
         energies = (float("nan"), float("nan"))
     payload = {
         "samples": np.asarray(samples),
@@ -406,8 +397,8 @@ def _cmd_sample(config: argparse.Namespace) -> int:
 
 
 def _cmd_verify(config: argparse.Namespace) -> int:
-    constraint = EnergyConstraint(config.E_A, config.E_B)
-    report = verify_constrained_density(
+    constraint = densities.EnergyConstraint(config.E_A, config.E_B)
+    report = montecarlo.verify_constrained_density(
         config.n,
         constraint,
         config.count,
@@ -435,13 +426,13 @@ def _cmd_verify(config: argparse.Namespace) -> int:
 def _cmd_haar_sample(config: argparse.Namespace) -> int:
     rng = np.random.default_rng(config.seed)
     if config.unitary_only:
-        U = sample_haar_unitary(config.n, rng, size=config.count)
+        U = haar.sample_haar_unitary(config.n, rng, size=config.count)
         stacks = {"U_re": U.real, "U_im": U.imag}
     else:
-        g = sample_homogeneous_gaussian_unitary(
+        g = haar.sample_homogeneous_gaussian_unitary(
             config.n, config.cutoff, rng, size=config.count
         )
-        state = apply_to_vacuum(euler_to_symplectic(g))
+        state = haar.apply_to_vacuum(haar.euler_to_symplectic(g))
         stacks = {
             "theta": g.theta,
             "U_re": g.U.real,

@@ -60,11 +60,15 @@ def validate_pure_covariance(cov: np.ndarray) -> None:
             f"covariance is not symplectic (defect {np.max(defect[impure]):.3e}); "
             "the state is not pure"
         )
-    sign, logdet = np.linalg.slogdet(cov)
-    if np.any((sign <= 0) | (np.abs(logdet) > PURITY_TOL * 2 * n * scale)):
+    # one Cholesky factorization gives both checks: a symmetric symplectic
+    # matrix has det +1, so one that fails to factor fails positivity alone
+    try:
+        chol = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        raise NotAGaussianPureStateError("covariance is not positive definite") from None
+    logdet = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
+    if np.any(np.abs(logdet) > PURITY_TOL * 2 * n * scale):
         raise NotAGaussianPureStateError("det(covariance) != 1")
-    if np.any(np.linalg.eigvalsh(cov).min(axis=-1) <= 0):
-        raise NotAGaussianPureStateError("covariance is not positive definite")
 
 
 @dataclass(frozen=True)

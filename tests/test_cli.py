@@ -371,8 +371,8 @@ class TestVerifyCommand:
         "argv, sampler",
         [
             (["verify", "--n", "4", "--EA", "2.5", "--EB", "2.5"],
-             "verify_constrained_density"),
-            (["haar-sample", "--n", "4"], "sample_homogeneous_gaussian_unitary"),
+             "gausshaar.montecarlo.verify_constrained_density"),
+            (["haar-sample", "--n", "4"], "gausshaar.haar.sample_homogeneous_gaussian_unitary"),
         ],
         ids=["verify", "haar-sample"],
     )
@@ -383,7 +383,7 @@ class TestVerifyCommand:
         def fail(*args, **kwargs):
             raise AssertionError("sampled before rejecting --format")
 
-        monkeypatch.setattr(cli, sampler, fail)
+        monkeypatch.setattr(sampler, fail)
         out = tmp_path / "out.csv"
         for fmt in ("csv", "json"):
             code = main([*argv, "--format", fmt, "--output", str(out)])
@@ -566,22 +566,26 @@ class TestConfigPrecedence:
     @pytest.mark.parametrize(
         "argv, conf, sampler",
         [
-            (["sample", "--kind", "lambda", "--n", "1"], {"cutoff": "abc"}, "sample_lambda"),
-            (["sample", "--kind", "lambda", "--n", "1"], {"format": "xml"}, "sample_lambda"),
-            (["sample", "--kind", "lambda", "--n", "1"], {"count": "7"}, "sample_lambda"),
-            (["sample", "--kind", "lambda", "--n", "1"], {"count": True}, "sample_lambda"),
+            (["sample", "--kind", "lambda", "--n", "1"], {"cutoff": "abc"},
+             "gausshaar.haar.sample_lambda"),
+            (["sample", "--kind", "lambda", "--n", "1"], {"format": "xml"},
+             "gausshaar.haar.sample_lambda"),
+            (["sample", "--kind", "lambda", "--n", "1"], {"count": "7"},
+             "gausshaar.haar.sample_lambda"),
+            (["sample", "--kind", "lambda", "--n", "1"], {"count": True},
+             "gausshaar.haar.sample_lambda"),
             (["verify", "--n", "4", "--EA", "2.5", "--EB", "2.5", "--count", "20000"],
-             {"self_test": "no"}, "verify_constrained_density"),
+             {"self_test": "no"}, "gausshaar.montecarlo.verify_constrained_density"),
             (["verify", "--n", "4", "--EA", "2.5", "--EB", "2.5"],
-             {"p_threshold": "0.5"}, "verify_constrained_density"),
+             {"p_threshold": "0.5"}, "gausshaar.montecarlo.verify_constrained_density"),
             (["verify", "--n", "4", "--EA", "2.5", "--EB", "2.5"],
-             {"grid": 5}, "verify_constrained_density"),
+             {"grid": 5}, "gausshaar.montecarlo.verify_constrained_density"),
             (["density", "--kind", "1p1", "--EA", "2", "--EB", "3"],
-             {"grid": "abc"}, "density_balanced"),
+             {"grid": "abc"}, "gausshaar.densities.density_balanced"),
             (["verify", "--n", "4", "--EA", "2.5", "--EB", "2.5"],
-             {"format": "json"}, "verify_constrained_density"),
+             {"format": "json"}, "gausshaar.montecarlo.verify_constrained_density"),
             (["haar-sample", "--n", "4"],
-             {"format": "json"}, "sample_homogeneous_gaussian_unitary"),
+             {"format": "json"}, "gausshaar.haar.sample_homogeneous_gaussian_unitary"),
         ],
         ids=["cutoff-string", "format-choice", "count-string", "count-boolean",
              "self-test-string", "p-threshold-string", "key-of-another-command",
@@ -593,7 +597,7 @@ class TestConfigPrecedence:
         def fail(*args, **kwargs):
             raise AssertionError("sampled with an invalid configuration")
 
-        monkeypatch.setattr(cli, sampler, fail)
+        monkeypatch.setattr(sampler, fail)
         path = tmp_path / "conf.json"
         path.write_text(json.dumps(conf))
         out = tmp_path / "out.json"
@@ -929,6 +933,46 @@ def test_cli_import_loads_no_scipy():
         "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
     )
     assert _run_python("-c", probe).stdout.strip() == "[]"
+
+
+# Runs `cli.main(argv)` (nothing when argv is null) and prints whether the code
+# of montecarlo and densities has run and whether logging is imported.  A
+# lazily registered module's namespace gains __builtins__ only when its code
+# runs, and reading it through object.__getattribute__ does not run it.
+_LOADS_PROBE = """
+import json, sys
+from gausshaar import cli
+argv = json.loads(sys.argv[1])
+if argv is not None:
+    try:
+        cli.main(argv)
+    except SystemExit:  # --version
+        pass
+def ran(name):
+    return "__builtins__" in object.__getattribute__(sys.modules[name], "__dict__")
+print(json.dumps([ran("gausshaar.montecarlo"), ran("gausshaar.densities"),
+                  "logging" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (None, False),
+        (["--version"], False),
+        (["haar-sample", "--n", "2", "--count", "3", "--output", os.devnull], False),
+        (["haar-sample", "--n", "2", "--count", "3", "--unitary-only",
+          "--output", os.devnull], False),
+        (["verify", "--n", "2", "--EA", "2", "--EB", "2", "--count", "2000",
+          "--output", os.devnull], True),
+    ],
+    ids=["import", "version", "haar-sample", "haar-sample-unitary-only", "verify"],
+)
+def test_a_command_runs_only_the_modules_it_uses(argv, loaded):
+    # montecarlo and densities cost every process their compile and logging
+    # import; haar-sample and --version use neither
+    out = _run_python("-c", _LOADS_PROBE, json.dumps(argv)).stdout
+    assert json.loads(out.splitlines()[-1]) == [loaded] * 3
 
 
 def test_runtime_imports_are_declared_dependencies():

@@ -82,6 +82,15 @@ class TestGaussianPureState:
         with pytest.raises(NotAGaussianPureStateError, match=match):
             GaussianPureState(n_modes=2, covariance=np.stack([*good[:2], bad, good[2]]))
 
+    def test_strongly_squeezed_stack_validates_and_minus_identity_fails(self):
+        # up to r = 6 the entries reach cosh(12) ~ 8e4; -I is symmetric and
+        # symplectic with det +1, so only positivity rejects it
+        rs = np.linspace(0.0, 6.0, 13)
+        good = [canonical_state([r, r / 2], Bipartition(2, 2)).covariance for r in rs]
+        GaussianPureState(n_modes=4, covariance=np.stack(good))
+        with pytest.raises(NotAGaussianPureStateError, match="positive definite"):
+            GaussianPureState(n_modes=4, covariance=np.stack([*good, -np.eye(8)]))
+
     def test_spectrum_rejects_a_stack(self):
         stack = GaussianPureState(n_modes=2, covariance=np.stack([np.eye(4)] * 3))
         with pytest.raises(ValueError, match="single state"):
