@@ -12,7 +12,8 @@ its attributes: ``haar-sample`` never runs ``montecarlo`` or ``densities``.
 ``cli``, the entry point, is imported as usual; registering it would make
 ``python -m gausshaar.cli`` run it twice.  The public names (``__all__``)
 are read from their home modules on access (PEP 562), so an import error in
-a module surfaces at the first use of that module.
+a module surfaces at the first use of that module, and again at every later
+read of a name the module did not bind before its code raised.
 """
 
 import importlib.util
@@ -66,10 +67,38 @@ _EXPORTS = {
 __all__ = ["__version__", *_EXPORTS]
 
 
+class _Loader:
+    """A submodule's loader that leaves the error of a failed load on the module.
+
+    The lazy module stays in sys.modules, holding what its code bound before
+    it raised; a later read of any other name re-raises the error (PEP 562)
+    instead of an AttributeError that hides it.
+    """
+
+    def __init__(self, loader):
+        self.loader = loader
+
+    def __getattr__(self, name):  # get_source and the rest of the loader's API
+        return getattr(self.loader, name)
+
+    def exec_module(self, module):
+        try:
+            self.loader.exec_module(module)
+        except Exception as exc:
+            # the except clause unbinds exc when it ends
+            error, traceback = exc, exc.__traceback__
+
+            def __getattr__(name):
+                raise error.with_traceback(traceback)
+
+            module.__getattr__ = __getattr__
+            raise
+
+
 def _register(name: str):
     """Put the submodule ``name`` in sys.modules, to run on its first attribute read."""
     spec = importlib.util.find_spec(f"{__name__}.{name}")
-    spec.loader = importlib.util.LazyLoader(spec.loader)
+    spec.loader = importlib.util.LazyLoader(_Loader(spec.loader))
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module
     spec.loader.exec_module(module)

@@ -51,22 +51,15 @@ import math
 import os
 import sys
 from datetime import datetime, timezone
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
-# densities, haar and montecarlo are read through their lazily loaded module
-# objects, so a command runs only the modules it uses
-from . import __version__, densities, haar, montecarlo
-from .serialization import (
-    density_grid_csv_text,
-    dump_output,
-    read_state,
-    report_to_json_dict,
-    samples_csv_text,
-    state_to_json_dict,
-)
-from .symplectic import Bipartition, entanglement_entropy, williamson_spectrum
+# the submodules are read through their lazily loaded module objects, and
+# numpy is imported by the handlers that use it, so a command runs only the
+# modules it uses and --version, --help and usage errors import none of them
+from . import __version__, densities, haar, montecarlo, serialization, symplectic
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -310,7 +303,7 @@ def _emit(
     if getattr(config, "format", "json") == "csv":
         data = csv_text().encode()
     else:
-        data = dump_output(payload)
+        data = serialization.dump_output(payload)
     if config.output_path:
         with open(config.output_path, "wb") as fh:
             fh.write(data)
@@ -321,27 +314,33 @@ def _emit(
 
 def _cmd_spectrum(config: argparse.Namespace) -> int:
     """``williamson`` (nu and r) or ``entropy`` (its value, and nu) of a covariance file."""
-    state = read_state(config.input_path)
-    spectrum = williamson_spectrum(state, Bipartition(config.n_A, config.n_B))
+    state = serialization.read_state(config.input_path)
+    spectrum = symplectic.williamson_spectrum(
+        state, symplectic.Bipartition(config.n_A, config.n_B)
+    )
     if config.command == "entropy":
-        entropy = entanglement_entropy(spectrum)
+        entropy = symplectic.entanglement_entropy(spectrum)
         payload = {"entropy_nats": entropy, "nu": spectrum.nu}
         columns = {"entropy_nats": [entropy]}
     else:
         payload = columns = {"nu": spectrum.nu, "r": spectrum.r}
     payload = {**payload, "metadata": _metadata(config)}
-    _emit(payload, config, lambda: density_grid_csv_text(columns))
+    _emit(payload, config, lambda: serialization.density_grid_csv_text(columns))
     return EXIT_OK
 
 
 def _grid_axes(hi: float, points: int, m: int) -> tuple[dict, np.ndarray]:
     """The grid [1, hi]^m: its named coordinate columns and its stack (..., m) of nu."""
+    import numpy as np
+
     axes = np.meshgrid(*[np.linspace(1.0, hi, points)] * m, indexing="ij")
     names = ["nu"] if m == 1 else [f"nu_{k + 1}" for k in range(m)]
     return dict(zip(names, axes)), np.stack(axes, axis=-1)
 
 
 def _density_grid(config: argparse.Namespace) -> dict:
+    import numpy as np
+
     kind = config.kind
     if kind in ("1p1", "2p2"):
         constraint = densities.EnergyConstraint(config.E_A, config.E_B)
@@ -369,14 +368,18 @@ def _density_grid(config: argparse.Namespace) -> dict:
 
 
 def _cmd_density(config: argparse.Namespace) -> int:
+    import numpy as np
+
     grid = _density_grid(config)
     payload = {name: np.asarray(col).ravel() for name, col in grid.items()}
     payload["metadata"] = _metadata(config)
-    _emit(payload, config, lambda: density_grid_csv_text(grid))
+    _emit(payload, config, lambda: serialization.density_grid_csv_text(grid))
     return EXIT_OK
 
 
 def _cmd_sample(config: argparse.Namespace) -> int:
+    import numpy as np
+
     rng = np.random.default_rng(config.seed)
     if config.kind == "2p2":
         constraint = densities.EnergyConstraint(config.E_A, config.E_B)
@@ -392,7 +395,7 @@ def _cmd_sample(config: argparse.Namespace) -> int:
         "samples": np.asarray(samples),
         "metadata": _metadata(config),
     }
-    _emit(payload, config, lambda: samples_csv_text(samples, energies))
+    _emit(payload, config, lambda: serialization.samples_csv_text(samples, energies))
     return EXIT_OK
 
 
@@ -405,7 +408,7 @@ def _cmd_verify(config: argparse.Namespace) -> int:
         seed=config.seed,
         self_test=config.self_test,
     )
-    payload = report_to_json_dict(report)
+    payload = serialization.report_to_json_dict(report)
     payload["metadata"] = {**payload["metadata"], **_metadata(config)}
     meta = report.metadata
     degenerate = meta.get("degenerate", False)
@@ -424,6 +427,8 @@ def _cmd_verify(config: argparse.Namespace) -> int:
 
 
 def _cmd_haar_sample(config: argparse.Namespace) -> int:
+    import numpy as np
+
     rng = np.random.default_rng(config.seed)
     if config.unitary_only:
         U = haar.sample_haar_unitary(config.n, rng, size=config.count)
@@ -445,7 +450,7 @@ def _cmd_haar_sample(config: argparse.Namespace) -> int:
     # encodes without a Python float per number
     columns = {key: np.ascontiguousarray(a) for key, a in stacks.items()}
     if not config.unitary_only:
-        columns["state"] = state_to_json_dict(state)
+        columns["state"] = serialization.state_to_json_dict(state)
     draws = [dict(zip(columns, row)) for row in zip(*columns.values())]
     payload = {"draws": draws, "metadata": _metadata(config)}
     _emit(payload, config)
@@ -466,16 +471,26 @@ def _error_json(code: int, message: str) -> None:
     sys.stderr.write(json.dumps({"error": message, "exit_code": code}) + "\n")
 
 
+def _is_numerical(exc: Exception) -> bool:
+    """Whether ``exc`` is a numerical failure: a RuntimeError or numpy's LinAlgError.
+
+    LinAlgError subclasses ValueError, so it is tested before the
+    configuration errors; it can only come from code that imported numpy.
+    """
+    numpy = sys.modules.get("numpy")
+    return isinstance(exc, RuntimeError) or (
+        numpy is not None and isinstance(exc, numpy.linalg.LinAlgError)
+    )
+
+
 def main(argv=None) -> int:
     try:
         config = parse_config(argv)
         return COMMANDS[config.command](config)
-    except (np.linalg.LinAlgError, RuntimeError) as exc:
-        _error_json(EXIT_NUMERICAL, str(exc))
-        return EXIT_NUMERICAL
-    except (ValueError, OSError) as exc:  # ConfigError included
-        _error_json(EXIT_CONFIG, str(exc))
-        return EXIT_CONFIG
+    except (ValueError, OSError, RuntimeError) as exc:  # ConfigError and LinAlgError included
+        code = EXIT_NUMERICAL if _is_numerical(exc) else EXIT_CONFIG
+        _error_json(code, str(exc))
+        return code
 
 
 if __name__ == "__main__":

@@ -332,6 +332,27 @@ class TestVerifyCommand:
         assert f"n = {n}" in _assert_config_error(code, capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "error, code",
+        [(np.linalg.LinAlgError, 3), (RuntimeError, 3), (ValueError, 2)],
+        ids=["linalg-error", "runtime-error", "value-error"],
+    )
+    def test_exit_code_of_an_error_in_the_command(
+        self, error, code, tmp_path, monkeypatch, capsys
+    ):
+        # LinAlgError subclasses ValueError, yet it is a numerical failure
+        def fail(*args, **kwargs):
+            raise error("raised by the sampler")
+
+        monkeypatch.setattr("gausshaar.montecarlo.verify_constrained_density", fail)
+        out = tmp_path / "r.json"
+        argv = ["verify", "--n", "4", "--EA", "2.5", "--EB", "2.5", "--output", str(out)]
+        assert main(argv) == code
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "raised by the sampler", "exit_code": code,
+        }
+        assert not out.exists()
+
     def test_statistical_failure_still_writes_report(self, tmp_path):
         # no p-value exceeds 1, so a p threshold of 1 fails verification with
         # exit code 4
@@ -936,9 +957,10 @@ def test_cli_import_loads_no_scipy():
 
 
 # Runs `cli.main(argv)` (nothing when argv is null) and prints whether the code
-# of montecarlo and densities has run and whether logging is imported.  A
-# lazily registered module's namespace gains __builtins__ only when its code
-# runs, and reading it through object.__getattribute__ does not run it.
+# of montecarlo and densities has run, whether logging is imported, and whether
+# numpy and orjson are.  A lazily registered module's namespace gains
+# __builtins__ only when its code runs, and reading it through
+# object.__getattribute__ does not run it.
 _LOADS_PROBE = """
 import json, sys
 from gausshaar import cli
@@ -946,33 +968,62 @@ argv = json.loads(sys.argv[1])
 if argv is not None:
     try:
         cli.main(argv)
-    except SystemExit:  # --version
+    except SystemExit:  # --version, --help
         pass
 def ran(name):
     return "__builtins__" in object.__getattribute__(sys.modules[name], "__dict__")
 print(json.dumps([ran("gausshaar.montecarlo"), ran("gausshaar.densities"),
-                  "logging" in sys.modules]))
+                  "logging" in sys.modules, "numpy" in sys.modules,
+                  "orjson" in sys.modules]))
 """
 
 
 @pytest.mark.parametrize(
-    "argv, loaded",
+    "argv, loaded, numeric",
     [
-        (None, False),
-        (["--version"], False),
-        (["haar-sample", "--n", "2", "--count", "3", "--output", os.devnull], False),
+        (None, False, False),
+        (["--version"], False, False),
+        (["--help"], False, False),
+        (["verify", "--n", "4"], False, False),
+        (["haar-sample", "--n", "2", "--config", "CONFIG"], False, False),
+        (["haar-sample", "--n", "2", "--count", "3", "--output", os.devnull], False, True),
         (["haar-sample", "--n", "2", "--count", "3", "--unitary-only",
-          "--output", os.devnull], False),
+          "--output", os.devnull], False, True),
         (["verify", "--n", "2", "--EA", "2", "--EB", "2", "--count", "2000",
-          "--output", os.devnull], True),
+          "--output", os.devnull], True, True),
     ],
-    ids=["import", "version", "haar-sample", "haar-sample-unitary-only", "verify"],
+    ids=["import", "version", "help", "usage-error", "config-error", "haar-sample",
+         "haar-sample-unitary-only", "verify"],
 )
-def test_a_command_runs_only_the_modules_it_uses(argv, loaded):
+def test_a_command_runs_only_the_modules_it_uses(argv, loaded, numeric, tmp_path):
     # montecarlo and densities cost every process their compile and logging
-    # import; haar-sample and --version use neither
+    # import; haar-sample and --version use neither.  numpy and orjson cost
+    # more than the interpreter's start; --version, --help and every exit-2
+    # error use neither
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({"no_such_key": 1}))
+    if argv is not None:
+        argv = [str(config) if a == "CONFIG" else a for a in argv]
     out = _run_python("-c", _LOADS_PROBE, json.dumps(argv)).stdout
-    assert json.loads(out.splitlines()[-1]) == [loaded] * 3
+    assert json.loads(out.splitlines()[-1]) == [loaded] * 3 + [numeric] * 2
+
+
+def test_a_module_that_failed_to_load_reraises_its_error():
+    # the lazy module stays in sys.modules after its code raises; a second
+    # read must not report a missing attribute in place of the import error
+    probe = """
+import sys
+sys.modules["orjson"] = None
+import gausshaar
+for _ in range(2):
+    try:
+        gausshaar.serialization.dump_output
+    except ImportError as exc:
+        print(type(exc).__name__, exc)
+"""
+    out = _run_python("-c", probe).stdout.splitlines()
+    assert len(out) == 2
+    assert all("orjson" in line for line in out), out
 
 
 def test_runtime_imports_are_declared_dependencies():
