@@ -40,12 +40,14 @@ estimate and gives no verdict: its report is still written, with
 ``verify`` and ``haar-sample`` write JSON only and take no ``--format``.
 Exit codes: 0 success, 2 invalid configuration, 3 numerical failure
 (including a degenerate ``verify`` estimate), 4 statistical verification
-failure (the report is still written).
+failure (the report is still written), 5 missing or broken runtime
+dependency (numpy or orjson fails to import).
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -65,6 +67,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_VERIFICATION = 4
+EXIT_DEPENDENCY = 5
 
 # what a command reads besides --output/--format/--seed, by the flags that
 # pick what it computes (see _kind)
@@ -491,7 +494,27 @@ def main(argv=None) -> int:
         code = EXIT_NUMERICAL if _is_numerical(exc) else EXIT_CONFIG
         _error_json(code, str(exc))
         return code
+    except ImportError as exc:  # a lazily loaded module's numpy or orjson import
+        _error_json(EXIT_DEPENDENCY, f"missing or broken runtime dependency: {exc}")
+        return EXIT_DEPENDENCY
+
+
+def entry() -> int:
+    """The process entry: ``main()``, then ``gc.freeze()``.
+
+    The ``gausshaar`` script and ``python -m gausshaar.cli`` call it.  The
+    frozen heap sits in the permanent generation, which the interpreter's
+    exit-time collections skip; atexit handlers, the flushing of the standard
+    streams and module teardown still run.  The freeze also follows
+    argparse's SystemExit (``--version``, ``--help``) and an uncaught
+    exception.  ``main(argv)``, the in-process API, never freezes: a
+    long-lived process must keep collecting its cycles.
+    """
+    try:
+        return main()
+    finally:
+        gc.freeze()
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

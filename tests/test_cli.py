@@ -1,4 +1,5 @@
 import ast
+import gc
 import json
 import math
 import os
@@ -933,8 +934,8 @@ class TestSeededReproducibility:
         assert outs[0] == outs[1]
 
 
-def _run_python(*args: str, check: bool = True) -> subprocess.CompletedProcess:
-    """Run a fresh interpreter that imports this checkout.
+def _run_python(*args: str, check: bool = True, text: bool = True) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports this checkout; ``text=False`` keeps raw bytes.
 
     The 60 s timeout turns a sampler that stalls into a failure, not a hang.
     """
@@ -943,7 +944,7 @@ def _run_python(*args: str, check: bool = True) -> subprocess.CompletedProcess:
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *args],
-        env=env, capture_output=True, text=True, check=check, timeout=60,
+        env=env, capture_output=True, text=text, check=check, timeout=60,
     )
 
 
@@ -1024,6 +1025,114 @@ for _ in range(2):
     out = _run_python("-c", probe).stdout.splitlines()
     assert len(out) == 2
     assert all("orjson" in line for line in out), out
+
+
+@pytest.mark.parametrize(
+    "module, argv",
+    [
+        ("numpy", ["verify", "--n", "4", "--EA", "2", "--EB", "2", "--count", "100"]),
+        ("orjson", ["haar-sample", "--n", "2", "--count", "3"]),
+    ],
+    ids=["verify-numpy", "haar-sample-orjson"],
+)
+def test_a_missing_dependency_is_a_json_error(module, argv):
+    # the configuration is valid, so the exit code is not 2 but its own, 5
+    probe = f"""
+import sys
+sys.modules[{module!r}] = None
+from gausshaar import cli
+print(cli.main({argv!r}))
+"""
+    run = _run_python("-c", probe)
+    assert run.stdout.splitlines() == [str(cli.EXIT_DEPENDENCY)]
+    [line] = run.stderr.splitlines()
+    error = json.loads(line)
+    assert error["exit_code"] == cli.EXIT_DEPENDENCY
+    assert module in error["error"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--version"], ["verify", "--n", "4"],
+     ["haar-sample", "--n", "2", "--count", "3", "--output", os.devnull]],
+    ids=["version", "usage-error", "haar-sample"],
+)
+def test_main_leaves_the_heap_unfrozen(argv, capsys):
+    # a long-lived process (a test session, a notebook) keeps collecting cycles
+    before = gc.get_freeze_count()
+    try:
+        main(argv)
+    except SystemExit:  # --version
+        pass
+    assert gc.get_freeze_count() == before
+
+
+# Sets sys.argv, runs `cli.entry()` and prints its exit code and the number of
+# frozen objects as the last line of stdout.
+_ENTRY_PROBE = """
+import gc, json, sys
+from gausshaar import cli
+sys.argv = ["gausshaar", *json.loads(sys.argv[1])]
+try:
+    code = cli.entry()
+except SystemExit as exc:  # --version
+    code = exc.code
+print(json.dumps([code, gc.get_freeze_count()]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--version"], ["haar-sample", "--n", "2", "--count", "3", "--output", os.devnull]],
+    ids=["version", "haar-sample"],
+)
+def test_entry_freezes_the_heap(argv):
+    out = _run_python("-c", _ENTRY_PROBE, json.dumps(argv)).stdout
+    code, frozen = json.loads(out.splitlines()[-1])
+    assert code == 0
+    assert frozen > 0
+
+
+@pytest.mark.parametrize(
+    "argv, size",
+    [
+        # several MB of JSON through a pipe
+        (["sample", "--kind", "2p2", "--EA", "2.5", "--EB", "2.5", "--count", "100000"],
+         2_000_000),
+        (["sample", "--kind", "2p2", "--EA", "2.5", "--EB", "2.5", "--count", "1000",
+          "--format", "csv"], 10_000),
+    ],
+    ids=["json", "csv"],
+)
+def test_module_entry_writes_what_main_writes(argv, size, capsysbinary):
+    def strip(out: bytes) -> bytes:
+        return re.sub(rb'"timestamp":"[^"]*"', b"", out)
+
+    assert main(argv) == 0
+    expected = capsysbinary.readouterr().out
+    assert len(expected) > size
+    run = _run_python("-m", "gausshaar.cli", *argv, text=False)
+    assert strip(run.stdout) == strip(expected)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["haar-sample", "--n", "2", "--count", "3", "--output", os.devnull], 0),
+        (["--help"], 0),
+        (["verify", "--n", "4"], 2),
+        (["verify", "--n", "2", "--EA", "2", "--EB", "2", "--count", "2000",
+          "--p-threshold", "1", "--output", os.devnull], 4),
+    ],
+    ids=["success", "help", "usage-error", "verification-failure"],
+)
+def test_module_entry_exit_codes(argv, code):
+    run = _run_python("-m", "gausshaar.cli", *argv, check=False)
+    assert run.returncode == code, run.stderr
+    if code == 2:
+        assert json.loads(run.stderr)["exit_code"] == code
+    else:
+        assert run.stderr == ""
 
 
 def test_runtime_imports_are_declared_dependencies():
