@@ -14,8 +14,8 @@ Gaussian unitaries are drawn, converted and applied to the vacuum as stacks
 along a leading axis: ``sample_homogeneous_gaussian_unitary(..., size=N)``
 draws all N lambda vectors, then all phases, then all U, then all U', and
 ``EulerGaussianUnitary``, ``euler_to_symplectic`` and ``apply_to_vacuum``
-carry the stack through.  Every check still holds for each matrix of a stack
-on its own, with the tolerance and scale of a single matrix.
+carry the stack through.  Every check, ``symplectic.symplectic_defect``
+included, holds for each matrix of a stack with that matrix's own scale.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symplectic import GaussianPureState, symplectic_form
+from .symplectic import GaussianPureState, symplectic_defect
 
 UNITARITY_TOL = 1e-10
 SYMPLECTIC_TOL = 1e-10
@@ -215,13 +215,9 @@ def apply_to_vacuum(S: np.ndarray) -> GaussianPureState:
     """State obtained by acting with the symplectic matrix S on the vacuum.
 
     A stack S (..., 2n, 2n) gives one GaussianPureState holding the stack of
-    covariances.  Each matrix is checked against its own scale max|S|^2.
+    covariances.  Each matrix's ``symplectic_defect`` must be SYMPLECTIC_TOL at most.
     """
     S = np.asarray(S, dtype=float)
-    n = S.shape[-1] // 2
-    omega = symplectic_form(n)
-    St = S.swapaxes(-1, -2)
-    scale = np.maximum(1.0, np.abs(S).max(axis=(-2, -1)) ** 2)
-    if np.any(np.abs(S @ omega @ St - omega).max(axis=(-2, -1)) > SYMPLECTIC_TOL * scale):
+    if not np.all(symplectic_defect(S) <= SYMPLECTIC_TOL):
         raise ValueError("matrix is not symplectic")
-    return GaussianPureState(n_modes=n, covariance=S @ St)
+    return GaussianPureState(n_modes=S.shape[-1] // 2, covariance=S @ S.swapaxes(-1, -2))

@@ -438,12 +438,7 @@ def _log_weight(nu, S, log_gaps, rng, rows):
             np.subtract(S, c[0], out=c[1])
         else:
             P = np.compress(rows, np.abs(sample_haar_unitary(m, rng, size=count)) ** 2, axis=0)
-            c = np.array(
-                [
-                    functools.reduce(np.add, [P[:, h, k] * nu[k] for k in range(m)])
-                    for h in range(m)
-                ]
-            )
+            c = np.einsum("rhk,kr->hr", P, nu)
         log_w += _log_lambda_integral(c, S, log_R, rng, rows)
     return log_w
 

@@ -20,7 +20,6 @@ import numpy as np
 
 SYMMETRY_TOL = 1e-12
 PURITY_TOL = 1e-8
-SPECTRUM_PAIR_TOL = 1e-8
 NU_CLAMP_TOL = 1e-9
 
 
@@ -35,6 +34,24 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     return np.kron(np.eye(n_modes), np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
 
+def symplectic_defect(M: np.ndarray) -> np.ndarray:
+    """max|M Omega M^T - Omega| / max(1, max|M|)^2 of each matrix of a stack (..., 2n, 2n).
+
+    M Omega permutes and negates M; divided in place by the scale once per
+    factor, the second product is bounded by 2n, so any finite M gives a
+    finite defect.  A NaN in M gives a NaN defect, which callers must fail.
+    """
+    omega = symplectic_form(M.shape[-1] // 2)
+    largest = np.maximum(M.max(axis=(-2, -1)), -M.min(axis=(-2, -1)))
+    inverse = (1.0 / np.maximum(1.0, largest))[..., np.newaxis, np.newaxis]
+    product = M @ omega
+    product *= inverse
+    product *= inverse
+    product = product @ M.swapaxes(-1, -2)
+    product -= omega * inverse**2
+    return np.abs(product, out=product).max(axis=(-2, -1))
+
+
 def validate_pure_covariance(cov: np.ndarray) -> None:
     """Check that every matrix of a stack (..., 2n, 2n) is a pure-state covariance.
 
@@ -42,22 +59,18 @@ def validate_pure_covariance(cov: np.ndarray) -> None:
     fails every comparison below.  Each matrix must be symmetric, symplectic
     (cov Omega cov^T = Omega), of determinant 1 and positive definite, each
     within a tolerance scaled by that matrix's own largest entry
-    max(1, max|cov|).  Raises NotAGaussianPureStateError naming the first
-    invariant that some matrix breaks.
+    max(1, max|cov|), or its square for ``symplectic_defect``.  Raises
+    NotAGaussianPureStateError naming the first invariant some matrix breaks.
     """
     if not np.isfinite(cov).all():
         raise NotAGaussianPureStateError("covariance has a non-finite entry")
-    n = cov.shape[-1] // 2
     scale = np.maximum(1.0, np.abs(cov).max(axis=(-2, -1)))
-    cov_t = cov.swapaxes(-1, -2)
-    if np.any(np.abs(cov - cov_t).max(axis=(-2, -1)) > SYMMETRY_TOL * scale):
+    if np.any(np.abs(cov - cov.swapaxes(-1, -2)).max(axis=(-2, -1)) > SYMMETRY_TOL * scale):
         raise NotAGaussianPureStateError("covariance is not symmetric")
-    omega = symplectic_form(n)
-    defect = np.abs(cov @ omega @ cov_t - omega).max(axis=(-2, -1))
-    impure = defect > PURITY_TOL * scale**2
-    if np.any(impure):
+    defect = symplectic_defect(cov)
+    if not np.all(defect <= PURITY_TOL):
         raise NotAGaussianPureStateError(
-            f"covariance is not symplectic (defect {np.max(defect[impure]):.3e}); "
+            f"covariance is not symplectic (defect {np.max(defect):.3e}); "
             "the state is not pure"
         )
     # one Cholesky factorization gives both checks: a symmetric symplectic
@@ -67,7 +80,7 @@ def validate_pure_covariance(cov: np.ndarray) -> None:
     except np.linalg.LinAlgError:
         raise NotAGaussianPureStateError("covariance is not positive definite") from None
     logdet = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
-    if np.any(np.abs(logdet) > PURITY_TOL * 2 * n * scale):
+    if np.any(np.abs(logdet) > PURITY_TOL * cov.shape[-1] * scale):
         raise NotAGaussianPureStateError("det(covariance) != 1")
 
 
@@ -230,21 +243,18 @@ def reduced_covariance(state: GaussianPureState, modes) -> np.ndarray:
 
 
 def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
-    """Symplectic eigenvalues of a positive-definite covariance block.
+    """Symplectic eigenvalues of a positive-definite covariance block, sorted descending.
 
-    These are the moduli of the eigenvalues of i Omega sigma, which come in
-    +/- pairs; the pairs are deduplicated and returned sorted descending.
+    With cov = L L^T (Cholesky), i Omega cov is similar to the Hermitian
+    i L^T Omega L (L^T Omega L is real antisymmetric), so one Hermitian
+    eigensolve gives +/- nu in exact pairs; nu is the m largest.
     """
     m = cov.shape[0] // 2
-    if np.linalg.eigvalsh(cov).min() <= 0:
-        raise ValueError("reduced covariance is not positive definite")
-    omega = symplectic_form(m)
-    moduli = np.sort(np.abs(np.linalg.eigvals(1j * omega @ cov)))[::-1]
-    paired = moduli.reshape(m, 2)
-    mismatch = np.abs(paired[:, 0] - paired[:, 1])
-    if np.any(mismatch > SPECTRUM_PAIR_TOL * np.maximum(1.0, paired[:, 0])):
-        raise ValueError("eigenvalues of i*Omega*sigma do not come in +/- pairs")
-    return paired.mean(axis=1)
+    try:
+        chol = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        raise ValueError("reduced covariance is not positive definite") from None
+    return np.linalg.eigvalsh(1j * (chol.T @ symplectic_form(m) @ chol))[::-1][:m]
 
 
 def williamson_spectrum(
@@ -254,13 +264,12 @@ def williamson_spectrum(
     if bipartition.n_modes != state.n_modes:
         raise ValueError("bipartition does not match the state's mode count")
     nu = symplectic_eigenvalues(reduced_covariance(state, bipartition.modes_a))
-    below = nu < 1.0
     if np.any(nu < 1.0 - NU_CLAMP_TOL):
         raise ValueError(
-            f"symplectic eigenvalue {nu[below].min():.12g} < 1 beyond "
+            f"symplectic eigenvalue {nu.min():.12g} < 1 beyond "
             "round-off; input is not a valid reduced pure-state block"
         )
-    nu = np.where(below, 1.0, nu)  # round-off at the vacuum boundary
+    nu = np.maximum(nu, 1.0)  # round-off at the vacuum boundary
     return SymplecticSpectrum(nu=nu)
 
 

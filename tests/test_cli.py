@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import gausshaar
-from gausshaar import cli, montecarlo
+from gausshaar import cli, montecarlo, symplectic
 from gausshaar.cli import build_parser, main
 from gausshaar.densities import EnergyConstraint
 from gausshaar.haar import (
@@ -105,6 +105,34 @@ def test_state_file_displacement_key_is_ignored(command, fmt, tmp_path, capsys):
         out = capsys.readouterr().out
         outputs.append(_strip_timestamp(out) if fmt == "json" else out)
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("name", ["cov.csv", "cov.json"])
+@pytest.mark.parametrize("command", ["williamson", "entropy"])
+def test_covariance_whose_square_overflows_rejected(command, name, tmp_path):
+    # 1e160 I (det 1e640) is not symplectic, though max|cov|^2 overflows: the
+    # error is the only line on stderr, with no numpy warning before it
+    path = tmp_path / name
+    if name.endswith(".json"):
+        path.write_text('{"n_modes": 1, "covariance": [[1e160, 0.0], [0.0, 1e160]]}')
+    else:
+        path.write_text("# n_modes=1 ordering=interleaved\n1e160,0\n0,1e160\n")
+    proc = _run_python(
+        "-m", "gausshaar.cli", command, "--input", str(path), "--nA", "1", "--nB", "0",
+        check=False,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    [line] = proc.stderr.splitlines()
+    assert "not symplectic" in json.loads(line)["error"]
+
+
+def test_spectrum_of_a_block_not_positive_definite_is_a_config_error(
+    canonical_csv, capsys, monkeypatch
+):
+    # a LinAlgError would exit 3; the spectrum raises ValueError instead
+    monkeypatch.setattr(symplectic, "reduced_covariance", lambda state, modes: -np.eye(4))
+    code = main(["williamson", "--input", str(canonical_csv), "--nA", "2", "--nB", "2"])
+    assert "not positive definite" in _assert_config_error(code, capsys)
 
 
 class TestDensityCommand:
@@ -494,6 +522,17 @@ class TestHaarSampleCommand:
         main(args)
         second = _strip_timestamp(capsys.readouterr().out)
         assert first == second
+
+    def test_unrepresentable_cutoff_leaves_one_error_line(self):
+        # at cutoff 1e300 a covariance reaches 1e300, so its square overflows:
+        # the error is the only line on stderr, with no numpy warning before it
+        proc = _run_python(
+            "-m", "gausshaar.cli", "haar-sample", "--n", "1", "--count", "2",
+            "--cutoff", "1e300", check=False,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        [line] = proc.stderr.splitlines()
+        assert json.loads(line)["exit_code"] == 2
 
 
 class TestConfigPrecedence:

@@ -246,6 +246,14 @@ class TestApplyToVacuum:
         with pytest.raises(ValueError, match="matrix is not symplectic"):
             apply_to_vacuum(np.stack([*good, (1.0 + 1e-9) * np.eye(4)]))
 
+    @pytest.mark.parametrize("bad", [1e160, np.nan], ids=["overflowing-scale", "nan"])
+    def test_stack_rejects_a_matrix_the_squared_scale_cannot_hold(self, bad):
+        # max|S|^2 overflows at 1e160, and a NaN fails every comparison, so
+        # neither may reach the test as a scaled tolerance
+        good = np.stack([np.eye(4), squeeze_symplectic([2.0, 0.0])])
+        with pytest.raises(ValueError, match="matrix is not symplectic"):
+            apply_to_vacuum(np.stack([*good, bad * np.eye(4)]))
+
 
 class TestBatchedDraws:
     @pytest.mark.parametrize("n", [1, 2, 4, 6])

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from gausshaar.haar import passive_symplectic, sample_haar_unitary
+from gausshaar.haar import (
+    apply_to_vacuum,
+    euler_to_symplectic,
+    passive_symplectic,
+    sample_haar_unitary,
+    sample_homogeneous_gaussian_unitary,
+)
 from gausshaar.symplectic import (
     Bipartition,
     GaussianPureState,
@@ -11,9 +17,11 @@ from gausshaar.symplectic import (
     entanglement_entropy,
     reduced_covariance,
     reduced_spectrum,
+    symplectic_defect,
     symplectic_eigenvalues,
     symplectic_form,
     tmsv_state,
+    tmsv_symplectic,
     williamson_spectrum,
 )
 
@@ -91,10 +99,40 @@ class TestGaussianPureState:
         with pytest.raises(NotAGaussianPureStateError, match="positive definite"):
             GaussianPureState(n_modes=4, covariance=np.stack([*good, -np.eye(8)]))
 
+    def test_covariance_whose_square_overflows_rejected(self):
+        # det(1e160 I) = 1e640, though max|cov|^2 overflows a double
+        with pytest.raises(NotAGaussianPureStateError, match="not symplectic"):
+            GaussianPureState(n_modes=1, covariance=1e160 * np.eye(2))
+
+    def test_extreme_squeezing_validates(self):
+        # symmetric, symplectic and of det 1, though max|cov|^2 overflows
+        state = GaussianPureState(n_modes=1, covariance=np.diag([1e160, 1e-160]))
+        assert np.array_equal(williamson_spectrum(state, Bipartition(1, 0)).nu, [1.0])
+
     def test_spectrum_rejects_a_stack(self):
         stack = GaussianPureState(n_modes=2, covariance=np.stack([np.eye(4)] * 3))
         with pytest.raises(ValueError, match="single state"):
             williamson_spectrum(stack, Bipartition(1, 1))
+
+
+class TestSymplecticDefect:
+    def test_relative_to_the_squared_scale(self):
+        # (1 + e) I has M Omega M^T - Omega = (2e + e^2) Omega, scale (1 + e)^2
+        for e in (1e-9, 1.0, 1e100, 1e200):
+            assert symplectic_defect((1.0 + e) * np.eye(2)) == pytest.approx(
+                1.0 - (1.0 + e) ** -2, rel=1e-6
+            )
+
+    def test_zero_to_round_off_on_symplectic_matrices(self):
+        S = np.stack([tmsv_symplectic(r) for r in (0.0, 3.0, 30.0, 300.0)])
+        assert np.all(symplectic_defect(S) < 1e-15)
+
+    def test_one_value_per_matrix_and_nan_propagates(self):
+        nan = np.full((2, 2), np.nan)
+        defect = symplectic_defect(np.stack([np.eye(2), 2.0 * np.eye(2), nan]))
+        assert defect.shape == (3,)
+        assert defect[0] == 0.0 and defect[1] == pytest.approx(0.75)
+        assert np.isnan(defect[2])
 
 
 class TestBipartition:
@@ -218,6 +256,46 @@ class TestWilliamson:
         state = canonical_state([0.5, 1.1], Bipartition(2, 2))
         nu = symplectic_eigenvalues(state.covariance)
         assert np.allclose(nu, 1.0, atol=1e-8)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_canonical_states_to_strong_squeezing(self, n):
+        # nu = cosh(2r) reaches 4.4e6 at r = 8
+        rng = np.random.default_rng(40 + n)
+        for _ in range(10):
+            r = rng.uniform(0.0, 8.0, n)
+            r[0] = 8.0
+            bp = Bipartition(n, n)
+            nu = williamson_spectrum(canonical_state(r, bp), bp).nu
+            assert np.all(np.diff(nu) <= 0)
+            assert np.allclose(nu, np.sort(np.cosh(2 * r))[::-1], rtol=1e-12, atol=0.0)
+
+    def test_haar_states_match_the_non_hermitian_route(self):
+        # the moduli of the eigenvalues of i Omega sigma, paired, are the
+        # spectrum by definition; the Cholesky route must reproduce them
+        def paired_moduli(cov):
+            m = cov.shape[0] // 2
+            moduli = np.sort(np.abs(np.linalg.eigvals(1j * symplectic_form(m) @ cov)))
+            return moduli[::-1].reshape(m, 2).mean(axis=1)
+
+        for cutoff in (10.0, 1e3, 1e5, 1e7):
+            for n in range(2, 9):
+                rng = np.random.default_rng([n, int(np.log10(cutoff))])
+                g = sample_homogeneous_gaussian_unitary(n, cutoff, rng, size=4)
+                for cov in apply_to_vacuum(euler_to_symplectic(g)).covariance:
+                    state = GaussianPureState(n, cov)
+                    for n_a in range(1, n):
+                        bp = Bipartition(n_a, n - n_a)
+                        nu = williamson_spectrum(state, bp).nu
+                        old = np.maximum(paired_moduli(reduced_covariance(state, bp.modes_a)), 1.0)
+                        assert np.allclose(nu, old, rtol=1e-9, atol=0.0), (cutoff, n, n_a)
+
+    @pytest.mark.parametrize("cov", [-np.eye(2), np.diag([1.0, 0.0, 1.0, 1.0])])
+    def test_block_not_positive_definite_is_a_value_error(self, cov):
+        # a ValueError, not numpy's LinAlgError, which the CLI reports as a
+        # numerical failure
+        with pytest.raises(ValueError, match="not positive definite") as info:
+            symplectic_eigenvalues(cov)
+        assert not isinstance(info.value, np.linalg.LinAlgError)
 
 
 class TestReducedSpectrum:
