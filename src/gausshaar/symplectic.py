@@ -31,7 +31,8 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     """Block-diagonal Omega (2n, 2n) with 2x2 blocks [[0, 1], [-1, 0]] per mode."""
     if n_modes < 1:
         raise ValueError("n_modes must be >= 1")
-    return np.kron(np.eye(n_modes), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    upper = np.diag(np.resize([1.0, 0.0], 2 * n_modes - 1), 1)
+    return upper - upper.T
 
 
 def symplectic_defect(M: np.ndarray) -> np.ndarray:
@@ -55,12 +56,11 @@ def symplectic_defect(M: np.ndarray) -> np.ndarray:
 def validate_pure_covariance(cov: np.ndarray) -> None:
     """Check that every matrix of a stack (..., 2n, 2n) is a pure-state covariance.
 
-    Every entry must be finite, which is checked first: a NaN or an inf
-    fails every comparison below.  Each matrix must be symmetric, symplectic
-    (cov Omega cov^T = Omega), of determinant 1 and positive definite, each
-    within a tolerance scaled by that matrix's own largest entry
-    max(1, max|cov|), or its square for ``symplectic_defect``.  Raises
-    NotAGaussianPureStateError naming the first invariant some matrix breaks.
+    Every entry must be finite, which is checked first: a NaN or an inf fails
+    every comparison below.  Each matrix must be symmetric, symplectic
+    (``symplectic_defect``), of determinant 1 and positive definite, within
+    tolerances scaled by its own max(1, max|cov|), squared for the defect.
+    Raises NotAGaussianPureStateError naming the first invariant broken.
     """
     if not np.isfinite(cov).all():
         raise NotAGaussianPureStateError("covariance has a non-finite entry")
