@@ -215,9 +215,13 @@ def apply_to_vacuum(S: np.ndarray) -> GaussianPureState:
     """State obtained by acting with the symplectic matrix S on the vacuum.
 
     A stack S (..., 2n, 2n) gives one GaussianPureState holding the stack of
-    covariances.  Each matrix's ``symplectic_defect`` must be SYMPLECTIC_TOL at most.
+    covariances.  Every entry must be finite, which is checked first: an inf
+    would make the defect's products warn before they fail.  Each matrix's
+    ``symplectic_defect`` must be SYMPLECTIC_TOL at most.
     """
     S = np.asarray(S, dtype=float)
+    if not np.isfinite(S).all():
+        raise ValueError("matrix is not symplectic: it has a non-finite entry")
     if not np.all(symplectic_defect(S) <= SYMPLECTIC_TOL):
         raise ValueError("matrix is not symplectic")
     return GaussianPureState(n_modes=S.shape[-1] // 2, covariance=S @ S.swapaxes(-1, -2))

@@ -26,10 +26,13 @@ about 40 bytes per accepted proposal.  The kernels run on 1-D columns, one
 per coordinate: nu is built as m columns of one array, only the proposals
 inside the support (S < 2 min(E), tested once per block, in
 ``_pipeline_block``) are weighted, and S and log(2E - S) are formed once for
-the proposal density and the integrand alike.  The integrand, the weight
-before the proposal density, is one function of the kept columns,
-``_log_weight``, which the tests also call at fixed nu.  The bins are found
-by arithmetic on the uniform edges.  A weight that overflows a double is a
+the proposal density and the integrand alike.  Every draw is made once,
+for the proposals that read it: the uniform share at its binomial size,
+the closed form for the rest, and the mixing draws for the kept proposals
+only, so m = 1 makes none.  The integrand, the weight before the proposal
+density, is one function of the kept columns, ``_log_weight``, which the
+tests also call at fixed nu.  The bins are found by arithmetic on the
+uniform edges.  A weight that overflows a double is a
 numerical failure (RuntimeError), never a report.  An effective sample size
 below MIN_EXPECTED_PER_BIN per histogram bin of positive expected mass marks
 the estimate as degenerate.
@@ -235,15 +238,15 @@ def _simplex_draws(m: int) -> int:
     return 16 if m <= 5 else 64 if m <= 7 else 256
 
 
-def _log_lambda_integral(c, S, log_R, rng, rows):
+def _log_lambda_integral(c, S, log_R, rng):
     """Log of an estimate of the delta-constrained lambda integral at fixed mixing.
 
     c holds the m mixing coefficients of each point as m 1-D columns, S their
     sum and log_R the log of R = 2E - S > 0.  Its one caller in the
     pipeline, ``_log_weight``, passes only the proposals of its block inside
-    the support, marked by the boolean mask ``rows`` (S < 2 min(E)), so R > 0
-    holds for every point and nothing here tests it.  The subsystem energy is
-    sum_h lambda_h c_h / 2.  With mu_h = c_h (lambda_h - 1) the constraint
+    the support (S < 2 min(E)), so R > 0 holds for every point and nothing
+    here tests it.  The subsystem energy is sum_h lambda_h c_h / 2.  With
+    mu_h = c_h (lambda_h - 1) the constraint
     delta(E - sum lambda c / 2) becomes 2 delta(R - sum mu), where
     sum(c) = sum(nu) = S, because |U|^2 is doubly stochastic, and
     dlambda = dmu / prod(c).  The integral of the repulsion prod |lambda_h -
@@ -260,9 +263,8 @@ def _log_lambda_integral(c, S, log_R, rng, rows):
       that no square of a large c overflows.
     - m >= 3: mu is R times normalized exponentials x / sum(x), so the
       repulsion is R^D prod |t_h - t_k|, t = x / (c sum(x)), D = m(m-1)/2;
-      its log-mean-exp over ``_simplex_draws(m)`` draws of x is accumulated
-      against a running maximum.  Each draw is made for every row of the
-      block, so the stream does not depend on which rows ``rows`` keeps.
+      its log-mean-exp over ``_simplex_draws(m)`` draws of x, one (m, kept)
+      array each, is accumulated against a running maximum.
 
     Returned as the sum of the logs of the factors: an unbiased estimate of
     the integral with no shell width and no lambda cutoff, exact at m <= 2.
@@ -279,17 +281,16 @@ def _log_lambda_integral(c, S, log_R, rng, rows):
         log_w -= np.log(S)
     else:
         log_w = -functools.reduce(np.add, np.log(c))
-        log_w += math.log(2.0 / math.factorial(m - 1)) + _log_mean_repulsion(c, rng, rows)
+        log_w += math.log(2.0 / math.factorial(m - 1)) + _log_mean_repulsion(c, rng)
     # the exponent m - 1 of the volume plus D of the repulsion (2 at m = 2)
     log_w += (m - 1) * (m + 2) // 2 * log_R
     return log_w
 
 
-def _log_mean_repulsion(columns, rng, rows):
+def _log_mean_repulsion(columns, rng):
     """log of the mean of prod |t_h - t_k|, t = x / (c sum(x)), over K(m) draws of x.
 
-    x holds m standard exponentials per row of the block, of which those
-    that ``rows`` marks pair with the columns of c; each t lies in [0, 1]
+    x holds m standard exponentials per column of c; each t lies in [0, 1]
     (c >= 1).  The log-mean-exp keeps the running maximum ``top`` of the
     log-repulsions and the sum ``acc`` of their exponentials against it.
     """
@@ -299,7 +300,7 @@ def _log_mean_repulsion(columns, rng, rows):
     inverse = 1.0 / columns
 
     def log_repulsion():
-        x = np.compress(rows, rng.standard_exponential((m, rows.size)), axis=1)
+        x = rng.standard_exponential((m, count))
         out = log_vandermonde((x * inverse).T)
         out -= pairs * np.log(functools.reduce(np.add, x))
         return out
@@ -403,32 +404,29 @@ def _softplus(z):
     return soft
 
 
-def _log_weight(nu, S, log_gaps, rng, rows):
-    """Log of the pipeline's integrand at the kept columns of nu, m eigenvalues a side.
+def _log_weight(nu, S, log_gaps, rng):
+    """Log of the pipeline's integrand at the columns of nu, m eigenvalues a side.
 
     The invariant factor prod nu_j^2 prod (nu_h^2 - nu_k^2)^2 times each
     subsystem's delta-constrained lambda integral at the Haar mixing |U|^2,
     in logs; its mean over the draws is proportional to the closed-form
-    balanced law.  For m <= 2, |U|^2 is [[p, 1 - p], [1 - p, p]] with p
+    balanced law.  For m = 2, |U|^2 is [[p, 1 - p], [1 - p, p]] with p
     uniform on (0, 1), so p is drawn directly; at m = 1 the mixture is nu
-    itself, and p is drawn only to keep the stream.  nu holds the kept points
-    as m 1-D columns, all inside the support, S their sums and ``log_gaps``
-    the pair log(2E_A - S), log(2E_B - S); the mask ``rows`` marks them among
-    the ``rows.size`` proposals of the block.  Every draw is made for the
-    whole block, so the stream does not depend on which are kept.
+    itself, and nothing is drawn.  nu holds the points as m 1-D columns, all
+    inside the support, S their sums and ``log_gaps`` the pair
+    log(2E_A - S), log(2E_B - S).  Each draw is sized to those columns, side
+    A's before side B's.
     """
-    m = len(nu)
-    count = rows.size
+    m, kept = nu.shape
     # nu^2 overflows from nu = 1.3e154; the log-weight is then inf or nan,
     # which _report rejects
     with np.errstate(over="ignore", invalid="ignore"):
         log_w = log_density_unconstrained(nu.T, m, m)
     for log_R in log_gaps:
         if m == 1:
-            rng.random(count)  # p: the mixture is nu itself
             c = nu
         elif m == 2:
-            p = np.compress(rows, rng.random(count))
+            p = rng.random(kept)
             # c1 = p nu1 + (1 - p) nu2 and c2 = S - c1, in place
             c = np.empty_like(nu)
             np.multiply(p, nu[0], out=c[0])
@@ -437,9 +435,9 @@ def _log_weight(nu, S, log_gaps, rng, rows):
             c[0] += p
             np.subtract(S, c[0], out=c[1])
         else:
-            P = np.compress(rows, np.abs(sample_haar_unitary(m, rng, size=count)) ** 2, axis=0)
+            P = np.abs(sample_haar_unitary(m, rng, size=kept)) ** 2
             c = np.einsum("rhk,kr->hr", P, nu)
-        log_w += _log_lambda_integral(c, S, log_R, rng, rows)
+        log_w += _log_lambda_integral(c, S, log_R, rng)
     return log_w
 
 
@@ -452,21 +450,25 @@ def _pipeline_block(m, constraint, count, rng):
     support-covering proposal is valid: the weights are flat only if the
     closed form matches the pipeline law, and the uniform share lets them
     show mass the closed form misses.  The log-weight is ``_log_weight``
-    minus the log of the proposal density.
+    minus the log of the proposal density.  The size of the uniform share is
+    binomial(count, DEFENSIVE), and its columns come first: the proposals are
+    exchangeable, so their order changes no statistic.
 
     nu is m contiguous columns of one (m, count) array.  Only the proposals
-    with S < 2 min(E) are weighted, since every other one has an empty
-    constraint simplex.  S and each log(2E - S) are formed once, over those
-    rows, and read by both the proposal density and ``_log_weight``, so no
-    log sees a negative argument.  The two shares u and v of the proposal
-    density are mixed in logs, as log u + softplus(log v - log u), so
-    neither overflows at any energy.  Returns the kept rows as a (kept, m)
-    view of their columns.
+    with S < 2 min(E) are kept and weighted, since every other one has an
+    empty constraint simplex; the test on the summed S also drops a
+    closed-form draw that round-off puts on the edge.  The mixing draws are
+    made for the kept columns only.  S and each log(2E - S) are formed once,
+    over those rows, and read by both the proposal density and
+    ``_log_weight``, so no log sees a negative argument.  The two shares u
+    and v of the proposal density are mixed in logs, as
+    log u + softplus(log v - log u), so neither overflows at any energy.
+    Returns the kept rows as a (kept, m) view of their columns.
     """
     top = 2.0 * constraint.min_energy
-    nu = sample_balanced(m, constraint, count, rng).T
-    box = rng.random(count) < DEFENSIVE
-    nu[:, box] = rng.uniform(1.0, top, (int(box.sum()), m)).T
+    box = rng.binomial(count, DEFENSIVE)
+    uniform = rng.uniform(1.0, top, (m, box))
+    nu = np.concatenate([uniform, sample_balanced(m, constraint, count - box, rng).T], axis=1)
     S = functools.reduce(np.add, nu)
     rows = S < top
     nu = np.compress(rows, nu, axis=1)
@@ -479,7 +481,7 @@ def _pipeline_block(m, constraint, count, rng):
     z = log_density_balanced(nu.T, constraint, log_gaps)
     # at DEFENSIVE = 1 the uniform share is the whole proposal
     z += (math.log1p(-DEFENSIVE) if DEFENSIVE < 1.0 else -math.inf) - log_uniform
-    log_w = _log_weight(nu, S, log_gaps, rng, rows)
+    log_w = _log_weight(nu, S, log_gaps, rng)
     log_w -= log_uniform
     log_w -= _softplus(z)
     return nu.T, log_w

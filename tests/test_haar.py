@@ -246,13 +246,16 @@ class TestApplyToVacuum:
         with pytest.raises(ValueError, match="matrix is not symplectic"):
             apply_to_vacuum(np.stack([*good, (1.0 + 1e-9) * np.eye(4)]))
 
-    @pytest.mark.parametrize("bad", [1e160, np.nan], ids=["overflowing-scale", "nan"])
+    @pytest.mark.parametrize(
+        "bad", [1e160, np.nan, np.inf], ids=["overflowing-scale", "nan", "inf"]
+    )
     def test_stack_rejects_a_matrix_the_squared_scale_cannot_hold(self, bad):
         # max|S|^2 overflows at 1e160, and a NaN fails every comparison, so
-        # neither may reach the test as a scaled tolerance
+        # neither may reach the test as a scaled tolerance; an inf is rejected
+        # before the defect's products, which would warn on it
         good = np.stack([np.eye(4), squeeze_symplectic([2.0, 0.0])])
         with pytest.raises(ValueError, match="matrix is not symplectic"):
-            apply_to_vacuum(np.stack([*good, bad * np.eye(4)]))
+            apply_to_vacuum(np.stack([*good, np.diag(np.full(4, bad))]))
 
 
 class TestBatchedDraws:

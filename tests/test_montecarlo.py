@@ -137,6 +137,12 @@ class TestSampleDensity2p2:
             t = (samples[:, 0] - samples[:, 1]) / (total - 2.0)
             assert stats.kstest(t, lambda v: (v**3 + 1.0) / 2.0).pvalue > 0.01
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_no_draws_is_an_empty_sample(self, m):
+        # a verify block whose every proposal falls in the uniform share
+        samples = sample_balanced(m, EnergyConstraint(3.0, 3.0), 0, np.random.default_rng(m))
+        assert samples.shape == (0, m)
+
     @pytest.mark.parametrize(
         "m, energies",
         [
@@ -290,16 +296,14 @@ def _lambda_weight(c, E, rng):
     """log of the constrained lambda-weight of rows c (count, m) of mixing coefficients.
 
     ``_log_lambda_integral`` is called as ``_log_weight`` calls it: on
-    the columns of the rows with S = sum(c) < 2E, the mask of those rows, S
-    and log(2E - S).  Returns the log-weights of the rows it keeps.
+    the columns of the rows with S = sum(c) < 2E, S and log(2E - S).
+    Returns the log-weights of the rows it keeps.
     """
     columns = c.T
     S = functools.reduce(np.add, columns)
     rows = S < 2.0 * E
     S = S[rows]
-    return _log_lambda_integral(
-        np.compress(rows, columns, axis=1), S, np.log(2.0 * E - S), rng, rows
-    )
+    return _log_lambda_integral(columns[:, rows], S, np.log(2.0 * E - S), rng)
 
 
 def _mean_constrained_weight(nu, E, count, rng):
@@ -397,11 +401,11 @@ class TestConstrainedLambdaWeight:
         _assert_constant_ratio(ratios, stderrs)
 
 
-def _integrand(columns, constraint, rng, rows):
+def _integrand(columns, constraint, rng):
     """``_log_weight`` at the columns of nu, with S and log(2E - S) formed as the pipeline forms them."""
     S = functools.reduce(np.add, columns)
     log_gaps = [np.log(2.0 * E - S) for E in (constraint.E_A, constraint.E_B)]
-    return montecarlo._log_weight(columns, S, log_gaps, rng, rows)
+    return montecarlo._log_weight(columns, S, log_gaps, rng)
 
 
 def _log_mean_weight(nu, constraint, repeats, rng, p_weights=None):
@@ -412,7 +416,7 @@ def _log_mean_weight(nu, constraint, repeats, rng, p_weights=None):
     sd(w) / (mean sqrt(repeats)).
     """
     columns = np.repeat(np.asarray(nu, dtype=float)[:, None], repeats, axis=1)
-    log_w = _integrand(columns, constraint, rng, np.ones(repeats, bool))
+    log_w = _integrand(columns, constraint, rng)
     top = log_w.max()
     w = np.exp(log_w - top)
     mean = np.average(w, weights=p_weights)
@@ -485,7 +489,7 @@ class TestPointwiseWeight:
 
     @staticmethod
     def _assert_exact_mean(m, c, rng):
-        # p is the only draw, and the mean over it is exactly
+        # p is the only draw at m = 2, and m = 1 makes none; the mean is exactly
         # 4 Delta(nu)^2 (R_A R_B)^a: at m = 2 the integral of c1^-2 + c2^-2
         # over p is 2 / (nu1 nu2) per side.  A 32-point rule in p gives it
         # to round-off, also at the corner where nu1 / nu2 is largest.
@@ -522,22 +526,22 @@ class TestPointwiseWeight:
         chi2, p = _pointwise_chi2(3, EnergyConstraint(3.0, 3.0), 20_000, np.random.default_rng(6))
         assert p < 1e-6, chi2
 
-    @pytest.mark.parametrize("m", [1, 2, 3])
-    def test_the_stream_does_not_depend_on_the_kept_rows(self, m):
-        c = EnergyConstraint(2.2, 2.9)
-        nu = sample_balanced(m, c, 400, np.random.default_rng(m)).T
-        some = np.random.default_rng(10 + m).random(400) < 0.7
-        assert not some.all()
 
-        def weigh(rows):
-            rng = np.random.default_rng(5)
-            log_w = _integrand(np.compress(rows, nu, axis=1), c, rng, rows)
-            return log_w, rng.bit_generator.state
+class _DrawLog:
+    """A generator proxy that logs the name and result shape of each draw made through it."""
 
-        every, every_state = weigh(np.ones(400, bool))
-        kept, kept_state = weigh(some)
-        assert kept_state == every_state
-        assert np.array_equal(kept, every[some])
+    def __init__(self, rng, log):
+        self.rng, self._log = rng, log
+
+    def __getattr__(self, name):
+        draw = getattr(self.rng, name)
+
+        def logged(*args, **kwargs):
+            out = draw(*args, **kwargs)
+            self._log.append((name, np.shape(out)))
+            return out
+
+        return logged
 
 
 class TestVerifyPipeline:
@@ -649,6 +653,48 @@ class TestVerifyPipeline:
         c = EnergyConstraint(1.55, 1.55, 0.005)
         with pytest.raises(RuntimeError, match="zero accepted"):
             verify_constrained_density(6, c, 20, cutoff=3.5, seed=7)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_every_draw_is_sized_to_the_proposals_that_read_it(self, m, monkeypatch):
+        # the uniform share at its binomial size, the closed form for the
+        # rest, then side A's and side B's mixing draws for the kept
+        # proposals only: p at m = 2, a Haar stack and K(m) simplex points
+        # from m = 3, and nothing at m = 1
+        c = EnergyConstraint(2.2, 2.9)
+        count = 2_000
+        draws = []
+        rng = _DrawLog(np.random.default_rng(m), draws)
+
+        def balanced(m, constraint, size, rng):
+            draws.append(("sample_balanced", size))
+            return sample_balanced(m, constraint, size, rng.rng)
+
+        def haar(m, rng, size):
+            draws.append(("sample_haar_unitary", size))
+            return sample_haar_unitary(m, rng.rng, size=size)
+
+        monkeypatch.setattr(montecarlo, "sample_balanced", balanced)
+        monkeypatch.setattr(montecarlo, "sample_haar_unitary", haar)
+        values, log_weights = montecarlo._pipeline_block(m, c, count, rng)
+        box = np.random.default_rng(m).binomial(count, montecarlo.DEFENSIVE)
+        kept = len(values)
+        assert kept == log_weights.size
+        # the uniform share misses the support from m = 2
+        assert 0 < box and (kept < count or m == 1)
+        if m == 1:
+            side = []
+        elif m == 2:
+            side = [("random", (kept,))]
+        else:
+            exponentials = [("standard_exponential", (m, kept))] * montecarlo._simplex_draws(m)
+            side = [("sample_haar_unitary", kept), *exponentials]
+        assert draws == [
+            ("binomial", ()),
+            ("uniform", (m, box)),
+            ("sample_balanced", count - box),
+            *side,
+            *side,
+        ]
 
     def test_low_energy_1p1_has_support(self):
         # 2 min(E) = 1.6 > n/2 = 1: the law is uniform on [1, 1.6]
@@ -868,19 +914,24 @@ def _linear_pipeline_block(m, constraint, count, rng):
     and a plain mean over ``_simplex_draws(m)`` points of the simplex from m = 3.
     """
     top = 2.0 * constraint.min_energy
-    nu = sample_balanced(m, constraint, count, rng)
-    box = rng.random(count) < montecarlo.DEFENSIVE
-    nu[box] = rng.uniform(1.0, top, (int(box.sum()), m))
+    box = rng.binomial(count, montecarlo.DEFENSIVE)
+    nu = np.vstack(
+        [rng.uniform(1.0, top, (m, box)).T, sample_balanced(m, constraint, count - box, rng)]
+    )
+    nu = nu[nu.sum(axis=1) < top]
+    kept = len(nu)
     proposal = montecarlo.DEFENSIVE / (top - 1.0) ** m + (
         1.0 - montecarlo.DEFENSIVE
     ) * density_balanced(nu, constraint)
     w = np.prod(nu**2, axis=1) * _vandermonde(nu**2) ** 2 / proposal
     for E in (constraint.E_A, constraint.E_B):
-        if m <= 2:
-            p = rng.random((count, 1))
+        if m == 1:
+            c = nu
+        elif m == 2:
+            p = rng.random((kept, 1))
             c = p * nu + (1.0 - p) * nu[:, ::-1]
         else:
-            P = np.abs(sample_haar_unitary(m, rng, size=count)) ** 2
+            P = np.abs(sample_haar_unitary(m, rng, size=kept)) ** 2
             c = np.einsum("chk,ck->ch", P, nu)
         R = 2.0 * E - c.sum(axis=1)
         volume = 2.0 / np.prod(c, axis=1) * R ** (m - 1) / math.factorial(m - 1)
@@ -892,12 +943,11 @@ def _linear_pipeline_block(m, constraint, count, rng):
             draws = montecarlo._simplex_draws(m)
             mean = 0.0
             for _ in range(draws):
-                x = rng.standard_exponential((m, count)).T
+                x = rng.standard_exponential((m, kept)).T
                 lam = 1.0 + x * (R / x.sum(axis=1))[:, None] / c
                 mean = mean + _vandermonde(lam) / draws
-        w = w * np.where(R > 0, volume * mean, 0.0)
-    keep = w > 0
-    return nu[keep], w[keep]
+        w = w * volume * mean
+    return nu, w
 
 
 class TestBlockwiseReport:
@@ -966,53 +1016,54 @@ class TestBlockwiseReport:
 
 
 # verify_constrained_density(n, EnergyConstraint(E_A, E_B), 40_000, seed=1)
-# as the pipeline computed it before its blocks were rewritten for speed: a
-# faster block must make the same draws in the same order
+# as the pipeline computes it when every draw is made once, for the
+# proposals that read it: a faster block must make the same draws in the
+# same order
 PARITY = {
     (2, 2.2, 2.9): dict(
-        sample_count=40000, dof=19, chi2=11.803803566395823,
-        ks=0.0038517913519525715, ess=40000.000000000015,
+        sample_count=40000, dof=19, chi2=11.6087152059156,
+        ks=0.003067678797547324, ess=40000.0,
         counts=[
-            2010, 1963, 1973, 1990, 1973, 1960, 2043, 2014, 2033, 2053,
-            1959, 1985, 2060, 2043, 2045, 1970, 1978, 2013, 1955, 1980,
+            2021, 1981, 1951, 1964, 1990, 1994, 2019, 1998, 2055, 2085,
+            1940, 1997, 2033, 2029, 2018, 1969, 1990, 1964, 1992, 2010,
         ],
     ),
     (4, 2.2, 2.9): dict(
-        sample_count=36923, dof=54, chi2=51.2904821503888,
-        ks=0.004652332072257126, ess=35992.844260840015,
+        sample_count=36981, dof=54, chi2=47.98992374435673,
+        ks=0.00432313665467754, ess=36040.9407050724,
         counts=[
-            207, 927, 2216, 2988, 2977, 2388, 1700, 820, 260, 24,
-            857, 108, 410, 749, 955, 707, 417, 149, 13, 0,
-            2020, 389, 49, 128, 218, 154, 82, 15, 0, 0,
-            2856, 772, 115, 33, 38, 30, 14, 0, 0, 0,
-            3039, 886, 220, 44, 19, 13, 0, 0, 0, 0,
-            2468, 775, 174, 28, 16, 0, 0, 0, 0, 0,
-            1628, 409, 86, 14, 0, 0, 0, 0, 0, 0,
-            854, 140, 13, 0, 0, 0, 0, 0, 0, 0,
-            254, 22, 0, 0, 0, 0, 0, 0, 0, 0,
-            36, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+            207, 868, 2080, 2966, 3050, 2563, 1616, 845, 249, 32,
+            849, 105, 355, 791, 890, 764, 448, 148, 21, 0,
+            2199, 339, 55, 116, 211, 155, 69, 13, 0, 0,
+            2858, 800, 136, 28, 45, 23, 12, 0, 0, 0,
+            3008, 922, 219, 42, 26, 9, 0, 0, 0, 0,
+            2507, 723, 168, 37, 5, 0, 0, 0, 0, 0,
+            1582, 422, 95, 9, 0, 0, 0, 0, 0, 0,
+            841, 139, 15, 0, 0, 0, 0, 0, 0, 0,
+            265, 16, 0, 0, 0, 0, 0, 0, 0, 0,
+            25, 0, 0, 0, 0, 0, 0, 0, 0, 0,
         ],
     ),
     (6, 2.2, 2.9): dict(
-        sample_count=35999, dof=8, chi2=3.495934598476689,
-        ks=0.006206390462280553, ess=31812.392079896144,
-        counts=[0, 44, 765, 3660, 8213, 10897, 8307, 3504, 583, 26],
+        sample_count=36061, dof=8, chi2=8.138043236378351,
+        ks=0.004754864719626051, ess=31885.395754035562,
+        counts=[0, 45, 795, 3648, 8290, 10812, 8395, 3499, 561, 16],
     ),
     # equal energies: the two subsystems share one log(2E - S)
     (4, 2.5, 2.5): dict(
-        sample_count=37063, dof=54, chi2=50.445711125196695,
-        ks=0.005276633184686075, ess=35819.8311370996,
+        sample_count=37111, dof=54, chi2=39.82481354142454,
+        ks=0.006621623558530854, ess=35864.1514560807,
         counts=[
-            365, 1495, 3086, 3655, 3246, 2152, 1100, 312, 53, 9,
-            1500, 141, 477, 835, 810, 470, 164, 33, 11, 0,
-            3049, 483, 67, 130, 143, 70, 22, 9, 0, 0,
-            3739, 867, 99, 27, 33, 22, 18, 0, 0, 0,
-            3068, 768, 135, 32, 25, 17, 0, 0, 0, 0,
-            2087, 440, 73, 24, 7, 0, 0, 0, 0, 0,
-            1042, 174, 31, 10, 0, 0, 0, 0, 0, 0,
-            299, 35, 11, 0, 0, 0, 0, 0, 0, 0,
-            73, 9, 0, 0, 0, 0, 0, 0, 0, 0,
-            11, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+            374, 1523, 2974, 3762, 3288, 2095, 1034, 305, 55, 10,
+            1483, 122, 451, 819, 819, 488, 183, 48, 9, 0,
+            3047, 503, 59, 108, 151, 67, 33, 17, 0, 0,
+            3740, 874, 105, 24, 33, 20, 7, 0, 0, 0,
+            3193, 745, 137, 37, 20, 7, 0, 0, 0, 0,
+            2108, 461, 72, 24, 6, 0, 0, 0, 0, 0,
+            1015, 163, 18, 10, 0, 0, 0, 0, 0, 0,
+            326, 47, 12, 0, 0, 0, 0, 0, 0, 0,
+            58, 12, 0, 0, 0, 0, 0, 0, 0, 0,
+            10, 0, 0, 0, 0, 0, 0, 0, 0, 0,
         ],
     ),
 }
