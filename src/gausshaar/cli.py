@@ -16,7 +16,8 @@ value must also have its option's JSON type: an integer (not a boolean) for
 an int option, a number for a float option, a string for a path or a
 choice, and a boolean for ``--self-test`` and ``--unitary-only``.  A key the
 command has no option for is rejected.  Every float setting must be
-finite, and ``--count`` and ``--grid`` at least 1.  The file is read before
+finite, ``--count`` and ``--grid`` at least 1, ``--p-threshold`` in [0, 1],
+and a ``haar-sample`` ``--cutoff`` at most STATE_CUTOFF.  The file is read before
 the flags parse, so it may also set a flag the command requires, such as
 ``{"n": 4}`` for ``verify``.  Every invalid setting, from a flag, the file
 or the environment, exits 2 with a JSON error on stderr; so do argparse's usage
@@ -82,6 +83,10 @@ KIND_OPTIONS = {
     ("sample", "--kind lambda"): ("n", "count", "cutoff"),
     ("haar-sample", "--unitary-only"): ("n", "count"),
 }
+
+# haar-sample's largest --cutoff: a state's covariance has eigenvalues near
+# 2 lambda and 1/(2 lambda), and from lambda = 3e7 round-off fails its checks
+STATE_CUTOFF = 1e7
 
 # the JSON type a config-file value must have, by the type of its option
 # (bool for the store_true flags)
@@ -260,6 +265,10 @@ def parse_config(argv=None) -> argparse.Namespace:
     for dest in ("count", "grid"):
         if dest in args and getattr(args, dest) < 1:
             raise ConfigError(f"{dest} must be positive")
+    if "p_threshold" in args and not 0.0 <= args.p_threshold <= 1.0:
+        raise ConfigError("--p-threshold must be in [0, 1]")
+    if args.command == "haar-sample" and "cutoff" in args and args.cutoff > STATE_CUTOFF:
+        raise ConfigError(f"--cutoff above {STATE_CUTOFF:g} gives unrepresentable states")
     # the seed is echoed in JSON, whose encoder takes 64-bit integers
     if "seed" in args and not 0 <= args.seed < 2**64:
         raise ConfigError("seed must be in [0, 2**64)")

@@ -14,7 +14,7 @@ Accepted samples carry log-weights, sums of logs that no product overflows,
 exponentiated against their maximum before any statistic: every reported
 value is invariant to their scale, and no square overflows.  One binning
 path serves every n; only the coordinates ((nu1, nu2) at n = 4, S = sum(nu)
-otherwise), the edges and the expected bin masses depend on n.
+otherwise), the edges and the exact Gauss-Legendre bin masses depend on n.
 
 One generator seeded with ``seed`` feeds every draw, in blocks of BLOCK
 proposals; results are deterministic for a fixed seed.  Each block is
@@ -487,6 +487,17 @@ def _pipeline_block(m, constraint, count, rng):
     return nu.T, log_w
 
 
+def _gauss_legendre(k: int):
+    """k nodes and weights of the Gauss-Legendre rule on [0, 1], exact to degree 2k - 1.
+
+    Golub & Welsch (Math. Comp. 23 (1969) 221): the eigenvalues of the Legendre
+    Jacobi matrix and the squared first components of its unit eigenvectors.
+    """
+    j = np.arange(1.0, k)
+    nodes, vectors = np.linalg.eigh(np.diag(j / np.sqrt(4.0 * j * j - 1.0), -1))
+    return 0.5 * (nodes + 1.0), vectors[0] ** 2
+
+
 def _sum_law(m: int, constraint: EnergyConstraint, edges):
     """The law of S = sum(nu) under the closed-form balanced law: (cdf, masses).
 
@@ -498,16 +509,15 @@ def _sum_law(m: int, constraint: EnergyConstraint, edges):
     cancels nothing; the same CDF in powers of x has degree 34 at m = 4 and
     loses every digit near x = 1.  Term r sums the components with a + j >= r.
     The CDF of an array needs two temporaries of its size: Horner's rule runs
-    in place.  ``masses`` are those of S between consecutive ``edges``: a
-    difference of the CDF below x = 1/2.  Above it that difference cancels
-    (the top bin at m = 6, E = 7 reads 0 against 1.5e-21), so the mass is a
-    difference of the survival function 1 - I_x(p, q) = I_y(q, p), y = 1 - x,
-    which over the components sums to
-    SF(x) = y^(a+1) sum_k w_k y^k sum_{r < p} C(a + k + r, r) x^r,
-    a sum of positive terms.  The largest binomial of both, C(p + 2a - 1, 2a),
-    exceeds the largest double from n = 46, which is rejected first.
+    in place.  Its largest coefficient, C(p + 2a - 1, 2a), exceeds the largest
+    double from n = 46, which is rejected first.  ``masses`` are those of S
+    between consecutive ``edges``: CDF differences cancel (the top bin at
+    m = 6, E = 7 read 0 against 1.5e-21) and underflow (x^p at n = 44), but
+    the density of x, x^(p-1) (1 - x)^a (b + 1 - x)^a / exp(log_total) with
+    b = 2 |E_A - E_B| / L, is a polynomial that ceil((p + 2a)/2) Gauss-Legendre
+    nodes per bin integrate exactly, each term positive and formed in logs.
     """
-    L, a, weights, _ = balanced_sum_law(m, constraint)
+    L, a, weights, log_total = balanced_sum_law(m, constraint)
     p = m * m
     if math.comb(p + 2 * a - 1, 2 * a) > sys.float_info.max:
         raise ValueError(
@@ -534,14 +544,14 @@ def _sum_law(m: int, constraint: EnergyConstraint, edges):
         x *= horner
         return x
 
-    k, r = np.arange(a + 1), np.arange(p)
-    table = np.array([[math.comb(a + j + i, i) for i in r] for j in k], dtype=float)
+    t, w = _gauss_legendre((p + 2 * a + 1) // 2)
+    b = 2.0 * abs(constraint.E_A - constraint.E_B) / L
     x = np.clip((edges - m) / L, 0.0, 1.0)
-    y = 1.0 - x
-    # sum_r C(a + k + r, r) x^r for each edge and k, then y^k and w_k
-    sf = y ** (a + 1) * ((y[:, None] ** k) * (x[:, None] ** r @ table.T) @ weights)
-    masses = np.where(x[:-1] >= 0.5, sf[:-1] - sf[1:], np.diff(cdf(edges)))
-    return cdf, masses
+    width = np.diff(x)
+    # a row of nodes per bin; one of width 0 keeps [0, 1]'s, so no log sees 0
+    x = np.where(width[:, None] > 0, x[:-1, None] + width[:, None] * t, t)
+    log_f = (p - 1) * np.log(x) + a * (np.log1p(-x) + np.log(b + 1.0 - x)) - log_total
+    return cdf, width * (np.exp(log_f) @ w)
 
 
 def verify_constrained_density(
@@ -578,14 +588,22 @@ def verify_constrained_density(
     return _report(m, constraint, blocks, {"proposal_count": count})
 
 
-def _expected_probs_2p2(edges, constraint, subgrid=8):
-    """Bin masses of the closed-form density via midpoint subsampling."""
-    bins = edges.size - 1
-    fine = np.linspace(edges[0], edges[-1], bins * subgrid + 1)
-    mids = 0.5 * (fine[:-1] + fine[1:])
-    X, Y = np.meshgrid(mids, mids, indexing="ij")
-    mass = density_2p2(X, Y, constraint) * _cell_volume([fine, fine])
-    return mass.reshape(bins, subgrid, bins, subgrid).sum(axis=(1, 3))
+def _expected_probs_2p2(edges, constraint):
+    """Exact masses of the closed-form density on the cells of ``edges`` x ``edges``.
+
+    It is a polynomial of degree 6 up to S = 2 min(E), 0 beyond, and on the
+    edges of ``_report`` (uniform on [1, 2 min(E) - 1]) that line runs along
+    the cells' anti-diagonals.  The lower half of a cell takes the 4 x 4
+    Gauss-Legendre rule collapsed by (s, t) -> (s, (1 - s) t), exact to degree
+    7 in s (Duffy 1982), and the upper half its reflection through the centre.
+    """
+    g, w = _gauss_legendre(4)
+    s, t = np.repeat(g, 4), np.tile(g, 4)
+    lower = np.array([s, (1.0 - s) * t])
+    u, v = np.concatenate([lower, 1.0 - lower], axis=1)
+    lo, width = edges[:-1, None], np.diff(edges)[:, None]
+    dens = density_2p2((lo + width * u)[:, None], lo + width * v, constraint)
+    return dens @ np.tile(np.outer(w, w).ravel() * (1.0 - s), 2) * (width * width.T)
 
 
 def _bin_index(x, edges) -> np.ndarray:
@@ -648,8 +666,8 @@ def _report(m, constraint, blocks, metadata) -> HistogramReport:
     and the degenerate floor are built before the first block is read, so an
     empty support, or an n too large for ``_sum_law``, is rejected before any
     draw.  At m = 2 the histogram is of (nu1, nu2) on [1, 2 min(E) - 1]^2,
-    with bin masses from the density; at every other m it is of S, with the
-    masses of ``_sum_law``.  Each block is binned as it arrives (half-open
+    with the masses of ``_expected_probs_2p2``; at every other m it is of S,
+    with those of ``_sum_law``.  Each block is binned as it arrives (half-open
     bins, the last one closed, as in np.histogram).  Three bincounts over
     that flat index give the counts and the per-bin sums of the weights and
     of their squares, which the density and the chi-square share; the index

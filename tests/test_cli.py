@@ -15,7 +15,7 @@ import pytest
 
 import gausshaar
 from gausshaar import cli, montecarlo, symplectic
-from gausshaar.cli import build_parser, main
+from gausshaar.cli import STATE_CUTOFF, build_parser, main
 from gausshaar.densities import EnergyConstraint
 from gausshaar.haar import (
     apply_to_vacuum,
@@ -515,6 +515,19 @@ class TestHaarSampleCommand:
             tracemalloc.stop()
         assert peak / count < 9_500
 
+    def test_cutoff_bound(self, monkeypatch, capsys):
+        # every state validates at the bound (1e4 draws at n = 1, 4 and 8);
+        # beyond it the run is rejected before any draw
+        argv = ["haar-sample", "--n", "1", "--count", "200", "--output", os.devnull]
+        assert main([*argv, "--cutoff", str(STATE_CUTOFF)]) == 0
+
+        def fail(*args, **kwargs):
+            raise AssertionError("sampled before rejecting --cutoff")
+
+        monkeypatch.setattr("gausshaar.haar.sample_homogeneous_gaussian_unitary", fail)
+        error = _assert_config_error(main([*argv, "--cutoff", "1.01e7"]), capsys)
+        assert f"{STATE_CUTOFF:g}" in error
+
     def test_byte_identical_excluding_timestamp(self, capsys):
         args = ["haar-sample", "--n", "2", "--count", "1", "--seed", "11"]
         main(args)
@@ -868,12 +881,17 @@ class TestInvalidValues:
               "--numax", "nan"], None),
             (["verify", "--n", "4", "--EA", "2.5", "--EB", "2.5", "--count", "10",
               "--p-threshold", "nan"], None),
+            (["verify", "--n", "4", "--EA", "2.5", "--EB", "2.5", "--count", "10",
+              "--p-threshold", "-1"], None),
+            (["verify", "--n", "4", "--EA", "2.5", "--EB", "2.5", "--count", "10",
+              "--p-threshold", "5"], None),
             (["density", "--kind", "1p1", "--EA", "2", "--EB", "3", "--grid", "0"], None),
             (["density", "--kind", "1p1", "--EA", "2", "--EB", "3", "--grid", "-3"], None),
             (["sample", "--kind", "lambda", "--n", "0"], None),
         ],
         ids=["verify-nan", "verify-inf", "cutoff-nan", "cutoff-overflow", "cutoff-inf",
-             "density-inf", "config-nan", "numax-nan", "p-threshold-nan", "grid-0",
+             "density-inf", "config-nan", "numax-nan", "p-threshold-nan",
+             "p-threshold-negative", "p-threshold-above-1", "grid-0",
              "grid-negative", "lambda-n-0"],
     )
     def test_rejected_as_configuration(self, argv, conf, tmp_path, capsys):
