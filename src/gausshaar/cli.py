@@ -40,7 +40,8 @@ estimate and gives no verdict: its report is still written, with
 ``degenerate`` true in the metadata and ``verification_passed`` null.
 ``verify`` and ``haar-sample`` write JSON only and take no ``--format``.
 Exit codes: 0 success, 2 invalid configuration, 3 numerical failure
-(including a degenerate ``verify`` estimate), 4 statistical verification
+(including a degenerate ``verify`` estimate, and a ``--count`` whose arrays
+do not fit in memory), 4 statistical verification
 failure (the report is still written), 5 missing or broken runtime
 dependency (numpy or orjson fails to import).
 """
@@ -484,13 +485,15 @@ def _error_json(code: int, message: str) -> None:
 
 
 def _is_numerical(exc: Exception) -> bool:
-    """Whether ``exc`` is a numerical failure: a RuntimeError or numpy's LinAlgError.
+    """Whether ``exc`` is a numerical failure: RuntimeError, MemoryError or LinAlgError.
 
-    LinAlgError subclasses ValueError, so it is tested before the
-    configuration errors; it can only come from code that imported numpy.
+    numpy raises a MemoryError subclass for an array too large for memory,
+    such as one sized by a huge ``--count``.  numpy's LinAlgError subclasses
+    ValueError, so it is tested before the configuration errors; it can only
+    come from code that imported numpy.
     """
     numpy = sys.modules.get("numpy")
-    return isinstance(exc, RuntimeError) or (
+    return isinstance(exc, (RuntimeError, MemoryError)) or (
         numpy is not None and isinstance(exc, numpy.linalg.LinAlgError)
     )
 
@@ -499,7 +502,8 @@ def main(argv=None) -> int:
     try:
         config = parse_config(argv)
         return COMMANDS[config.command](config)
-    except (ValueError, OSError, RuntimeError) as exc:  # ConfigError and LinAlgError included
+    # ConfigError, LinAlgError and numpy's out-of-memory error included
+    except (ValueError, OSError, RuntimeError, MemoryError) as exc:
         code = EXIT_NUMERICAL if _is_numerical(exc) else EXIT_CONFIG
         _error_json(code, str(exc))
         return code

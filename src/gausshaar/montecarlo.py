@@ -3,18 +3,19 @@
 The verification pipeline reconstructs the conditional eigenvalue density
 P(nu | E_A, E_B) from first principles, with one estimator for every n:
 propose nu from the closed-form balanced law mixed with a uniform share on
-the support box, weight it by the unconstrained invariant factor, draw the
-mixing unitaries of each subsystem from their invariant measure, and
+the support simplex, weight it by the unconstrained invariant factor, draw
+the mixing unitaries of each subsystem from their invariant measure, and
 integrate the squeezing weights against the Dirac energy constraint of each
 subsystem exactly.  At fixed mixing the constrained squeezing weights form a
 scaled simplex, so the integral is its volume times the mean repulsion over
 it: exact at m <= 2, and averaged over K(m) uniform points of it from m = 3.
 No shell width, no lambda cutoff, and no zero weight inside the support.
-Accepted samples carry log-weights, sums of logs that no product overflows,
-exponentiated against their maximum before any statistic: every reported
-value is invariant to their scale, and no square overflows.  One binning
-path serves every n; only the coordinates ((nu1, nu2) at n = 4, S = sum(nu)
-otherwise), the edges and the exact Gauss-Legendre bin masses depend on n.
+Every proposal lies in the support and carries a log-weight, a sum of logs
+that no product overflows, exponentiated against the maximum of the run
+before any statistic: every reported value is invariant to their scale, and
+no square overflows.  One binning path serves every n; only the coordinates
+((nu1, nu2) at n = 4, S = sum(nu) otherwise), the edges and the exact
+Gauss-Legendre bin masses depend on n.
 
 One generator seeded with ``seed`` feeds every draw, in blocks of BLOCK
 proposals; results are deterministic for a fixed seed.  Each block is
@@ -22,18 +23,16 @@ reduced as it arrives to what the report reads: S = sum(nu), the log-weight
 and the uint16 bin index of its coordinates, on edges the constraint fixes.
 So a run keeps 18 bytes per proposal at every n, in buffers sized for the
 run, plus one block of temporaries, and the report's peak is the KS sort,
-about 40 bytes per accepted proposal.  The kernels run on 1-D columns, one
-per coordinate: nu is built as m columns of one array, only the proposals
-inside the support (S < 2 min(E), tested once per block, in
-``_pipeline_block``) are weighted, and S and log(2E - S) are formed once for
-the proposal density and the integrand alike.  Every draw is made once,
-for the proposals that read it: the uniform share at its binomial size,
-the closed form for the rest, and the mixing draws for the kept proposals
-only, so m = 1 makes none.  The integrand, the weight before the proposal
-density, is one function of the kept columns, ``_log_weight``, which the
-tests also call at fixed nu.  The bins are found by arithmetic on the
-uniform edges.  A weight that overflows a double is a
-numerical failure (RuntimeError), never a report.  An effective sample size
+about 40 bytes per proposal.  The kernels run on 1-D columns, one per
+coordinate: nu is built as m columns of one array, and S and log(2E - S)
+are formed once for the proposal density and the integrand alike.  Every
+draw is made once, for the proposals that read it: the uniform share at
+its binomial size, the closed form for the rest, and the mixing draws for
+the whole block, so m = 1 makes none.  The integrand, the weight before
+the proposal density, is one function of the columns, ``_log_weight``,
+which the tests also call at fixed nu.  The bins are found by arithmetic
+on the uniform edges.  A weight that overflows a double is a numerical
+failure (RuntimeError), never a report.  An effective sample size
 below MIN_EXPECTED_PER_BIN per histogram bin of positive expected mass marks
 the estimate as degenerate.
 """
@@ -41,7 +40,6 @@ the estimate as degenerate.
 from __future__ import annotations
 
 import functools
-import logging
 import math
 import sys
 from dataclasses import dataclass, field
@@ -60,15 +58,13 @@ from .densities import (
 )
 from .haar import log_vandermonde, sample_haar_unitary, sample_lambda
 
-logger = logging.getLogger(__name__)
-
 MIN_EXPECTED_PER_BIN = 5.0
 # draws per block in verify and g_constraint_mc; bounds their memory, not
 # their law (2**17 more than doubles the peak memory of verify at n = 6)
 BLOCK = 2**15
-# share of verify's proposal drawn uniformly on the support box (a defensive
-# mixture, Hesterberg 1995): the closed form alone puts no draw where it is
-# zero, so a closed form with too small a support would pass unseen
+# share of verify's proposal drawn uniformly on the support simplex (a
+# defensive mixture, Hesterberg 1995): the closed form alone puts no draw
+# where it is zero, so a closed form with too small a support would pass unseen
 DEFENSIVE = 0.1
 
 
@@ -77,7 +73,7 @@ class HistogramReport:
     """Binned empirical density with optional comparison against a closed form.
 
     ``bin_edges`` holds one edge vector per histogrammed dimension; ``counts``
-    are raw accepted-sample counts and ``normalized_density`` is the
+    are raw sample counts and ``normalized_density`` is the
     importance-weighted density (integrates to 1 over the binned range).
     """
 
@@ -242,10 +238,10 @@ def _log_lambda_integral(c, S, log_R, rng):
     """Log of an estimate of the delta-constrained lambda integral at fixed mixing.
 
     c holds the m mixing coefficients of each point as m 1-D columns, S their
-    sum and log_R the log of R = 2E - S > 0.  Its one caller in the
-    pipeline, ``_log_weight``, passes only the proposals of its block inside
-    the support (S < 2 min(E)), so R > 0 holds for every point and nothing
-    here tests it.  The subsystem energy is sum_h lambda_h c_h / 2.  With
+    sum and log_R the log of R = 2E - S >= 0.  Its one caller in the
+    pipeline, ``_log_weight``, passes the proposals of its block, all in the
+    support (S <= 2 min(E)), so R >= 0 holds for every point and nothing
+    here tests it; at R = 0, log_R = -inf makes the estimate 0 from m = 2.  The subsystem energy is sum_h lambda_h c_h / 2.  With
     mu_h = c_h (lambda_h - 1) the constraint
     delta(E - sum lambda c / 2) becomes 2 delta(R - sum mu), where
     sum(c) = sum(nu) = S, because |U|^2 is doubly stochastic, and
@@ -263,7 +259,7 @@ def _log_lambda_integral(c, S, log_R, rng):
       that no square of a large c overflows.
     - m >= 3: mu is R times normalized exponentials x / sum(x), so the
       repulsion is R^D prod |t_h - t_k|, t = x / (c sum(x)), D = m(m-1)/2;
-      its log-mean-exp over ``_simplex_draws(m)`` draws of x, one (m, kept)
+      its log-mean-exp over ``_simplex_draws(m)`` draws of x, one (m, count)
       array each, is accumulated against a running maximum.
 
     Returned as the sum of the logs of the factors: an unbiased estimate of
@@ -413,11 +409,12 @@ def _log_weight(nu, S, log_gaps, rng):
     balanced law.  For m = 2, |U|^2 is [[p, 1 - p], [1 - p, p]] with p
     uniform on (0, 1), so p is drawn directly; at m = 1 the mixture is nu
     itself, and nothing is drawn.  nu holds the points as m 1-D columns, all
-    inside the support, S their sums and ``log_gaps`` the pair
-    log(2E_A - S), log(2E_B - S).  Each draw is sized to those columns, side
-    A's before side B's.
+    in the support, S their sums and ``log_gaps`` the pair
+    log(2E_A - S), log(2E_B - S), -inf on the support's edge, where the
+    weight is then 0.  Each draw is sized to those columns, side A's before
+    side B's.
     """
-    m, kept = nu.shape
+    m, count = nu.shape
     # nu^2 overflows from nu = 1.3e154; the log-weight is then inf or nan,
     # which _report rejects
     with np.errstate(over="ignore", invalid="ignore"):
@@ -426,7 +423,7 @@ def _log_weight(nu, S, log_gaps, rng):
         if m == 1:
             c = nu
         elif m == 2:
-            p = rng.random(kept)
+            p = rng.random(count)
             # c1 = p nu1 + (1 - p) nu2 and c2 = S - c1, in place
             c = np.empty_like(nu)
             np.multiply(p, nu[0], out=c[0])
@@ -435,7 +432,7 @@ def _log_weight(nu, S, log_gaps, rng):
             c[0] += p
             np.subtract(S, c[0], out=c[1])
         else:
-            P = np.abs(sample_haar_unitary(m, rng, size=kept)) ** 2
+            P = np.abs(sample_haar_unitary(m, rng, size=count)) ** 2
             c = np.einsum("rhk,kr->hr", P, nu)
         log_w += _log_lambda_integral(c, S, log_R, rng)
     return log_w
@@ -445,42 +442,44 @@ def _pipeline_block(m, constraint, count, rng):
     """One block of the pipeline, m eigenvalues a side; returns (values, log-weights).
 
     nu is proposed from the closed-form balanced law, except for a share
-    DEFENSIVE drawn uniformly on the box [1, 2 min(E)]^m, the support set by
-    each subsystem energy being at least S/2, S = sum(nu).  Any
-    support-covering proposal is valid: the weights are flat only if the
-    closed form matches the pipeline law, and the uniform share lets them
-    show mass the closed form misses.  The log-weight is ``_log_weight``
-    minus the log of the proposal density.  The size of the uniform share is
-    binomial(count, DEFENSIVE), and its columns come first: the proposals are
-    exchangeable, so their order changes no statistic.
+    DEFENSIVE drawn uniformly on the support simplex {nu >= 1, S <= 2 min(E)},
+    S = sum(nu), set by each subsystem energy being at least S/2: nu - 1 is
+    2 min(E) - m times the first m of m + 1 normalized standard exponentials,
+    of density m! / (2 min(E) - m)^m.  Any support-covering proposal is
+    valid: the weights are flat only if the closed form matches the pipeline
+    law, and the uniform share lets them show mass the closed form misses.
+    Every proposal lies in the support, so every one is weighted; the
+    log-weight is ``_log_weight`` minus the log of the proposal density.  The
+    size of the uniform share is binomial(count, DEFENSIVE), and its columns
+    come first: the proposals are exchangeable, so their order changes no
+    statistic.
 
-    nu is m contiguous columns of one (m, count) array.  Only the proposals
-    with S < 2 min(E) are kept and weighted, since every other one has an
-    empty constraint simplex; the test on the summed S also drops a
-    closed-form draw that round-off puts on the edge.  The mixing draws are
-    made for the kept columns only.  S and each log(2E - S) are formed once,
-    over those rows, and read by both the proposal density and
-    ``_log_weight``, so no log sees a negative argument.  The two shares u
-    and v of the proposal density are mixed in logs, as
-    log u + softplus(log v - log u), so neither overflows at any energy.
-    Returns the kept rows as a (kept, m) view of their columns.
+    nu is m contiguous columns of one (m, count) array.  S is clamped to
+    2 min(E), where round-off can put it an ulp past the edge; there the
+    min-energy gap's log is -inf, a weight of 0 where the law vanishes
+    (m >= 2; at m = 1 the gap is not read).  S and each log(2E - S) are
+    formed once and read by both the proposal density and ``_log_weight``,
+    so no log sees a negative argument.  The two shares u and v of the
+    proposal density are mixed in logs, as log u + softplus(log v - log u),
+    so neither overflows at any energy.  Returns the rows as a (count, m)
+    view of their columns.
     """
     top = 2.0 * constraint.min_energy
     box = rng.binomial(count, DEFENSIVE)
-    uniform = rng.uniform(1.0, top, (m, box))
+    x = rng.standard_exponential((m + 1, box))
+    scale = (top - m) / functools.reduce(np.add, x)
+    uniform = x[:m] * scale + 1.0
     nu = np.concatenate([uniform, sample_balanced(m, constraint, count - box, rng).T], axis=1)
     S = functools.reduce(np.add, nu)
-    rows = S < top
-    nu = np.compress(rows, nu, axis=1)
-    S = S[rows]
+    np.minimum(S, top, out=S)
     # keyed by energy, so equal energies share one log
-    log_gap = {E: np.log(2.0 * E - S) for E in (constraint.E_A, constraint.E_B)}
+    with np.errstate(divide="ignore"):
+        log_gap = {E: np.log(2.0 * E - S) for E in (constraint.E_A, constraint.E_B)}
     log_gaps = [log_gap[constraint.E_A], log_gap[constraint.E_B]]
     # the log of the uniform share, and of the closed-form share against it
-    log_uniform = math.log(DEFENSIVE) - m * math.log(top - 1.0)
+    log_uniform = math.log(DEFENSIVE) + math.lgamma(m + 1) - m * math.log(top - m)
     z = log_density_balanced(nu.T, constraint, log_gaps)
-    # at DEFENSIVE = 1 the uniform share is the whole proposal
-    z += (math.log1p(-DEFENSIVE) if DEFENSIVE < 1.0 else -math.inf) - log_uniform
+    z += math.log1p(-DEFENSIVE) - log_uniform
     log_w = _log_weight(nu, S, log_gaps, rng)
     log_w -= log_uniform
     log_w -= _softplus(z)
@@ -576,8 +575,11 @@ def verify_constrained_density(
     ``seed``, BLOCK at a time, and each block is reduced as it arrives (see
     ``_report``).  In self-test mode the samples are drawn directly from the
     closed form (unit weights), which exercises the comparison statistics
-    under the null.
+    under the null.  A count below 1 is a ValueError, raised before any
+    draw: every statistic needs a sample.
     """
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
     m = balanced_half(n)
     rng = np.random.default_rng(seed)
     sizes = [min(BLOCK, count - start) for start in range(0, count, BLOCK)]
@@ -636,8 +638,8 @@ def _reduce_blocks(blocks, bin_edges, count):
     proposals of the run, 18 bytes per proposal: S, the log-weight and the
     uint16 index.  No per-block array outlives its block, which keeps the
     heap of a run, and its peak RSS, about 2 MB lower than a list of blocks
-    joined at the end.  Returned are copies of the accepted part, so the
-    report's peak (the KS sort) does not grow with the rejected proposals.
+    joined at the end.  Every proposal is weighted, so the blocks fill the
+    buffers, which are returned as they are.
     """
     S, weights, flat = np.empty(count), np.empty(count), np.empty(count, np.uint16)
     end = 0
@@ -653,11 +655,11 @@ def _reduce_blocks(blocks, bin_edges, count):
             index *= edges.size - 1
             index += more
         flat[part] = index
-    return S[:end].copy(), weights[:end].copy(), flat[:end].copy()
+    return S, weights, flat
 
 
 def _report(m, constraint, blocks, metadata) -> HistogramReport:
-    """Histogram, chi-square and KS of the accepted samples against the closed form.
+    """Histogram, chi-square and KS of the weighted samples against the closed form.
 
     ``blocks`` yields the (values, log-weights) of each block of proposals, and
     ``metadata``, which holds at least ``proposal_count``, is completed in
@@ -675,7 +677,9 @@ def _report(m, constraint, blocks, metadata) -> HistogramReport:
     sample size below MIN_EXPECTED_PER_BIN per bin of positive expected mass
     (the bins the chi-square can keep; at m = 2 those below
     nu1 + nu2 = 2 min(E)) is a degenerate estimate: the metadata then has
-    ``degenerate`` true and the ``ess_floor`` it missed.
+    ``degenerate`` true and the ``ess_floor`` it missed.  Every proposal is
+    weighted, so ``sample_count`` is the proposal count and
+    ``acceptance_rate`` is 1.
     """
     bins = 20 if m == 1 else 10
     top = 2.0 * constraint.min_energy
@@ -685,14 +689,8 @@ def _report(m, constraint, blocks, metadata) -> HistogramReport:
         bin_edges = [np.linspace(1.0, top - 1.0, bins + 1)] * 2
         expected = _expected_probs_2p2(bin_edges[0], constraint).ravel()
     floor = MIN_EXPECTED_PER_BIN * np.count_nonzero(expected > 0)
-    S, weights, flat = _reduce_blocks(blocks, bin_edges, metadata["proposal_count"])
-    accepted = S.size
     count = metadata["proposal_count"]
-    if accepted == 0:
-        raise RuntimeError(
-            f"zero accepted samples out of {count} proposals: none has sum(nu) "
-            f"below 2 min(E) = {top:.6g}; raise the count"
-        )
+    S, weights, flat = _reduce_blocks(blocks, bin_edges, count)
     # exponentiated against their maximum, in place: every statistic is
     # invariant to the scale, and with a maximum of 1 no square overflows
     largest = weights.max()
@@ -707,14 +705,11 @@ def _report(m, constraint, blocks, metadata) -> HistogramReport:
     squares = weights**2
     ess = float(total**2 / squares.sum())
     metadata.update(
-        sample_count=accepted,
-        acceptance_rate=accepted / count,
+        sample_count=count,
+        acceptance_rate=1.0,
         effective_sample_size=ess,
-        ess_fraction=ess / accepted,
+        ess_fraction=ess / count,
         max_weight_share=float(1.0 / total),
-    )
-    logger.info(
-        "verify pipeline n=%d: %d/%d accepted (ESS %.0f)", 2 * m, accepted, count, ess
     )
     if ess < floor:
         metadata.update(degenerate=True, ess_floor=floor)
@@ -724,7 +719,7 @@ def _report(m, constraint, blocks, metadata) -> HistogramReport:
     mass2 = np.bincount(flat, weights=squares, minlength=expected.size)
     del flat, squares
     density = mass.reshape(shape) / (total * _cell_volume(bin_edges))
-    chi2, dof, p = weighted_chi2(mass, mass2, accepted, expected)
+    chi2, dof, p = weighted_chi2(mass, mass2, count, expected)
     ks = weighted_ks_statistic(S, weights, cdf)
     comparison = {"ks_statistic": ks, "chi2": chi2, "dof": dof, "p_value": p}
     return HistogramReport(bin_edges, counts, density, comparison, metadata)
