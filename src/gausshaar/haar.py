@@ -20,7 +20,6 @@ included, holds for each matrix of a stack with that matrix's own scale.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,19 +93,6 @@ def sample_haar_unitary(n: int, rng: np.random.Generator, size: int | None = Non
             + np.einsum("r...,r...->...", v.imag, v.imag)
         )
     return np.moveaxis(q, (0, 1), (-1, -2))
-
-
-def log_vandermonde(x) -> np.ndarray:
-    """sum_{h<k} log |x_h - x_k| along the last axis; -inf where two coincide.
-
-    Column by column: a reduction over rows of length m is about 20x slower.
-    """
-    columns = np.moveaxis(np.asarray(x, dtype=float), -1, 0)
-    out = np.zeros(columns.shape[1:])
-    with np.errstate(divide="ignore"):
-        for h, k in itertools.combinations(range(len(columns)), 2):
-            out += np.log(np.abs(columns[h] - columns[k]))
-    return out
 
 
 def sample_repulsive(

@@ -54,9 +54,10 @@ from .densities import (
     density_2p2,
     log_density_balanced,
     log_density_unconstrained,
+    log_vandermonde,
     mean_energy,
 )
-from .haar import log_vandermonde, sample_haar_unitary, sample_lambda
+from .haar import sample_haar_unitary, sample_lambda
 
 MIN_EXPECTED_PER_BIN = 5.0
 # draws per block in verify and g_constraint_mc; bounds their memory, not
@@ -241,7 +242,8 @@ def _log_lambda_integral(c, S, log_R, rng):
     sum and log_R the log of R = 2E - S >= 0.  Its one caller in the
     pipeline, ``_log_weight``, passes the proposals of its block, all in the
     support (S <= 2 min(E)), so R >= 0 holds for every point and nothing
-    here tests it; at R = 0, log_R = -inf makes the estimate 0 from m = 2.  The subsystem energy is sum_h lambda_h c_h / 2.  With
+    here tests it; at R = 0, log_R = -inf makes the estimate 0 from m = 2.
+    The subsystem energy is sum_h lambda_h c_h / 2.  With
     mu_h = c_h (lambda_h - 1) the constraint
     delta(E - sum lambda c / 2) becomes 2 delta(R - sum mu), where
     sum(c) = sum(nu) = S, because |U|^2 is doubly stochastic, and
@@ -343,10 +345,11 @@ def weighted_chi2(W, W2, count, expected_prob) -> tuple[float, int, float]:
     """Chi-square test of weighted bin masses against expected probabilities.
 
     ``W`` and ``W2`` are the per-bin sums of the weights of ``count`` samples,
-    at least one of them positive, and of their squares.  Per-bin z-scores use the empirical variance W2 of
-    the bin mass, floored at the expected mass times the mean weight; bins
-    that no sample reached and whose expected effective count falls below a
-    floor are dropped, so every kept bin has a positive variance.
+    at least one of them positive, and of their squares.  Per-bin z-scores
+    use the empirical variance W2 of the bin mass, floored at the expected
+    mass times the mean weight; bins that no sample reached and whose
+    expected effective count falls below a floor are dropped, so every kept
+    bin has a positive variance.
     Returns (chi2, dof, p_value).
     """
     total = W.sum()
@@ -415,8 +418,8 @@ def _log_weight(nu, S, log_gaps, rng):
     side B's.
     """
     m, count = nu.shape
-    # nu^2 overflows from nu = 1.3e154; the log-weight is then inf or nan,
-    # which _report rejects
+    # nu^2 overflows from nu = 1.3e154, which only m = 1 reaches: its
+    # Vandermonde of nu^2 is empty, and _report rejects such energies from m = 2
     with np.errstate(over="ignore", invalid="ignore"):
         log_w = log_density_unconstrained(nu.T, m, m)
     for log_R in log_gaps:
@@ -568,7 +571,8 @@ def verify_constrained_density(
     squeezing weights are integrated over the whole constrained simplex, with
     no lambda box.  Both stay accepted for existing callers.  Every even n
     up to 44 is compared with the closed-form balanced law (from n = 46
-    ``_sum_law`` raises a ValueError before any draw): n = 4 with a 2D
+    ``_sum_law`` raises a ValueError before any draw, and so does ``_report``
+    from n = 4 where (2 min(E))^2 overflows a double): n = 4 with a 2D
     chi-square of (nu1, nu2) and a KS of nu1 + nu2, every other n with a
     histogram (20 bins at n = 2, 10 otherwise), a chi-square and a KS of
     S = sum(nu).  The proposals are drawn from one generator seeded with
@@ -666,10 +670,11 @@ def _report(m, constraint, blocks, metadata) -> HistogramReport:
     place.  One call of ``_sum_law`` gives the CDF of S = sum(nu) and its
     exact masses on [m, 2 min(E)].  They, the edges, fixed by the constraint,
     and the degenerate floor are built before the first block is read, so an
-    empty support, or an n too large for ``_sum_law``, is rejected before any
-    draw.  At m = 2 the histogram is of (nu1, nu2) on [1, 2 min(E) - 1]^2,
-    with the masses of ``_expected_probs_2p2``; at every other m it is of S,
-    with those of ``_sum_law``.  Each block is binned as it arrives (half-open
+    empty support, an n too large for ``_sum_law``, or, from m = 2, a
+    2 min(E) whose square overflows a double, is rejected before any draw.
+    At m = 2 the histogram is of (nu1, nu2) on [1, 2 min(E) - 1]^2, with the
+    masses of ``_expected_probs_2p2``; at every other m it is of S, with
+    those of ``_sum_law``.  Each block is binned as it arrives (half-open
     bins, the last one closed, as in np.histogram).  Three bincounts over
     that flat index give the counts and the per-bin sums of the weights and
     of their squares, which the density and the chi-square share; the index
@@ -683,6 +688,14 @@ def _report(m, constraint, blocks, metadata) -> HistogramReport:
     """
     bins = 20 if m == 1 else 10
     top = 2.0 * constraint.min_energy
+    # the invariant factor squares nu, which reaches 2 min(E); at m = 1 the
+    # square is not read
+    if m > 1 and not math.isfinite(top * top):
+        raise ValueError(
+            f"2 min(E_A, E_B) = {top:.6g} is out of range at n = {2 * m}: the weights "
+            f"square nu, so from n = 4 it must be at most "
+            f"{math.sqrt(sys.float_info.max):.6g}, the square root of the largest double"
+        )
     bin_edges = [np.linspace(m, top, bins + 1)]
     cdf, expected = _sum_law(m, constraint, bin_edges[0])
     if m == 2:
@@ -718,7 +731,9 @@ def _report(m, constraint, blocks, metadata) -> HistogramReport:
     mass = np.bincount(flat, weights=weights, minlength=expected.size)
     mass2 = np.bincount(flat, weights=squares, minlength=expected.size)
     del flat, squares
-    density = mass.reshape(shape) / (total * _cell_volume(bin_edges))
+    # one factor at a time: total * volume overflows a double at large
+    # energies (n = 4, E = 6e153)
+    density = mass.reshape(shape) / total / _cell_volume(bin_edges)
     chi2, dof, p = weighted_chi2(mass, mass2, count, expected)
     ks = weighted_ks_statistic(S, weights, cdf)
     comparison = {"ks_statistic": ks, "chi2": chi2, "dof": dof, "p_value": p}

@@ -289,9 +289,10 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("n, E", [(4, "1e154"), (20, "1e31")])
     def test_huge_energies_neither_crash_nor_pass(self, n, E, tmp_path, capsys):
-        # nu^2 overflows at n = 4, and (2 min(E) - 1)^m overflowed at n = 20;
-        # either run may end in exit 3, with one JSON line, but no traceback,
-        # and no verdict of true beside a statistic that is not finite
+        # (2 min(E))^2 overflows at n = 4, which is rejected with exit 2, and
+        # (2 min(E) - 1)^m overflowed at n = 20, which may end in exit 3;
+        # either ends with one JSON line, but no traceback, and no verdict
+        # of true beside a statistic that is not finite
         out = tmp_path / "r.json"
         code = main(
             [
@@ -299,11 +300,11 @@ class TestVerifyCommand:
                 "--count", "100", "--output", str(out),
             ]
         )
-        assert code in (0, 3)
+        assert code in ((2,) if n == 4 else (0, 3))
         lines = capsys.readouterr().err.splitlines()
-        if code == 3:
+        if code != 0:
             assert len(lines) == 1
-            assert json.loads(lines[0])["exit_code"] == 3
+            assert json.loads(lines[0])["exit_code"] == code
         if out.exists():
             doc = json.loads(out.read_text())
             if doc["verification_passed"] is True:
@@ -311,7 +312,47 @@ class TestVerifyCommand:
                     v is not None and math.isfinite(v) for v in doc["comparison"].values()
                 )
         else:
-            assert code == 3
+            assert code in (2, 3)
+
+    def test_energies_whose_square_overflows_rejected_before_sampling(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # from n = 4 the weights square nu, which reaches 2 min(E); at 1e200
+        # the run warned, then exited 3 on a largest log-weight of nan
+        def fail(*args, **kwargs):
+            raise AssertionError("sampled before rejecting the energies")
+
+        monkeypatch.setattr(montecarlo, "_pipeline_block", fail)
+        out = tmp_path / "r.json"
+        code = main(
+            [
+                "verify", "--n", "4", "--EA", "1e200", "--EB", "1e200",
+                "--count", "100", "--output", str(out),
+            ]
+        )
+        assert "at most 1.34078e+154" in _assert_config_error(code, capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, codes",
+        [
+            (["--n", "4", "--EA", "6e153", "--EB", "6e153", "--count", "300000",
+              "--seed", "0"], (0, 4)),
+            (["--n", "2", "--EA", "1e200", "--EB", "1e200", "--count", "2000"], (0,)),
+            (["--n", "6", "--EA", "3", "--EB", "1e300", "--count", "2000"], (0,)),
+        ],
+        ids=["n4-below-the-limit", "n2-any-energy", "n6-only-the-smaller-energy-bounded"],
+    )
+    def test_energies_within_the_limit_give_a_normalized_report(self, argv, codes, tmp_path):
+        # at 6e153 the sum of the weights times the cell area overflowed, the
+        # density read 0 and the run exited 2; n = 2 never squares its one
+        # eigenvalue into a Vandermonde, and only the smaller energy is bounded
+        out = tmp_path / "r.json"
+        assert main(["verify", *argv, "--output", str(out)]) in codes
+        doc = json.loads(out.read_text())
+        widths = [np.diff(edges) for edges in doc["bin_edges"]]
+        volume = widths[0] if len(widths) == 1 else np.multiply.outer(*widths)
+        assert np.sum(np.asarray(doc["normalized_density"]) * volume) == pytest.approx(1.0)
 
     def test_energies_whose_double_overflows_rejected(self, tmp_path, capsys):
         # 2 min(E) = inf ended in an OverflowError traceback from the draw
@@ -1002,8 +1043,8 @@ def test_cli_import_loads_no_scipy():
     assert _run_python("-c", probe).stdout.strip() == "[]"
 
 
-# Runs `cli.main(argv)` (nothing when argv is null) and prints whether the code
-# of montecarlo and densities has run, whether logging is imported, and whether
+# Runs `cli.main(argv)` (nothing when argv is null) and prints which modules
+# of the package have run their code, whether logging is imported, and whether
 # numpy and orjson are.  A lazily registered module's namespace gains
 # __builtins__ only when its code runs, and reading it through
 # object.__getattribute__ does not run it.
@@ -1017,41 +1058,51 @@ if argv is not None:
     except SystemExit:  # --version, --help
         pass
 def ran(name):
-    return "__builtins__" in object.__getattribute__(sys.modules[name], "__dict__")
-print(json.dumps([ran("gausshaar.montecarlo"), ran("gausshaar.densities"),
+    module = sys.modules["gausshaar." + name]
+    return "__builtins__" in object.__getattribute__(module, "__dict__")
+print(json.dumps([[name for name in json.loads(sys.argv[2]) if ran(name)],
                   "logging" in sys.modules, "numpy" in sys.modules,
                   "orjson" in sys.modules]))
 """
+_MODULES = ["symplectic", "haar", "densities", "montecarlo", "serialization"]
+# the group (haar) and the closed form (densities) sit side by side on
+# symplectic; montecarlo joins them, and serialization reads symplectic
+_GROUP = ["symplectic", "haar", "serialization"]
+_CLOSED_FORM = ["symplectic", "densities", "serialization"]
 
 
 @pytest.mark.parametrize(
-    "argv, loaded, numeric",
+    "argv, modules, numeric",
     [
-        (None, False, False),
-        (["--version"], False, False),
-        (["--help"], False, False),
-        (["verify", "--n", "4"], False, False),
-        (["haar-sample", "--n", "2", "--config", "CONFIG"], False, False),
-        (["haar-sample", "--n", "2", "--count", "3", "--output", os.devnull], False, True),
+        (None, [], False),
+        (["--version"], [], False),
+        (["--help"], [], False),
+        (["verify", "--n", "4"], [], False),
+        (["haar-sample", "--n", "2", "--config", "CONFIG"], [], False),
+        (["haar-sample", "--n", "2", "--count", "3", "--output", os.devnull], _GROUP, True),
         (["haar-sample", "--n", "2", "--count", "3", "--unitary-only",
-          "--output", os.devnull], False, True),
+          "--output", os.devnull], _GROUP, True),
         (["verify", "--n", "2", "--EA", "2", "--EB", "2", "--count", "2000",
-          "--output", os.devnull], True, True),
+          "--output", os.devnull], _MODULES, True),
+        (["density", "--kind", "2p2", "--EA", "2.5", "--EB", "2.5", "--grid", "5",
+          "--output", os.devnull], _CLOSED_FORM, True),
+        (["sample", "--kind", "2p2", "--EA", "2.5", "--EB", "2.5", "--count", "3",
+          "--output", os.devnull], _MODULES, True),
     ],
     ids=["import", "version", "help", "usage-error", "config-error", "haar-sample",
-         "haar-sample-unitary-only", "verify"],
+         "haar-sample-unitary-only", "verify", "density", "sample"],
 )
-def test_a_command_runs_only_the_modules_it_uses(argv, loaded, numeric, tmp_path):
-    # montecarlo and densities cost every process their compile; haar-sample
-    # and --version use neither, and no command imports logging.  numpy and
-    # orjson cost more than the interpreter's start; --version, --help and
-    # every exit-2 error use neither
+def test_a_command_runs_only_the_modules_it_uses(argv, modules, numeric, tmp_path):
+    # every module costs a process its compile; --version uses none, density
+    # does not run haar, and no command imports logging.  numpy and orjson
+    # cost more than the interpreter's start; --version, --help and every
+    # exit-2 error use neither
     config = tmp_path / "conf.json"
     config.write_text(json.dumps({"no_such_key": 1}))
     if argv is not None:
         argv = [str(config) if a == "CONFIG" else a for a in argv]
-    out = _run_python("-c", _LOADS_PROBE, json.dumps(argv)).stdout
-    assert json.loads(out.splitlines()[-1]) == [loaded, loaded, False, numeric, numeric]
+    out = _run_python("-c", _LOADS_PROBE, json.dumps(argv), json.dumps(_MODULES)).stdout
+    assert json.loads(out.splitlines()[-1]) == [modules, False, numeric, numeric]
 
 
 def test_a_module_that_failed_to_load_reraises_its_error():

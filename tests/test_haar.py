@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from gausshaar.densities import log_vandermonde
 from gausshaar.haar import (
     EulerGaussianUnitary,
     apply_to_vacuum,
     euler_to_symplectic,
-    log_vandermonde,
     passive_symplectic,
     sample_haar_unitary,
     sample_homogeneous_gaussian_unitary,

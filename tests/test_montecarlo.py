@@ -16,9 +16,10 @@ from gausshaar.densities import (
     g_2p2,
     log_density_balanced,
     log_density_unconstrained,
+    log_vandermonde,
 )
 from gausshaar import densities, montecarlo
-from gausshaar.haar import log_vandermonde, sample_haar_unitary
+from gausshaar.haar import sample_haar_unitary
 from gausshaar.montecarlo import (
     BLOCK,
     MIN_EXPECTED_PER_BIN,
