@@ -22,13 +22,16 @@ proposals; results are deterministic for a fixed seed.  Each block is
 reduced as it arrives to what the report reads: S = sum(nu), the log-weight
 and the uint16 bin index of its coordinates, on edges the constraint fixes.
 So a run keeps 18 bytes per proposal at every n, in buffers sized for the
-run, plus one block of temporaries, and the report's peak is the KS sort,
-about 40 bytes per proposal.  The kernels run on 1-D columns, one per
-coordinate: nu is built as m columns of one array, and S and log(2E - S)
-are formed once for the proposal density and the integrand alike.  Every
-draw is made once, for the proposals that read it: the uniform share at
-its binomial size, the closed form for the rest, and the mixing draws for
-the whole block, so m = 1 makes none.  The integrand, the weight before
+run, plus one block of temporaries.  The report reads them BLOCK proposals
+at a time and holds S, the weights and the KS sort order, 24 bytes per
+proposal, plus one chunk: at n = 4 the traced peak is about 26 bytes per
+proposal at 1e6 proposals, and at 3e5 one block's temporaries set it, at
+about 30.  The kernels run on 1-D columns, one per coordinate: nu is built
+as m columns of one array, and S and log(2E - S) are formed once for the
+proposal density and the integrand alike.  Every draw is made once, for
+the proposals that read it: the uniform share at its binomial size, the
+closed form for the rest, and the mixing draws for the whole block, so
+m = 1 makes none.  The integrand, the weight before
 the proposal density, is one function of the columns, ``_log_weight``,
 which the tests also call at fixed nu.  The bins are found by arithmetic
 on the uniform edges.  A weight that overflows a double is a numerical
@@ -317,28 +320,56 @@ def _log_mean_repulsion(columns, rng):
 # weighted statistics
 
 
+def _pairwise_sum(segment, lo, hi):
+    """np.add.reduce of the span [lo, hi) of an array that is never formed whole.
+
+    ``segment(lo, hi)`` returns that span of it as a float64 array.  numpy
+    sums a contiguous float64 array pairwise: a span longer than 128 is
+    halved at a multiple of 8 and the sums of its halves are added, so the
+    sum of a span depends on its length and its values alone.  Halving the
+    same way down to spans of at most BLOCK and summing each with numpy gives
+    the sum of the whole array bit for bit, with one span formed at a time.
+    """
+    if hi - lo <= BLOCK:
+        return np.add.reduce(segment(lo, hi))
+    half = (hi - lo) // 2
+    half -= half % 8
+    return _pairwise_sum(segment, lo, lo + half) + _pairwise_sum(segment, lo + half, hi)
+
+
 def weighted_ks_statistic(values, weights, cdf) -> float:
     """Kolmogorov-Smirnov statistic of a weighted sample against a CDF.
 
-    The CDF is taken of the unsorted values and gathered into sorted order
-    with the weights, and each temporary is freed as soon as it is used, so
-    no more than three arrays of the sample's length exist besides the inputs.
+    One argsort of the values; then, BLOCK points of the sorted order at a
+    time, the values and the weights are gathered and the CDF is taken of
+    them.  The running weight is carried from chunk to chunk: it is added to
+    the first weight of a chunk before the chunk's cumsum, so every
+    cumulative sum is the same chain of additions as a cumsum of the whole
+    sorted sample, and the previous chunk's last cumulative value closes the
+    gap just below the chunk's first value.  The cumulative sums are divided
+    by the pairwise sum of the sorted weights (``_pairwise_sum``), so the
+    statistic is that of the whole sample at once, bit for bit.  Besides the
+    inputs it holds the sort order and one chunk's temporaries.
     """
-    values = np.asarray(values)
-    target = cdf(values)
+    values, weights = np.asarray(values), np.asarray(weights)
     order = np.argsort(values)
-    target = np.asarray(target)[order]
-    cum = np.asarray(weights)[order]
-    del order
-    total = cum.sum()
-    np.cumsum(cum, out=cum)
-    cum /= total
-    gap = cum - target
-    upper = np.abs(gap, out=gap).max()
-    # just below each sorted value the empirical CDF is 0, then cum[:-1]
-    np.subtract(cum[:-1], target[1:], out=gap[1:])
-    gap[0] = target[0]
-    return float(np.maximum(upper, np.abs(gap, out=gap).max()))
+    total = _pairwise_sum(lambda lo, hi: weights[order[lo:hi]], 0, order.size)
+    carry, previous, gaps = 0.0, 0.0, []
+    for start in range(0, order.size, BLOCK):
+        part = order[start : start + BLOCK]
+        target = cdf(values[part])
+        cum = weights[part]
+        cum[0] += carry
+        np.cumsum(cum, out=cum)
+        carry = cum[-1]
+        cum /= total
+        # just below each sorted value the empirical CDF is the one before it
+        below = np.concatenate([[previous], cum[:-1]])
+        below -= target
+        previous = cum[-1]
+        cum -= target
+        gaps += [np.abs(cum, out=cum).max(), np.abs(below, out=below).max()]
+    return float(np.max(gaps))
 
 
 def weighted_chi2(W, W2, count, expected_prob) -> tuple[float, int, float]:
@@ -420,7 +451,7 @@ def _log_weight(nu, S, log_gaps, rng):
     m, count = nu.shape
     # nu^2 overflows from nu = 1.3e154, which only m = 1 reaches: its
     # Vandermonde of nu^2 is empty, and _report rejects such energies from m = 2
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):
         log_w = log_density_unconstrained(nu.T, m, m)
     for log_R in log_gaps:
         if m == 1:
@@ -634,16 +665,26 @@ def _bin_index(x, edges) -> np.ndarray:
     return idx
 
 
+def _flat_index(coordinates, bin_edges) -> np.ndarray:
+    """The bin index of each point, row-major over its binned coordinates."""
+    index, *rest = (_bin_index(x, edges) for x, edges in zip(coordinates, bin_edges))
+    for more, edges in zip(rest, bin_edges[1:]):
+        index *= edges.size - 1
+        index += more
+    return index
+
+
 def _reduce_blocks(blocks, bin_edges, count):
     """S = sum(nu), the log-weights and the flat bin index, each block as it arrives.
 
     The binned coordinates are (nu1, nu2) given two edge vectors and S given
     one.  Each block is written into three buffers sized for the ``count``
     proposals of the run, 18 bytes per proposal: S, the log-weight and the
-    uint16 index.  No per-block array outlives its block, which keeps the
-    heap of a run, and its peak RSS, about 2 MB lower than a list of blocks
-    joined at the end.  Every proposal is weighted, so the blocks fill the
-    buffers, which are returned as they are.
+    uint16 index.  Each block's arrays are dropped before the next block is
+    drawn, so no two blocks coexist; a list of blocks joined at the end
+    kept the heap of a run, and its peak RSS, about 2 MB higher.  Every
+    proposal is weighted, so the blocks fill the buffers, which are returned
+    as they are.
     """
     S, weights, flat = np.empty(count), np.empty(count), np.empty(count, np.uint16)
     end = 0
@@ -653,12 +694,8 @@ def _reduce_blocks(blocks, bin_edges, count):
         columns = values.T
         np.add.reduce(columns, axis=0, out=S[part])
         weights[part] = w
-        coordinates = columns if len(bin_edges) > 1 else [S[part]]
-        index, *rest = (_bin_index(x, edges) for x, edges in zip(coordinates, bin_edges))
-        for more, edges in zip(rest, bin_edges[1:]):
-            index *= edges.size - 1
-            index += more
-        flat[part] = index
+        flat[part] = _flat_index(columns if len(bin_edges) > 1 else [S[part]], bin_edges)
+        del values, w, columns
     return S, weights, flat
 
 
@@ -675,10 +712,16 @@ def _report(m, constraint, blocks, metadata) -> HistogramReport:
     At m = 2 the histogram is of (nu1, nu2) on [1, 2 min(E) - 1]^2, with the
     masses of ``_expected_probs_2p2``; at every other m it is of S, with
     those of ``_sum_law``.  Each block is binned as it arrives (half-open
-    bins, the last one closed, as in np.histogram).  Three bincounts over
-    that flat index give the counts and the per-bin sums of the weights and
-    of their squares, which the density and the chi-square share; the index
-    is freed before the KS statistic of S sorts the sample.  An effective
+    bins, the last one closed, as in np.histogram).  The report then reads
+    the sample BLOCK proposals at a time, so it holds no full-length
+    temporary: one pass adds up three bincounts of each chunk, with its own
+    intp copy of the index and squared weights, into the counts and the
+    per-bin sums of the weights and of their squares, which the density and
+    the chi-square share.  The sum of the squared weights is that of the
+    whole array, span by span (``_pairwise_sum``), so the ESS is the
+    one-pass value bit for bit; the binned sums agree with one-pass
+    bincounts to rounding.  The index is freed before the KS statistic of S,
+    which adds the sort order (see ``weighted_ks_statistic``).  An effective
     sample size below MIN_EXPECTED_PER_BIN per bin of positive expected mass
     (the bins the chi-square can keep; at m = 2 those below
     nu1 + nu2 = 2 min(E)) is a degenerate estimate: the metadata then has
@@ -715,8 +758,18 @@ def _report(m, constraint, blocks, metadata) -> HistogramReport:
     weights -= largest
     np.exp(weights, out=weights)
     total = weights.sum()
-    squares = weights**2
-    ess = float(total**2 / squares.sum())
+    ess = float(total**2 / _pairwise_sum(lambda lo, hi: weights[lo:hi] ** 2, 0, count))
+    # a chunk at a time, so that no intp copy of the index and no squared
+    # weights of the whole sample are made
+    counts = np.zeros(expected.size, np.intp)
+    mass, mass2 = np.zeros(expected.size), np.zeros(expected.size)
+    for start in range(0, count, BLOCK):
+        index = flat[start : start + BLOCK].astype(np.intp)
+        w = weights[start : start + BLOCK]
+        counts += np.bincount(index, minlength=expected.size)
+        mass += np.bincount(index, weights=w, minlength=expected.size)
+        mass2 += np.bincount(index, weights=w * w, minlength=expected.size)
+    del flat, index
     metadata.update(
         sample_count=count,
         acceptance_rate=1.0,
@@ -727,14 +780,10 @@ def _report(m, constraint, blocks, metadata) -> HistogramReport:
     if ess < floor:
         metadata.update(degenerate=True, ess_floor=floor)
     shape = (bins,) * len(bin_edges)
-    counts = np.bincount(flat, minlength=expected.size).reshape(shape)
-    mass = np.bincount(flat, weights=weights, minlength=expected.size)
-    mass2 = np.bincount(flat, weights=squares, minlength=expected.size)
-    del flat, squares
     # one factor at a time: total * volume overflows a double at large
     # energies (n = 4, E = 6e153)
     density = mass.reshape(shape) / total / _cell_volume(bin_edges)
     chi2, dof, p = weighted_chi2(mass, mass2, count, expected)
     ks = weighted_ks_statistic(S, weights, cdf)
     comparison = {"ks_statistic": ks, "chi2": chi2, "dof": dof, "p_value": p}
-    return HistogramReport(bin_edges, counts, density, comparison, metadata)
+    return HistogramReport(bin_edges, counts.reshape(shape), density, comparison, metadata)

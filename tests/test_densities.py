@@ -17,6 +17,7 @@ from gausshaar.densities import (
     log_density_balanced,
     log_density_submanifold,
     log_density_unconstrained,
+    log_vandermonde,
     mean_energy,
     mean_energy_from_state,
 )
@@ -39,6 +40,28 @@ def _vandermonde(x):
     x = np.asarray(x, dtype=float)
     pairs = itertools.combinations(range(x.shape[-1]), 2)
     return np.prod([np.abs(x[..., h] - x[..., k]) for h, k in pairs], axis=0)
+
+
+class TestLogVandermonde:
+    def test_log_vandermonde_values(self):
+        assert log_vandermonde(np.array([2.0, 5.0])) == pytest.approx(math.log(3.0))
+        assert log_vandermonde(np.array([1.0, 2.0, 4.0])) == pytest.approx(math.log(6.0))
+        assert log_vandermonde(np.array([3.0])) == 0.0
+        assert log_vandermonde(np.array([1.0, 2.0, 1.0])) == -np.inf
+        # a stack (..., m) gives the stack (...), each row on its own
+        rows = np.array([[[2.0, 5.0, 1.0], [4.0, 4.0, 0.0]]])
+        got = log_vandermonde(rows)
+        assert got.shape == (1, 2)
+        assert got[0, 0] == pytest.approx(math.log(3.0 * 1.0 * 4.0)) and got[0, 1] == -np.inf
+
+    def test_log_vandermonde_past_the_float_range(self):
+        # 60 points spaced 1e3 apart: the product prod_{h<k} |x_h - x_k| is
+        # about 10^5900, far past the largest double; its log is a sum
+        x = 1e3 * np.arange(60.0)
+        want = math.fsum(
+            math.log(abs(x[h] - x[k])) for h in range(60) for k in range(h + 1, 60)
+        )
+        assert log_vandermonde(x) == pytest.approx(want, rel=1e-13)
 
 
 class TestUnconstrainedLogDensity:

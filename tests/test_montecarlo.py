@@ -296,7 +296,48 @@ class TestGConstraintMc:
         assert s_small / s_big < 2 * 2.0  # 1/sqrt(4) scaling within factor 2
 
 
+def _one_shot_ks(values, weights, cdf):
+    """The weighted KS statistic from full-length arrays of the sorted sample.
+
+    The reference for the chunked ``weighted_ks_statistic``, which must
+    equal it bit for bit.
+    """
+    values = np.asarray(values)
+    target = cdf(values)
+    order = np.argsort(values)
+    target = np.asarray(target)[order]
+    cum = np.asarray(weights)[order]
+    del order
+    total = cum.sum()
+    np.cumsum(cum, out=cum)
+    cum /= total
+    gap = cum - target
+    upper = np.abs(gap, out=gap).max()
+    # just below each sorted value the empirical CDF is 0, then cum[:-1]
+    np.subtract(cum[:-1], target[1:], out=gap[1:])
+    gap[0] = target[0]
+    return float(np.maximum(upper, np.abs(gap, out=gap).max()))
+
+
 class TestWeightedStatistics:
+    @pytest.mark.parametrize("size", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+    def test_chunked_ks_equals_the_one_shot_formula(self, size):
+        # S of n = 4 at E = (2.2, 2.9) on a grid of 600 values, so most are
+        # tied, and a tenth of the weights 0; the CDF is that of _report
+        c = EnergyConstraint(2.2, 2.9)
+        cdf, _ = _sum_law(2, c, np.linspace(2.0, 4.4, 11))
+        rng = np.random.default_rng(size)
+        values = 2.0 + 2.4 * rng.integers(0, 600, size) / 600
+        weights = rng.exponential(size=size) * (rng.random(size) > 0.1)
+        assert np.count_nonzero(weights == 0.0) > 0
+        assert weighted_ks_statistic(values, weights, cdf) == _one_shot_ks(values, weights, cdf)
+
+    def test_unit_weights_match_scipy(self):
+        rng = np.random.default_rng(41)
+        values = rng.standard_normal(2 * BLOCK + 5)
+        got = weighted_ks_statistic(values, np.ones(values.size), stats.norm.cdf)
+        assert got == pytest.approx(stats.kstest(values, stats.norm.cdf).statistic, rel=1e-12)
+
     def test_ks_of_perfect_uniform_grid(self):
         v = np.linspace(0.005, 0.995, 100)
         w = np.ones(100)
@@ -1056,6 +1097,41 @@ class TestBlockwiseReport:
         assert rep.comparison["ks_statistic"] == pytest.approx(ks, rel=1e-12)
         assert np.allclose(rep.normalized_density, density, rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_chunked_sums_match_one_pass_sums(self, n, monkeypatch):
+        # 2 * BLOCK + 7 proposals: the last chunk is partial
+        c = EnergyConstraint(2.2, 2.9)
+        blocks, sums = [], []
+        block, chi2 = montecarlo._pipeline_block, montecarlo.weighted_chi2
+
+        def captured_block(*args):
+            blocks.append(block(*args))
+            return blocks[-1]
+
+        def captured_chi2(W, W2, count, expected):
+            sums.append((W.copy(), W2.copy()))
+            return chi2(W, W2, count, expected)
+
+        monkeypatch.setattr(montecarlo, "_pipeline_block", captured_block)
+        monkeypatch.setattr(montecarlo, "weighted_chi2", captured_chi2)
+        rep = verify_constrained_density(n, c, 2 * BLOCK + 7, seed=3)
+        values, log_weights = map(np.concatenate, zip(*blocks))
+        weights = np.exp(log_weights - log_weights.max())
+        columns = np.ascontiguousarray(values.T)
+        coordinates = columns if n == 4 else [np.add.reduce(columns, axis=0)]
+        index = montecarlo._flat_index(coordinates, rep.bin_edges)
+        size = rep.counts.size
+        [(W, W2)] = sums
+        assert np.array_equal(rep.counts.ravel(), np.bincount(index, minlength=size))
+        np.testing.assert_allclose(
+            W, np.bincount(index, weights=weights, minlength=size), rtol=1e-12, atol=0.0
+        )
+        np.testing.assert_allclose(
+            W2, np.bincount(index, weights=weights**2, minlength=size), rtol=1e-12, atol=0.0
+        )
+        ess = weights.sum() ** 2 / (weights**2).sum()
+        assert rep.metadata["effective_sample_size"] == pytest.approx(ess, rel=1e-12)
+
     @pytest.mark.parametrize("n, bins", [(2, 20), (4, 55), (6, 10), (12, 10)])
     def test_effective_sample_size_floor(self, n, bins):
         # self-test weights are 1, so the ESS is the proposal count exactly;
@@ -1074,19 +1150,23 @@ class TestBlockwiseReport:
 
     def test_traced_peak_memory_per_proposal(self):
         # S, the weight and the uint16 index are kept: 18 bytes per proposal
-        # at n = 4; the peak is the KS sort, 40 bytes per proposal, every
-        # one of which is weighted.  Joining whole (nu1, nu2) blocks and
-        # building the KS from full-length copies took 111.
+        # at n = 4.  The report then reads them a chunk at a time and holds
+        # S, the weights and the KS sort order, 24 bytes per proposal, plus
+        # one chunk.  At 3e5 the peak is one block's temporaries on top of
+        # the 18 bytes, 30.2 bytes per proposal; at 1e6 it is the KS pass,
+        # 25.9.  Full-length report arrays (squared weights, intp copies of
+        # the index, CDF temporaries) took 40.0 at both counts, and joining
+        # whole (nu1, nu2) blocks with a KS of full-length copies took 111.
         c = EnergyConstraint(2.5, 2.5)
-        count = 300_000
         verify_constrained_density(4, c, 1_000, seed=1)
-        tracemalloc.start()
-        try:
-            verify_constrained_density(4, c, count, seed=1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak / count < 46.0
+        for count, bound in ((300_000, 34.0), (1_000_000, 28.0)):
+            tracemalloc.start()
+            try:
+                verify_constrained_density(4, c, count, seed=1)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak / count < bound, count
 
 
 
