@@ -24,9 +24,10 @@ and the uint16 bin index of its coordinates, on edges the constraint fixes.
 So a run keeps 18 bytes per proposal at every n, in buffers sized for the
 run, plus one block of temporaries.  The report reads them BLOCK proposals
 at a time and holds S, the weights and the KS sort order, 24 bytes per
-proposal, plus one chunk: at n = 4 the traced peak is about 26 bytes per
-proposal at 1e6 proposals, and at 3e5 one block's temporaries set it, at
-about 30.  The kernels run on 1-D columns, one per coordinate: nu is built
+proposal, plus one chunk: at n = 4 that pass sets the traced peak, about
+25.6 bytes per proposal at 3e5 proposals and 24.5 at 1e6.  One block at
+n = 6 peaks at about 460 bytes per proposal of the block, in its second
+Haar draw.  The kernels run on 1-D columns, one per coordinate: nu is built
 as m columns of one array, and S and log(2E - S) are formed once for the
 proposal density and the integrand alike.  Every draw is made once, for
 the proposals that read it: the uniform share at its binomial size, the
@@ -64,8 +65,11 @@ from .haar import sample_haar_unitary, sample_lambda
 
 MIN_EXPECTED_PER_BIN = 5.0
 # draws per block in verify and g_constraint_mc; bounds their memory, not
-# their law (2**17 more than doubles the peak memory of verify at n = 6)
-BLOCK = 2**15
+# their law.  A float64 column of a block is 64 KB, below glibc's default
+# mmap threshold of 128 KB, so a block's temporaries reuse the heap instead
+# of being mapped and faulted in afresh: a 3e5-proposal verify --n 4 makes
+# 7.3k minor faults, against 18.4k with blocks of 2**15
+BLOCK = 2**13
 # share of verify's proposal drawn uniformly on the support simplex (a
 # defensive mixture, Hesterberg 1995): the closed form alone puts no draw
 # where it is zero, so a closed form with too small a support would pass unseen
@@ -106,12 +110,18 @@ def _unit_simplex_delta2(m: int, count: int, rng: np.random.Generator) -> np.nda
 
     Returned as m contiguous columns, shape (m, count).  At m = 2,
     x = ((1 + t)/2, (1 - t)/2) with t of density 3 t^2 / 2 on [-1, 1], whose
-    CDF (t^3 + 1)/2 inverts to a cube root.  For m >= 3 the eigenvalues y of
-    G G^dag, G an m x m complex Ginibre matrix, have density
-    prod (y_h - y_k)^2 exp(-sum y) (the beta = 2 Laguerre ensemble); the
-    exponential depends on sum(y) alone and the squared Vandermonde is
-    homogeneous, so y / sum(y) has the simplex law.  They are shuffled
-    because the law is of unordered vectors.
+    CDF (t^3 + 1)/2 inverts to a cube root.  For m >= 3 the eigenvalues y
+    of the beta = 2 Laguerre ensemble have density
+    prod (y_h - y_k)^2 exp(-sum y); the exponential depends on sum(y) alone
+    and the squared Vandermonde is homogeneous, so y / sum(y) has the
+    simplex law.  y is drawn from the tridiagonal model of Dumitriu &
+    Edelman (J. Math. Phys. 43 (2002) 5830), as the spectrum of B B^T / 2,
+    B lower bidiagonal with chi variables of 2m, 2m - 2, ..., 2 degrees of
+    freedom on its diagonal and of 2m - 2, ..., 2 below it.  Half a
+    chi-square of 2j degrees is a Gamma(j), so a point takes 2m - 1 Gamma
+    draws and the ``eigvalsh`` of a real tridiagonal matrix, where the
+    complex Ginibre G G^dag of the same law takes 2m^2 normals and a
+    complex product.  y is shuffled because the law is of unordered vectors.
     """
     if m == 1:
         return np.ones((1, count))
@@ -122,10 +132,19 @@ def _unit_simplex_delta2(m: int, count: int, rng: np.random.Generator) -> np.nda
         np.subtract(1.0, t, out=x[1])
         x *= 0.5
         return x
-    shape = (count, m, m)
-    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    y = rng.permuted(np.linalg.eigvalsh(g @ g.conj().transpose(0, 2, 1)), axis=1)
-    return np.ascontiguousarray((y / y.sum(axis=1, keepdims=True)).T)
+    # the squared chi's of B, halved: its diagonal, then its subdiagonal
+    g = rng.standard_gamma(np.r_[m:0:-1, m - 1 : 0 : -1][:, None], size=(2 * m - 1, count))
+    t = np.zeros((count, m * m))
+    t[:, :: m + 1] = g[:m].T
+    t[:, m + 1 :: m + 1] += g[m:].T
+    t[:, m :: m + 1] = np.sqrt(g[: m - 1] * g[m:]).T
+    del g
+    # eigvalsh reads the lower triangle alone
+    y = np.linalg.eigvalsh(t.reshape(count, m, m))
+    del t
+    rng.permuted(y, axis=1, out=y)
+    y /= y.sum(axis=1, keepdims=True)
+    return np.ascontiguousarray(y.T)
 
 
 def sample_balanced(
@@ -134,14 +153,20 @@ def sample_balanced(
     """Draw nu-vectors (count, m) from the closed-form balanced law, exactly.
 
     (S - m)/L, S = sum(nu), follows the Beta mixture of ``balanced_sum_law``:
-    pick a component by its weight, then draw that Beta.  Given S, nu is
-    1 + (S - m) x with x from the Delta^2 law on the unit simplex, which
-    keeps every eigenvalue >= 1 under round-off.  Nothing is rejected.  The
-    rows are a view of m contiguous columns: ``.T`` gives them back.
+    one multinomial draw splits the count among the components by their
+    weights, and each component's share is drawn from its Beta at once.
+    Where more than one component is drawn, the draws are shuffled, so the
+    rows stay exchangeable.  Given S, nu is 1 + (S - m) x with x from the
+    Delta^2 law on the unit simplex, which keeps every eigenvalue >= 1 under
+    round-off.  Nothing is rejected.  The rows are a view of m contiguous
+    columns: ``.T`` gives them back.
     """
     L, a, weights, _ = balanced_sum_law(m, constraint)
-    k = rng.choice(weights.size, size=count, p=weights)
-    y = L * rng.beta(m * m, a + 1.0 + k)
+    sizes = rng.multinomial(count, weights)
+    y = np.concatenate([rng.beta(m * m, a + 1.0 + k, size) for k, size in enumerate(sizes)])
+    if np.count_nonzero(sizes) > 1:
+        rng.shuffle(y)
+    y *= L
     nu = _unit_simplex_delta2(m, count, rng)
     nu *= y
     nu += 1.0
@@ -468,7 +493,10 @@ def _log_weight(nu, S, log_gaps, rng):
         else:
             P = np.abs(sample_haar_unitary(m, rng, size=count)) ** 2
             c = np.einsum("rhk,kr->hr", P, nu)
+            del P
         log_w += _log_lambda_integral(c, S, log_R, rng)
+        # freed before side B's draw, which sets the peak of a block from m = 3
+        del c
     return log_w
 
 

@@ -219,6 +219,68 @@ class TestSampleDensity2p2:
             assert masses[i, j] == pytest.approx(want, rel=1e-10)
 
 
+class TestSampleBalancedRows:
+    # (2.2, 2.9) has b > 0, so every Beta component carries weight and the
+    # draws come component by component before the shuffle
+    constraint = EnergyConstraint(2.2, 2.9)
+
+    @pytest.mark.parametrize("m, seed", [(2, 49), (3, 50)])
+    def test_every_stretch_of_rows_has_the_law_of_the_sum(self, m, seed):
+        samples = sample_balanced(m, self.constraint, 100_000, np.random.default_rng(seed))
+        top = 2.0 * self.constraint.min_energy
+        cdf, _ = _sum_law(m, self.constraint, np.linspace(m, top, 11))
+        tenth = samples.shape[0] // 10
+        for rows in (samples[:tenth], samples[-tenth:]):
+            assert stats.kstest(rows.sum(axis=1), cdf).pvalue > 0.01
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_no_draws_with_many_components(self, m):
+        rng = np.random.default_rng(m)
+        assert sample_balanced(m, self.constraint, 0, rng).shape == (0, m)
+
+
+def _ginibre_simplex(m, count, rng):
+    """The Delta^2 law on the unit simplex from the spectrum of G G^dag, as rows.
+
+    G is an m x m complex Ginibre matrix; its eigenvalues come sorted, so the
+    rows are the sorted coordinates.  Drawn in stacks of 2**14 matrices.
+    """
+    parts = []
+    for start in range(0, count, 2**14):
+        shape = (min(2**14, count - start), m, m)
+        g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        parts.append(np.linalg.eigvalsh(g @ g.conj().transpose(0, 2, 1)))
+    y = np.concatenate(parts)
+    return y / y.sum(axis=1, keepdims=True)
+
+
+class TestUnitSimplexDelta2:
+    # verify compares only sum(nu) from n = 6, so the shape of the simplex
+    # draw is tested here
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    def test_first_and_second_moments(self, m):
+        # the law is exchangeable, so every coordinate has mean 1/m; with
+        # W = G G^dag square complex Wishart, E tr W^2 = 2 m^3 and
+        # E (tr W)^2 = m^2 (m^2 + 1); x = y / sum(y) is independent of sum(y),
+        # so E sum(x^2) = 2m / (m^2 + 1)
+        count = 200_000
+        x = montecarlo._unit_simplex_delta2(m, count, np.random.default_rng(60 + m))
+        assert x.shape == (m, count)
+        stderr = x.std(axis=1, ddof=1) / math.sqrt(count)
+        assert np.all(np.abs(x.mean(axis=1) - 1.0 / m) < 4.0 * stderr)
+        q = np.einsum("ij,ij->j", x, x)
+        z = (q.mean() - 2.0 * m / (m * m + 1)) / (q.std(ddof=1) / math.sqrt(count))
+        assert abs(z) < 4.0
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_sorted_coordinates_match_the_ginibre_spectrum(self, m):
+        count = 200_000
+        x = np.sort(montecarlo._unit_simplex_delta2(m, count, np.random.default_rng(70 + m)), axis=0)
+        ref = _ginibre_simplex(m, count, np.random.default_rng(80 + m))
+        stderr = np.sqrt((x.var(axis=1, ddof=1) + ref.var(axis=0, ddof=1)) / count)
+        assert np.all(np.abs(x.mean(axis=1) - ref.mean(axis=0)) < 4.0 * stderr)
+
+
 class TestSampleSubmanifoldEnergy:
     def test_simplex_constraint_exact(self):
         rng = np.random.default_rng(33)
@@ -689,9 +751,10 @@ class TestVerifyPipeline:
         ],
         ids=["2", "4", "6"],
     )
-    # 2 BLOCK + 7 proposals cross two block boundaries and end in a short block
+    # BLOCK // 2 proposals fill one short block; 2 BLOCK + 7 cross two block
+    # boundaries and end in a short block
     @pytest.mark.parametrize(
-        "count", [20_000, 2 * BLOCK + 7], ids=["one-block", "three-blocks"]
+        "count", [BLOCK // 2, 2 * BLOCK + 7], ids=["one-block", "three-blocks"]
     )
     def test_determinism_for_fixed_seed(self, n, c, cutoff, count):
         a = verify_constrained_density(n, c, count, cutoff=cutoff, seed=7)
@@ -1152,14 +1215,15 @@ class TestBlockwiseReport:
         # S, the weight and the uint16 index are kept: 18 bytes per proposal
         # at n = 4.  The report then reads them a chunk at a time and holds
         # S, the weights and the KS sort order, 24 bytes per proposal, plus
-        # one chunk.  At 3e5 the peak is one block's temporaries on top of
-        # the 18 bytes, 30.2 bytes per proposal; at 1e6 it is the KS pass,
-        # 25.9.  Full-length report arrays (squared weights, intp copies of
-        # the index, CDF temporaries) took 40.0 at both counts, and joining
-        # whole (nu1, nu2) blocks with a KS of full-length copies took 111.
+        # one chunk.  With blocks of 2**13 the KS pass sets the peak at both
+        # counts: 25.6 bytes per proposal at 3e5 (bounded at 28.0, 10% above
+        # it) and 24.5 at 1e6.  Blocks of 2**15 took 30.2 at 3e5, full-length
+        # report arrays (squared weights, intp copies of the index, CDF
+        # temporaries) 40.0 at both counts, and joining whole (nu1, nu2)
+        # blocks with a KS of full-length copies 111.
         c = EnergyConstraint(2.5, 2.5)
         verify_constrained_density(4, c, 1_000, seed=1)
-        for count, bound in ((300_000, 34.0), (1_000_000, 28.0)):
+        for count, bound in ((300_000, 28.0), (1_000_000, 28.0)):
             tracemalloc.start()
             try:
                 verify_constrained_density(4, c, count, seed=1)
@@ -1168,57 +1232,75 @@ class TestBlockwiseReport:
                 tracemalloc.stop()
             assert peak / count < bound, count
 
+    def test_traced_peak_memory_of_one_block_at_n6(self):
+        # one block of BLOCK proposals at n = 6 peaks at 463 bytes per
+        # proposal (bounded at 500, 8% above it), in side B's Haar draw;
+        # 559 with side A's |U|^2 and mixing kept through it, and the
+        # complex Ginibre simplex draw alone peaked at 432
+        c = EnergyConstraint(2.5, 2.5)
+        rng = np.random.default_rng(1)
+        montecarlo._pipeline_block(3, c, BLOCK, rng)
+        tracemalloc.start()
+        try:
+            montecarlo._pipeline_block(3, c, BLOCK, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / BLOCK < 500.0
+
 
 
 # verify_constrained_density(n, EnergyConstraint(E_A, E_B), 40_000, seed=1)
-# as the pipeline computes it when every draw is made once, for the
-# proposals that read it, and the uniform share is drawn on the support
-# simplex: a faster block must make the same draws in the same order
+# as the pipeline computes it in blocks of 2**13 proposals, when every draw
+# is made once, for the proposals that read it, the uniform share is drawn
+# on the support simplex, one multinomial splits the closed form among its
+# Beta components and the simplex comes from the tridiagonal Laguerre model:
+# a faster block must make the same draws in the same order
 PARITY = {
     (2, 2.2, 2.9): dict(
-        sample_count=40000, dof=19, chi2=16.72641983721478,
-        ks=0.0029152020565054726, ess=40000.0,
+        sample_count=40000, dof=19, chi2=30.87994466981779,
+        ks=0.007027099936686709, ess=40000.0,
         counts=[
-            2026, 1995, 1964, 1951, 1965, 2012, 2023, 1981, 2079, 2089,
-            1928, 1988, 2034, 2016, 2050, 1964, 1976, 2011, 1955, 1993,
+            2013, 2048, 1970, 1988, 1998, 2024, 2089, 1983, 2041, 1951,
+            2093, 2079, 1887, 2049, 2003, 1940, 1944, 2005, 1993, 1902,
         ],
     ),
     (4, 2.2, 2.9): dict(
-        sample_count=40000, dof=54, chi2=36.81553733381312,
-        ks=0.004808619594539376, ess=37859.77529596372,
+        sample_count=40000, dof=54, chi2=60.27809439667075,
+        ks=0.00409786815150967, ess=37860.465708845135,
         counts=[
-            266, 972, 2180, 2968, 3085, 2586, 1771, 922, 340, 52,
-            949, 163, 451, 824, 949, 784, 545, 227, 49, 0,
-            2108, 435, 113, 213, 258, 233, 132, 44, 0, 0,
-            2937, 808, 200, 93, 88, 88, 41, 0, 0, 0,
-            3027, 935, 263, 92, 88, 40, 0, 0, 0, 0,
-            2572, 817, 229, 89, 41, 0, 0, 0, 0, 0,
-            1697, 469, 136, 52, 0, 0, 0, 0, 0, 0,
-            950, 193, 47, 0, 0, 0, 0, 0, 0, 0,
-            282, 52, 0, 0, 0, 0, 0, 0, 0, 0,
-            55, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+            236, 992, 2056, 3059, 3043, 2546, 1664, 892, 330, 66,
+            911, 180, 435, 859, 1000, 782, 457, 230, 52, 0,
+            2192, 415, 98, 214, 273, 237, 146, 55, 0, 0,
+            2945, 833, 230, 99, 115, 83, 41, 0, 0, 0,
+            3136, 875, 271, 99, 85, 42, 0, 0, 0, 0,
+            2639, 806, 197, 86, 50, 0, 0, 0, 0, 0,
+            1753, 481, 136, 50, 0, 0, 0, 0, 0, 0,
+            857, 206, 41, 0, 0, 0, 0, 0, 0, 0,
+            327, 47, 0, 0, 0, 0, 0, 0, 0, 0,
+            50, 0, 0, 0, 0, 0, 0, 0, 0, 0,
         ],
     ),
     (6, 2.2, 2.9): dict(
-        sample_count=40000, dof=9, chi2=15.303311733129798,
-        ks=0.00898126630566054, ess=33151.7581495586,
-        counts=[1, 59, 858, 3759, 8552, 11095, 8948, 4227, 1417, 1084],
+        sample_count=40000, dof=9, chi2=9.51012902960799,
+        ks=0.007539003661883981, ess=33205.5544600827,
+        counts=[5, 83, 869, 3923, 8635, 11241, 8649, 4132, 1357, 1106],
     ),
     # equal energies: the two subsystems share one log(2E - S)
     (4, 2.5, 2.5): dict(
-        sample_count=40000, dof=54, chi2=30.765421546154812,
-        ks=0.005425928340435149, ess=37295.21755572338,
+        sample_count=40000, dof=54, chi2=28.76636766875773,
+        ks=0.003692769559931919, ess=37328.14350776672,
         counts=[
-            460, 1551, 3083, 3857, 3340, 2191, 1075, 369, 117, 43,
-            1515, 203, 563, 876, 836, 537, 233, 100, 43, 0,
-            3132, 524, 123, 191, 193, 132, 95, 37, 0, 0,
-            3700, 909, 157, 96, 77, 70, 37, 0, 0, 0,
-            3264, 788, 201, 75, 82, 41, 0, 0, 0, 0,
-            2164, 514, 129, 87, 37, 0, 0, 0, 0, 0,
-            1085, 229, 90, 48, 0, 0, 0, 0, 0, 0,
-            383, 97, 39, 0, 0, 0, 0, 0, 0, 0,
-            105, 41, 0, 0, 0, 0, 0, 0, 0, 0,
-            36, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+            400, 1593, 3129, 3825, 3193, 2236, 1098, 371, 106, 47,
+            1565, 210, 552, 898, 833, 486, 233, 102, 29, 0,
+            3117, 542, 113, 153, 207, 124, 93, 51, 0, 0,
+            3737, 917, 161, 77, 95, 68, 30, 0, 0, 0,
+            3296, 796, 192, 102, 98, 30, 0, 0, 0, 0,
+            2211, 515, 151, 96, 47, 0, 0, 0, 0, 0,
+            1061, 216, 94, 27, 0, 0, 0, 0, 0, 0,
+            339, 116, 33, 0, 0, 0, 0, 0, 0, 0,
+            115, 34, 0, 0, 0, 0, 0, 0, 0, 0,
+            40, 0, 0, 0, 0, 0, 0, 0, 0, 0,
         ],
     ),
 }
