@@ -9,11 +9,17 @@ Importing the package runs none of its modules.  Each one but ``cli`` is
 registered in ``sys.modules``, and as an attribute of the package, with
 ``importlib.util.LazyLoader``, so its code runs on the first read of one of
 its attributes: ``haar-sample`` never runs ``montecarlo`` or ``densities``.
-``cli``, the entry point, is imported as usual; registering it would make
-``python -m gausshaar.cli`` run it twice.  The public names (``__all__``)
-are read from their home modules on access (PEP 562), so an import error in
-a module surfaces at the first use of that module, and again at every later
-read of a name the module did not bind before its code raised.
+Every module reaches a sibling the same way, through its module object
+(``from . import haar``, then ``haar.sample_haar_unitary``), and binds
+none of its names, importing those it reads only in annotations under
+``TYPE_CHECKING``; so a module's code runs only when a caller reads from
+it, and ``verify --n 4``, which draws no Haar unitary, runs neither
+``haar`` nor ``symplectic``.  ``cli``, the entry point, is imported as
+usual; registering it would make ``python -m gausshaar.cli`` run it twice.
+The public names (``__all__``) are read from their home modules on access
+(PEP 562), so an import error in a module surfaces at the first use of that
+module, and again at every later read of a name the module did not bind
+before its code raised.
 """
 
 import importlib.util

@@ -18,10 +18,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .symplectic import Bipartition, GaussianPureState, reduced_covariance
+from . import symplectic
 
 if TYPE_CHECKING:
     from .haar import EulerGaussianUnitary
+    from .symplectic import Bipartition, GaussianPureState
 
 SIMPLEX_SLACK = 1e-9
 
@@ -155,8 +156,8 @@ def mean_energy_from_state(
     """(E_A, E_B) as quarter-traces of the reduced covariance blocks."""
     if bipartition.n_modes != state.n_modes:
         raise ValueError("bipartition does not match the state's mode count")
-    e_a = float(np.trace(reduced_covariance(state, bipartition.modes_a)) / 4)
-    e_b = float(np.trace(reduced_covariance(state, bipartition.modes_b)) / 4)
+    e_a = float(np.trace(symplectic.reduced_covariance(state, bipartition.modes_a)) / 4)
+    e_b = float(np.trace(symplectic.reduced_covariance(state, bipartition.modes_b)) / 4)
     return e_a, e_b
 
 

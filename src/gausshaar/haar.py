@@ -21,10 +21,14 @@ included, holds for each matrix of a stack with that matrix's own scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .symplectic import GaussianPureState, symplectic_defect
+from . import symplectic
+
+if TYPE_CHECKING:
+    from .symplectic import GaussianPureState
 
 UNITARITY_TOL = 1e-10
 SYMPLECTIC_TOL = 1e-10
@@ -77,11 +81,14 @@ def sample_haar_unitary(n: int, rng: np.random.Generator, size: int | None = Non
     if n < 1:
         raise ValueError("n must be >= 1")
     shape = (n, n) if size is None else (size, n, n)
-    # the Ginibre scale does not change Q
-    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     # q[j] is column j, of shape (n, ...): every step is a sum over the short
-    # axis of arrays that run along the stack
-    q = np.moveaxis(z, (-1, -2), (0, 1)).copy()
+    # axis of arrays that run along the stack.  The Ginibre matrix z is a
+    # view of q, so its real and then its imaginary parts are written in
+    # place, one float draw at a time; the Ginibre scale does not change Q
+    q = np.empty((n, n) + shape[:-2], dtype=complex)
+    z = np.moveaxis(q, (0, 1), (-1, -2))
+    z.real = rng.standard_normal(shape)
+    z.imag = rng.standard_normal(shape)
     for j in range(n):
         v = q[j]
         for _ in range(2 if j else 0):
@@ -92,7 +99,7 @@ def sample_haar_unitary(n: int, rng: np.random.Generator, size: int | None = Non
             np.einsum("r...,r...->...", v.real, v.real)
             + np.einsum("r...,r...->...", v.imag, v.imag)
         )
-    return np.moveaxis(q, (0, 1), (-1, -2))
+    return z
 
 
 def sample_repulsive(
@@ -208,6 +215,8 @@ def apply_to_vacuum(S: np.ndarray) -> GaussianPureState:
     S = np.asarray(S, dtype=float)
     if not np.isfinite(S).all():
         raise ValueError("matrix is not symplectic: it has a non-finite entry")
-    if not np.all(symplectic_defect(S) <= SYMPLECTIC_TOL):
+    if not np.all(symplectic.symplectic_defect(S) <= SYMPLECTIC_TOL):
         raise ValueError("matrix is not symplectic")
-    return GaussianPureState(n_modes=S.shape[-1] // 2, covariance=S @ S.swapaxes(-1, -2))
+    return symplectic.GaussianPureState(
+        n_modes=S.shape[-1] // 2, covariance=S @ S.swapaxes(-1, -2)
+    )

@@ -17,6 +17,12 @@ no square overflows.  One binning path serves every n; only the coordinates
 ((nu1, nu2) at n = 4, S = sum(nu) otherwise), the edges and the exact
 Gauss-Legendre bin masses depend on n.
 
+``densities`` and ``haar`` are read through their lazily loaded module
+objects, so a run executes only the code it calls: below n = 6 no Haar
+unitary is drawn and ``haar`` never runs.  Nor does such a run make a LAPACK call
+or a matrix product: the Gauss-Legendre rule comes from Newton's
+iteration, and the bin masses are elementwise sums.
+
 One generator seeded with ``seed`` feeds every draw, in blocks of BLOCK
 proposals; results are deterministic for a fixed seed.  Each block is
 reduced as it arrives to what the report reads: S = sum(nu), the log-weight
@@ -26,8 +32,8 @@ run, plus one block of temporaries.  The report reads them BLOCK proposals
 at a time and holds S, the weights and the KS sort order, 24 bytes per
 proposal, plus one chunk: at n = 4 that pass sets the traced peak, about
 25.6 bytes per proposal at 3e5 proposals and 24.5 at 1e6.  One block at
-n = 6 peaks at about 460 bytes per proposal of the block, in its second
-Haar draw.  The kernels run on 1-D columns, one per coordinate: nu is built
+n = 6 peaks at about 320 bytes per proposal of the block, in either of its
+Haar draws.  The kernels run on 1-D columns, one per coordinate: nu is built
 as m columns of one array, and S and log(2E - S) are formed once for the
 proposal density and the integrand alike.  Every draw is made once, for
 the proposals that read it: the uniform share at its binomial size, the
@@ -47,28 +53,22 @@ import functools
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .densities import (
-    EnergyConstraint,
-    balanced_half,
-    balanced_sum_law,
-    density_2p2,
-    log_density_balanced,
-    log_density_unconstrained,
-    log_vandermonde,
-    mean_energy,
-)
-from .haar import sample_haar_unitary, sample_lambda
+from . import densities, haar
+
+if TYPE_CHECKING:
+    from .densities import EnergyConstraint
 
 MIN_EXPECTED_PER_BIN = 5.0
 # draws per block in verify and g_constraint_mc; bounds their memory, not
 # their law.  A float64 column of a block is 64 KB, below glibc's default
 # mmap threshold of 128 KB, so a block's temporaries reuse the heap instead
 # of being mapped and faulted in afresh: a 3e5-proposal verify --n 4 makes
-# 7.3k minor faults, against 18.4k with blocks of 2**15
+# 7.3k-11k minor faults, as heap history decides, against 18.4k with blocks
+# of 2**15
 BLOCK = 2**13
 # share of verify's proposal drawn uniformly on the support simplex (a
 # defensive mixture, Hesterberg 1995): the closed form alone puts no draw
@@ -161,7 +161,7 @@ def sample_balanced(
     round-off.  Nothing is rejected.  The rows are a view of m contiguous
     columns: ``.T`` gives them back.
     """
-    L, a, weights, _ = balanced_sum_law(m, constraint)
+    L, a, weights, _ = densities.balanced_sum_law(m, constraint)
     sizes = rng.multinomial(count, weights)
     y = np.concatenate([rng.beta(m * m, a + 1.0 + k, size) for k, size in enumerate(sizes)])
     if np.count_nonzero(sizes) > 1:
@@ -189,7 +189,7 @@ def sample_submanifold_energy(
     simplex law of ``_unit_simplex_delta2``, scaled by 2E - m and shifted by
     1, which is exact.  Every sample satisfies sum(nu) = 2E to round-off.
     """
-    m = balanced_half(n)
+    m = densities.balanced_half(n)
     width = 2.0 * E - m
     if width < 0:
         raise ValueError("2E < n/2: the energy simplex is empty")
@@ -217,7 +217,7 @@ def g_constraint_mc(
     normalization that is shared across nu at fixed (E, cutoff, w), so only
     ratios are meaningful.  Returns (estimate, standard_error).
     """
-    m = balanced_half(n)
+    m = densities.balanced_half(n)
     nu = np.atleast_1d(np.asarray(nu, dtype=float))
     if nu.size != m:
         raise ValueError(f"need {m} eigenvalues, got {nu.size}")
@@ -234,9 +234,9 @@ def g_constraint_mc(
     hits = 0
     for start in range(0, count, BLOCK):
         size = min(BLOCK, count - start)
-        lam = sample_lambda(m, cutoff, rng, size=size)
-        U = sample_haar_unitary(m, rng, size=size)
-        energies = mean_energy(U, lam, nu)
+        lam = haar.sample_lambda(m, cutoff, rng, size=size)
+        U = haar.sample_haar_unitary(m, rng, size=size)
+        energies = densities.mean_energy(U, lam, nu)
         hits += int(np.count_nonzero(np.abs(energies - E) <= shell_width))
     # mean and ddof=1 standard deviation of the 0/1 hit indicators
     std = math.sqrt(hits * (count - hits) / (count * (count - 1)))
@@ -327,7 +327,7 @@ def _log_mean_repulsion(columns, rng):
 
     def log_repulsion():
         x = rng.standard_exponential((m, count))
-        out = log_vandermonde((x * inverse).T)
+        out = densities.log_vandermonde((x * inverse).T)
         out -= pairs * np.log(functools.reduce(np.add, x))
         return out
 
@@ -477,7 +477,7 @@ def _log_weight(nu, S, log_gaps, rng):
     # nu^2 overflows from nu = 1.3e154, which only m = 1 reaches: its
     # Vandermonde of nu^2 is empty, and _report rejects such energies from m = 2
     with np.errstate(over="ignore"):
-        log_w = log_density_unconstrained(nu.T, m, m)
+        log_w = densities.log_density_unconstrained(nu.T, m, m)
     for log_R in log_gaps:
         if m == 1:
             c = nu
@@ -491,7 +491,7 @@ def _log_weight(nu, S, log_gaps, rng):
             c[0] += p
             np.subtract(S, c[0], out=c[1])
         else:
-            P = np.abs(sample_haar_unitary(m, rng, size=count)) ** 2
+            P = np.abs(haar.sample_haar_unitary(m, rng, size=count)) ** 2
             c = np.einsum("rhk,kr->hr", P, nu)
             del P
         log_w += _log_lambda_integral(c, S, log_R, rng)
@@ -540,7 +540,7 @@ def _pipeline_block(m, constraint, count, rng):
     log_gaps = [log_gap[constraint.E_A], log_gap[constraint.E_B]]
     # the log of the uniform share, and of the closed-form share against it
     log_uniform = math.log(DEFENSIVE) + math.lgamma(m + 1) - m * math.log(top - m)
-    z = log_density_balanced(nu.T, constraint, log_gaps)
+    z = densities.log_density_balanced(nu.T, constraint, log_gaps)
     z += math.log1p(-DEFENSIVE) - log_uniform
     log_w = _log_weight(nu, S, log_gaps, rng)
     log_w -= log_uniform
@@ -551,12 +551,30 @@ def _pipeline_block(m, constraint, count, rng):
 def _gauss_legendre(k: int):
     """k nodes and weights of the Gauss-Legendre rule on [0, 1], exact to degree 2k - 1.
 
-    Golub & Welsch (Math. Comp. 23 (1969) 221): the eigenvalues of the Legendre
-    Jacobi matrix and the squared first components of its unit eigenvectors.
+    The nodes are the roots of the Legendre polynomial P_k on [-1, 1], found
+    by Newton's iteration from cos(pi (i - 1/4) / (k + 1/2)), with P_k and
+    its derivative from the three-term recurrence; the weights are
+    2 / ((1 - x^2) P_k'(x)^2).  Both are then mapped to [0, 1], nodes in
+    ascending order.  No LAPACK call: the eigendecomposition of the Legendre
+    Jacobi matrix (Golub & Welsch, Math. Comp. 23 (1969) 221) gives the same
+    rule, and the first one of a process adds about 0.9 MB to its RSS.
     """
-    j = np.arange(1.0, k)
-    nodes, vectors = np.linalg.eigh(np.diag(j / np.sqrt(4.0 * j * j - 1.0), -1))
-    return 0.5 * (nodes + 1.0), vectors[0] ** 2
+    x = np.cos(np.pi * (np.arange(k, 0, -1) - 0.25) / (k + 0.5))
+    step = np.ones(k)
+    while np.abs(step).max() > 1e-15:
+        p, dp = _legendre(k, x)
+        step = p / dp
+        x -= step
+    _, dp = _legendre(k, x)
+    return 0.5 * (x + 1.0), 1.0 / ((1.0 - x * x) * dp * dp)
+
+
+def _legendre(k: int, x):
+    """P_k(x) and P_k'(x) by the recurrence j P_j = (2j - 1) x P_{j-1} - (j - 1) P_{j-2}."""
+    previous, p = np.ones_like(x), x
+    for j in range(2, k + 1):
+        previous, p = p, ((2 * j - 1) * x * p - (j - 1) * previous) / j
+    return p, k * (x * p - previous) / (x * x - 1.0)
 
 
 def _sum_law(m: int, constraint: EnergyConstraint, edges):
@@ -578,7 +596,7 @@ def _sum_law(m: int, constraint: EnergyConstraint, edges):
     b = 2 |E_A - E_B| / L, is a polynomial that ceil((p + 2a)/2) Gauss-Legendre
     nodes per bin integrate exactly, each term positive and formed in logs.
     """
-    L, a, weights, log_total = balanced_sum_law(m, constraint)
+    L, a, weights, log_total = densities.balanced_sum_law(m, constraint)
     p = m * m
     if math.comb(p + 2 * a - 1, 2 * a) > sys.float_info.max:
         raise ValueError(
@@ -612,7 +630,7 @@ def _sum_law(m: int, constraint: EnergyConstraint, edges):
     # a row of nodes per bin; one of width 0 keeps [0, 1]'s, so no log sees 0
     x = np.where(width[:, None] > 0, x[:-1, None] + width[:, None] * t, t)
     log_f = (p - 1) * np.log(x) + a * (np.log1p(-x) + np.log(b + 1.0 - x)) - log_total
-    return cdf, width * (np.exp(log_f) @ w)
+    return cdf, width * (np.exp(log_f) * w).sum(axis=1)
 
 
 def verify_constrained_density(
@@ -643,7 +661,7 @@ def verify_constrained_density(
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
-    m = balanced_half(n)
+    m = densities.balanced_half(n)
     rng = np.random.default_rng(seed)
     sizes = [min(BLOCK, count - start) for start in range(0, count, BLOCK)]
     if self_test:
@@ -667,8 +685,9 @@ def _expected_probs_2p2(edges, constraint):
     lower = np.array([s, (1.0 - s) * t])
     u, v = np.concatenate([lower, 1.0 - lower], axis=1)
     lo, width = edges[:-1, None], np.diff(edges)[:, None]
-    dens = density_2p2((lo + width * u)[:, None], lo + width * v, constraint)
-    return dens @ np.tile(np.outer(w, w).ravel() * (1.0 - s), 2) * (width * width.T)
+    dens = densities.density_2p2((lo + width * u)[:, None], lo + width * v, constraint)
+    weights = np.tile(np.outer(w, w).ravel() * (1.0 - s), 2)
+    return (dens * weights).sum(axis=-1) * (width * width.T)
 
 
 def _bin_index(x, edges) -> np.ndarray:

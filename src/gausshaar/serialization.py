@@ -12,11 +12,15 @@ from __future__ import annotations
 
 import csv
 import json
+from typing import TYPE_CHECKING
 
 import numpy as np
 import orjson
 
-from .symplectic import GaussianPureState
+from . import symplectic
+
+if TYPE_CHECKING:
+    from .symplectic import GaussianPureState
 
 FLOAT_FMT = "%.17g"
 
@@ -45,7 +49,7 @@ def read_covariance_csv(path) -> GaussianPureState:
         if fields.get("ordering", "interleaved") != "interleaved":
             raise ValueError(f"unsupported quadrature ordering {fields['ordering']!r}")
         rows = [[float(x) for x in row] for row in csv.reader(fh) if row]
-    return GaussianPureState(n_modes=n_modes, covariance=np.array(rows))
+    return symplectic.GaussianPureState(n_modes=n_modes, covariance=np.array(rows))
 
 
 def state_to_json_dict(state: GaussianPureState) -> dict | list[dict]:
@@ -75,7 +79,7 @@ def state_from_json_dict(data: dict) -> GaussianPureState:
     for name in ("n_modes", "covariance"):
         if data.get(name) is None:
             raise ValueError(f"JSON state has no {name!r} field")
-    return GaussianPureState(
+    return symplectic.GaussianPureState(
         n_modes=int(data["n_modes"]),
         covariance=np.array(data["covariance"], dtype=float),
     )

@@ -1065,10 +1065,14 @@ print(json.dumps([[name for name in json.loads(sys.argv[2]) if ran(name)],
                   "orjson" in sys.modules]))
 """
 _MODULES = ["symplectic", "haar", "densities", "montecarlo", "serialization"]
-# the group (haar) and the closed form (densities) sit side by side on
-# symplectic; montecarlo joins them, and serialization reads symplectic
+# every module reaches its siblings through their lazily loaded module
+# objects, so only the code a command calls runs: a state (symplectic) is
+# made only by haar-sample without --unitary-only, and montecarlo calls haar
+# only for the Haar draws of verify from n = 6
 _GROUP = ["symplectic", "haar", "serialization"]
-_CLOSED_FORM = ["symplectic", "densities", "serialization"]
+_UNITARIES = ["haar", "serialization"]
+_CLOSED_FORM = ["densities", "serialization"]
+_PIPELINE = ["densities", "montecarlo", "serialization"]
 
 
 @pytest.mark.parametrize(
@@ -1081,22 +1085,27 @@ _CLOSED_FORM = ["symplectic", "densities", "serialization"]
         (["haar-sample", "--n", "2", "--config", "CONFIG"], [], False),
         (["haar-sample", "--n", "2", "--count", "3", "--output", os.devnull], _GROUP, True),
         (["haar-sample", "--n", "2", "--count", "3", "--unitary-only",
-          "--output", os.devnull], _GROUP, True),
+          "--output", os.devnull], _UNITARIES, True),
         (["verify", "--n", "2", "--EA", "2", "--EB", "2", "--count", "2000",
-          "--output", os.devnull], _MODULES, True),
+          "--output", os.devnull], _PIPELINE, True),
+        (["verify", "--n", "4", "--EA", "2.5", "--EB", "2.5", "--count", "2000",
+          "--output", os.devnull], _PIPELINE, True),
+        (["verify", "--n", "6", "--EA", "3", "--EB", "3", "--count", "2000",
+          "--output", os.devnull], ["haar", *_PIPELINE], True),
         (["density", "--kind", "2p2", "--EA", "2.5", "--EB", "2.5", "--grid", "5",
           "--output", os.devnull], _CLOSED_FORM, True),
         (["sample", "--kind", "2p2", "--EA", "2.5", "--EB", "2.5", "--count", "3",
-          "--output", os.devnull], _MODULES, True),
+          "--output", os.devnull], _PIPELINE, True),
     ],
     ids=["import", "version", "help", "usage-error", "config-error", "haar-sample",
-         "haar-sample-unitary-only", "verify", "density", "sample"],
+         "haar-sample-unitary-only", "verify", "verify-n4", "verify-n6", "density",
+         "sample"],
 )
 def test_a_command_runs_only_the_modules_it_uses(argv, modules, numeric, tmp_path):
     # every module costs a process its compile; --version uses none, density
-    # does not run haar, and no command imports logging.  numpy and orjson
-    # cost more than the interpreter's start; --version, --help and every
-    # exit-2 error use neither
+    # and verify below n = 6 run neither haar nor symplectic, and no command
+    # imports logging.  numpy and orjson cost more than the interpreter's
+    # start; --version, --help and every exit-2 error use neither
     config = tmp_path / "conf.json"
     config.write_text(json.dumps({"no_such_key": 1}))
     if argv is not None:

@@ -69,6 +69,32 @@ class TestHaarUnitary:
         eye = np.eye(n)
         assert np.abs(U.conj().swapaxes(-1, -2) @ U - eye).max() < 1e-13
 
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize(
+        "n, size", [(3, None), (3, 8192), (4, 1000)], ids=["3x3", "8192x3x3", "1000x4x4"]
+    )
+    def test_same_matrices_as_the_sum_of_two_normal_draws(self, n, size, seed):
+        # the Ginibre matrix is written part by part into one complex array;
+        # the expression it replaced, normal + 1j * normal, orthogonalized by
+        # the same CGS2, gives the same matrices bit for bit, sign bits included
+        shape = (n, n) if size is None else (size, n, n)
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        q = np.moveaxis(z, (-1, -2), (0, 1)).copy()
+        for j in range(n):
+            v = q[j]
+            for _ in range(2 if j else 0):
+                coef = np.einsum("kr...,r...->k...", q[:j], v.conj()).conj()
+                v -= np.einsum("kr...,k...->r...", q[:j], coef)
+            v /= np.sqrt(
+                np.einsum("r...,r...->...", v.real, v.real)
+                + np.einsum("r...,r...->...", v.imag, v.imag)
+            )
+        want = np.moveaxis(q, (0, 1), (-1, -2))
+        U = sample_haar_unitary(n, np.random.default_rng(seed), size=size)
+        bits = [np.ascontiguousarray(a).view(np.uint64) for a in (U, want)]
+        assert np.array_equal(*bits)
+
     def test_left_invariance_smoke(self):
         rng = np.random.default_rng(4)
         fixed = sample_haar_unitary(2, np.random.default_rng(99))

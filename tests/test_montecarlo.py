@@ -3,9 +3,11 @@ import itertools
 import math
 from fractions import Fraction
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
+from numpy.polynomial import laguerre, polynomial
 from scipy import optimize, stats
 
 from gausshaar.densities import (
@@ -18,7 +20,7 @@ from gausshaar.densities import (
     log_density_unconstrained,
     log_vandermonde,
 )
-from gausshaar import densities, montecarlo
+from gausshaar import densities, haar, montecarlo
 from gausshaar.haar import sample_haar_unitary
 from gausshaar.montecarlo import (
     BLOCK,
@@ -35,6 +37,17 @@ from gausshaar.montecarlo import (
     weighted_chi2,
     weighted_ks_statistic,
 )
+
+
+def _patch_densities(monkeypatch, **names):
+    """Let montecarlo alone read ``names`` in place of those of densities.
+
+    montecarlo reads the closed form through its ``densities`` module
+    object; this swaps that object for a namespace of the same names with
+    ``names`` replaced, so densities' own functions still call the originals.
+    """
+    patched = types.SimpleNamespace(**{**vars(montecarlo.densities), **names})
+    monkeypatch.setattr(montecarlo, "densities", patched)
 
 
 def _vandermonde(x):
@@ -254,6 +267,25 @@ def _ginibre_simplex(m, count, rng):
     return y / y.sum(axis=1, keepdims=True)
 
 
+def _first_coordinate_cdf(m):
+    """CDF of one coordinate of the Delta^2 law on the unit simplex (ROADMAP T3).
+
+    One eigenvalue of the beta = 2 Laguerre ensemble, picked at random, has
+    the density (1/m) sum_{k<m} L_k(y)^2 e^-y = sum_j p_j y^j e^-y / m, a
+    mixture of Gamma(j + 1) with weights p_j j! / m, some negative.  Since
+    y_1 = x_1 sum(y), with sum(y) ~ Gamma(m^2) independent of x, x_1 is the
+    same mixture of Beta(j + 1, m^2 - j - 1).
+    """
+    square = functools.reduce(
+        polynomial.polyadd,
+        (polynomial.polypow(laguerre.lag2poly(np.eye(m)[k]), 2) for k in range(m)),
+    )
+    weights = [p * math.factorial(j) / m for j, p in enumerate(square)]
+    return lambda x: sum(
+        w * stats.beta.cdf(x, j + 1, m * m - j - 1) for j, w in enumerate(weights)
+    )
+
+
 class TestUnitSimplexDelta2:
     # verify compares only sum(nu) from n = 6, so the shape of the simplex
     # draw is tested here
@@ -271,6 +303,15 @@ class TestUnitSimplexDelta2:
         q = np.einsum("ij,ij->j", x, x)
         z = (q.mean() - 2.0 * m / (m * m + 1)) / (q.std(ddof=1) / math.sqrt(count))
         assert abs(z) < 4.0
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_one_coordinate_has_the_exact_law(self, m):
+        # the law is exchangeable, so the first coordinate has T3's law of
+        # any one; the smallest coordinate has another, and fails it
+        x = montecarlo._unit_simplex_delta2(m, 200_000, np.random.default_rng(90 + m))
+        cdf = _first_coordinate_cdf(m)
+        assert stats.kstest(x[0], cdf).pvalue > 0.01
+        assert stats.kstest(x.min(axis=0), cdf).pvalue < 1e-6
 
     @pytest.mark.parametrize("m", [3, 4])
     def test_sorted_coordinates_match_the_ginibre_spectrum(self, m):
@@ -644,22 +685,16 @@ class TestPointwiseWeight:
     def test_a_wrong_integrand_fails(self, mutation, monkeypatch):
         # prod nu^2 dropped from the invariant factor, Delta(nu^2)^1 in place
         # of Delta(nu^2)^2, or real orthogonal mixing in place of unitary
-        if mutation == "no-nu2":
-            monkeypatch.setattr(
-                montecarlo,
-                "log_density_unconstrained",
-                lambda nu, n_A, n_B: log_density_unconstrained(nu, n_A, n_B)
-                - 2.0 * np.log(nu).sum(axis=-1),
-            )
-        elif mutation == "vandermonde-1":
-            monkeypatch.setattr(
-                montecarlo,
-                "log_density_unconstrained",
-                lambda nu, n_A, n_B: log_density_unconstrained(nu, n_A, n_B)
-                - log_vandermonde(nu**2),
-            )
+        def wrong(nu, n_A, n_B):
+            right = log_density_unconstrained(nu, n_A, n_B)
+            if mutation == "no-nu2":
+                return right - 2.0 * np.log(nu).sum(axis=-1)
+            return right - log_vandermonde(nu**2)
+
+        if mutation == "orthogonal":
+            monkeypatch.setattr(haar, "sample_haar_unitary", _sample_orthogonal)
         else:
-            monkeypatch.setattr(montecarlo, "sample_haar_unitary", _sample_orthogonal)
+            _patch_densities(monkeypatch, log_density_unconstrained=wrong)
         chi2, p = _pointwise_chi2(3, EnergyConstraint(3.0, 3.0), 20_000, np.random.default_rng(6))
         assert p < 1e-6, chi2
 
@@ -799,12 +834,12 @@ class TestVerifyPipeline:
             draws.append(("sample_balanced", size))
             return sample_balanced(m, constraint, size, rng.rng)
 
-        def haar(m, rng, size):
+        def unitary(m, rng, size):
             draws.append(("sample_haar_unitary", size))
             return sample_haar_unitary(m, rng.rng, size=size)
 
         monkeypatch.setattr(montecarlo, "sample_balanced", balanced)
-        monkeypatch.setattr(montecarlo, "sample_haar_unitary", haar)
+        monkeypatch.setattr(haar, "sample_haar_unitary", unitary)
         values, log_weights = montecarlo._pipeline_block(m, c, count, rng)
         box = np.random.default_rng(m).binomial(count, montecarlo.DEFENSIVE)
         assert 0 < box and len(values) == log_weights.size == count
@@ -887,7 +922,7 @@ def _truncate_the_closed_form(m, constraint, mass, monkeypatch):
         return truncated, np.diff(truncated(edges))
 
     monkeypatch.setattr(montecarlo, "sample_balanced", sample)
-    monkeypatch.setattr(montecarlo, "log_density_balanced", log_density)
+    _patch_densities(monkeypatch, log_density_balanced=log_density)
     monkeypatch.setattr(montecarlo, "_sum_law", sum_law)
 
 
@@ -953,21 +988,19 @@ class TestVerdicts:
             def lowered(c):
                 return EnergyConstraint(c.E_A - 0.1, c.E_B - 0.1)
 
-            monkeypatch.setattr(
-                montecarlo, "balanced_sum_law", lambda m, c: balanced_sum_law(m, lowered(c))
-            )
-            # the lowered law forms its own gaps: the pipeline's are of c
-            monkeypatch.setattr(
-                montecarlo,
-                "log_density_balanced",
-                lambda nu, c, log_gaps: log_density_balanced(nu, lowered(c)),
-            )
-            monkeypatch.setattr(
-                montecarlo, "density_2p2", lambda x, y, c: density_2p2(x, y, lowered(c))
+            def log_density(nu, c, log_gaps):
+                # the lowered law forms its own gaps: the pipeline's are of c
+                return log_density_balanced(nu, lowered(c))
+
+            _patch_densities(
+                monkeypatch,
+                balanced_sum_law=lambda m, c: balanced_sum_law(m, lowered(c)),
+                log_density_balanced=log_density,
+                density_2p2=lambda x, y, c: density_2p2(x, y, lowered(c)),
             )
         else:
+            # densities' normalizer and montecarlo's sampler and masses alike
             monkeypatch.setattr(densities, "balanced_sum_law", _law_with_lighter_exponent)
-            monkeypatch.setattr(montecarlo, "balanced_sum_law", _law_with_lighter_exponent)
         rep = verify_constrained_density(n, EnergyConstraint(E, E), count, seed=1)
         assert "degenerate" not in rep.metadata
         assert rep.comparison["p_value"] < (1e-3 if n == 12 else 1e-6)
@@ -1233,10 +1266,12 @@ class TestBlockwiseReport:
             assert peak / count < bound, count
 
     def test_traced_peak_memory_of_one_block_at_n6(self):
-        # one block of BLOCK proposals at n = 6 peaks at 463 bytes per
-        # proposal (bounded at 500, 8% above it), in side B's Haar draw;
-        # 559 with side A's |U|^2 and mixing kept through it, and the
-        # complex Ginibre simplex draw alone peaked at 432
+        # one block of BLOCK proposals at n = 6 peaks at 319 bytes per
+        # proposal (bounded at 350, 10% above it), in either side's Haar
+        # draw; 463 when that draw added two complex stacks of normals and
+        # copied their sum into columns, 559 with side A's |U|^2 and mixing
+        # kept through it too, and the complex Ginibre simplex draw alone
+        # peaked at 432
         c = EnergyConstraint(2.5, 2.5)
         rng = np.random.default_rng(1)
         montecarlo._pipeline_block(3, c, BLOCK, rng)
@@ -1246,7 +1281,7 @@ class TestBlockwiseReport:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak / BLOCK < 500.0
+        assert peak / BLOCK < 350.0
 
 
 
@@ -1318,6 +1353,54 @@ class TestParity:
         assert rep.comparison["chi2"] == pytest.approx(want["chi2"], rel=1e-9)
         assert rep.comparison["ks_statistic"] == pytest.approx(want["ks"], rel=1e-9)
         assert rep.metadata["effective_sample_size"] == pytest.approx(want["ess"], rel=1e-9)
+
+
+def _golub_welsch(k):
+    """The k-point Gauss-Legendre rule on [0, 1] from the Legendre Jacobi matrix.
+
+    Golub & Welsch (Math. Comp. 23 (1969) 221): the eigenvalues and the
+    squared first components of the unit eigenvectors, mapped to [0, 1].
+    """
+    j = np.arange(1.0, k)
+    nodes, vectors = np.linalg.eigh(np.diag(j / np.sqrt(4.0 * j * j - 1.0), -1))
+    return 0.5 * (nodes + 1.0), vectors[0] ** 2
+
+
+# every rule size up to 64, and 494, the rule of the masses of S at n = 44
+RULE_SIZES = [*range(1, 65), 494]
+
+
+class TestGaussLegendre:
+    @pytest.mark.parametrize("k", RULE_SIZES)
+    def test_matches_golub_welsch(self, k):
+        nodes, weights = montecarlo._gauss_legendre(k)
+        want_nodes, want_weights = _golub_welsch(k)
+        assert np.abs(nodes - want_nodes).max() < 1e-14
+        assert np.abs(weights - want_weights).max() < 1e-14
+
+    @pytest.mark.parametrize("k", RULE_SIZES)
+    def test_exact_on_every_power_up_to_2k_minus_1(self, k):
+        nodes, weights = montecarlo._gauss_legendre(k)
+        j = np.arange(2 * k)
+        sums = (nodes ** j[:, None] * weights).sum(axis=1)
+        assert np.abs(sums * (j + 1) - 1.0).max() < 1e-13
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_verify_makes_no_lapack_call_below_n6(self, n, monkeypatch):
+        # the bin masses take the Newton rule, and below n = 6 nothing is
+        # decomposed; from n = 6 the simplex draw takes eigvalsh
+        def lapack(*args, **kwargs):
+            raise AssertionError("LAPACK call")
+
+        for name in ("eigh", "eigvalsh", "qr", "cholesky"):
+            monkeypatch.setattr(np.linalg, name, lapack)
+        c = EnergyConstraint(2.5, 2.5)
+        if n == 6:
+            with pytest.raises(AssertionError, match="LAPACK"):
+                verify_constrained_density(n, c, 20_000, seed=1)
+        else:
+            rep = verify_constrained_density(n, c, 20_000, seed=1)
+            assert rep.comparison["p_value"] > 0.01
 
 
 class TestBinIndex:
